@@ -43,7 +43,6 @@ from .spectral_core import (
     SpectralDecomposition,
     dense_eig_oracle,
     estimate_spectral_norm,
-    matvec,
     residual_norm,
     ritz_gap_rho,
     truncated_eigs,

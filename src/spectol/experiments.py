@@ -299,6 +299,12 @@ def run_clustering_stability(
     tolerances) isolates the embedding's movement.  Re-selecting the count
     per tolerance would instead measure silhouette flips between near-tied
     counts, which persist even for fully converged embeddings.
+
+    A solve stops only at a restart, so consecutive tolerances often return
+    the same embedding bit for bit.  k-means is deterministic for a fixed
+    input and seed, so such a tolerance reuses the previous one's clustering
+    and silhouette instead of recomputing them: each distinct embedding of
+    a repetition is clustered once, with identical results.
     """
     tols = tuple(float(t) for t in tolerances)
     if not tols or any(b >= a for a, b in zip(tols, tols[1:])):
@@ -316,13 +322,15 @@ def run_clustering_stability(
             ref_dec.vectors, k_range, cluster_ss
         )
         records = []
-        prev_labels = None
+        prev_labels = prev_vectors = None
         for tol in tols:
             dec = truncated_eigs(
                 graph, d, tol, max_restarts=max_restarts, seed=solver_ss
             )
-            clustering = kmeans(dec.vectors, ref_k, seed=cluster_ss)
-            sil = silhouette_width(dec.vectors, clustering).mean
+            if prev_vectors is None or not np.array_equal(dec.vectors, prev_vectors):
+                clustering = kmeans(dec.vectors, ref_k, seed=cluster_ss)
+                sil = silhouette_width(dec.vectors, clustering).mean
+                prev_vectors = dec.vectors
             ari_ref = adjusted_rand_index(clustering.labels, ref_clustering.labels)
             ari_prev = (
                 adjusted_rand_index(clustering.labels, prev_labels)

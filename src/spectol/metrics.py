@@ -24,6 +24,8 @@ from .errors import (
 )
 
 _ORTHONORMAL_TOL = 1e-8
+# rows of the pairwise distance matrix silhouette_width holds at once
+_SILHOUETTE_BLOCK = 256
 
 
 def procrustes_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -95,13 +97,22 @@ def _plus_plus_init(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
+def _sq_dists(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, rows x points, summed one coordinate at
+    a time so that no rows x points x d temporary exists."""
+    out = np.zeros((rows.shape[0], points.shape[0]))
+    for j in range(rows.shape[1]):
+        out += (rows[:, j, None] - points[None, :, j]) ** 2
+    return out
+
+
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
     n, k = points.shape[0], centers.shape[0]
     centers = centers.copy()
     labels = np.full(n, -1)
     prev_wcss = math.inf
     for _ in range(max_iters):
-        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dists = _sq_dists(points, centers)
         new_labels = dists.argmin(axis=1)
         # revive empty clusters by seizing the point farthest from its center
         counts = np.bincount(new_labels, minlength=k)
@@ -123,10 +134,10 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            members = points[labels == c]
-            if members.size:
-                centers[c] = members.mean(axis=0)
+        filled = counts > 0
+        for j in range(points.shape[1]):
+            sums = np.bincount(labels, weights=points[:, j], minlength=k)
+            centers[filled, j] = sums[filled] / counts[filled]
     return labels, centers, prev_wcss
 
 
@@ -173,8 +184,11 @@ def silhouette_width(points: np.ndarray, clustering: Clustering) -> SilhouetteRe
     """s(i) = (b(i) - a(i)) / max(a(i), b(i)) under Euclidean distance.
 
     a(i) averages over the other members of i's cluster; b(i) is the best
-    mean distance to a foreign cluster.  Singleton clusters score 0, as does
-    the 0/0 case.
+    mean distance to a nonempty foreign cluster.  Singleton clusters score
+    0, as does the 0/0 case and a point with no nonempty foreign cluster.
+    Distances are formed _SILHOUETTE_BLOCK rows at a time and folded into
+    per-cluster sums at once, so memory stays O(_SILHOUETTE_BLOCK * n)
+    rather than O(n^2).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = clustering.labels
@@ -184,28 +198,25 @@ def silhouette_width(points: np.ndarray, clustering: Clustering) -> SilhouetteRe
     n = points.shape[0]
     if labels.shape != (n,):
         raise LengthMismatch("one label per point is required")
-    sq = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    dist = np.sqrt(np.clip(sq, 0.0, None))
     sizes = np.bincount(labels, minlength=k)
-    # mean distance from every point to every cluster
-    sums = np.zeros((n, k))
-    for c in range(k):
-        sums[:, c] = dist[:, labels == c].sum(axis=1)
+    one_hot = np.eye(k)[labels]
+    # summed distance from every point to every cluster
+    sums = np.concatenate([
+        np.sqrt(_sq_dists(points[start : start + _SILHOUETTE_BLOCK], points)) @ one_hot
+        for start in range(0, n, _SILHOUETTE_BLOCK)
+    ])
+    rows = np.arange(n)
+    own = sizes[labels]
+    a = sums[rows, labels] / np.maximum(own - 1, 1)
+    mean_to = sums / np.maximum(sizes, 1)
+    mean_to[:, sizes == 0] = np.inf
+    mean_to[rows, labels] = np.inf
+    b = mean_to.min(axis=1)
+    top = np.maximum(a, b)
+    scored = (own > 1) & np.isfinite(b) & (top > 0)
     values = np.zeros(n)
-    for i in range(n):
-        c = labels[i]
-        if sizes[c] <= 1:
-            continue
-        a = sums[i, c] / (sizes[c] - 1)
-        foreign = [sums[i, o] / sizes[o] for o in range(k) if o != c and sizes[o] > 0]
-        if not foreign:
-            continue
-        b = min(foreign)
-        top = max(a, b)
-        values[i] = (b - a) / top if top > 0 else 0.0
-    cluster_means = np.array(
-        [values[labels == c].mean() if sizes[c] else 0.0 for c in range(k)]
-    )
+    values[scored] = (b[scored] - a[scored]) / top[scored]
+    cluster_means = np.bincount(labels, weights=values, minlength=k) / np.maximum(sizes, 1)
     return SilhouetteResult(
         values=values, cluster_means=cluster_means, mean=float(values.mean())
     )

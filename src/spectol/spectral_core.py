@@ -87,11 +87,6 @@ class SpectralDecomposition:
                 raise DimensionMismatch("converged result violates its own criterion")
 
 
-def matvec(A: SparseGraph, v: np.ndarray) -> np.ndarray:
-    """Adjacency-vector product in O(m)."""
-    return A.matvec(v)
-
-
 def _orthogonalize(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Two-pass Gram-Schmidt projection of t against an orthonormal basis."""
     for _ in range(2):

@@ -186,3 +186,99 @@ def exhaustive_sq_deviation(P: np.ndarray) -> np.ndarray:
         D = A - P
         out += prob * (D @ D)
     return out
+
+
+def brute_force_silhouette(points, labels, k: int):
+    """Per-point silhouette widths, per-cluster means and the global mean,
+    one point and one foreign cluster at a time.
+
+    Conventions: a point alone in its cluster scores 0, as does a point
+    with a = b = 0 or with no nonempty foreign cluster; an empty cluster's
+    mean is 0.
+    """
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    labels = np.asarray(labels)
+    n = X.shape[0]
+    values = np.zeros(n)
+    for i in range(n):
+        dist = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+        own = labels == labels[i]
+        if own.sum() <= 1:
+            continue
+        a = dist[own].sum() / (own.sum() - 1)
+        foreign = [dist[labels == c].mean() for c in range(k)
+                   if c != labels[i] and (labels == c).any()]
+        if not foreign:
+            continue
+        b = min(foreign)
+        top = max(a, b)
+        values[i] = (b - a) / top if top > 0 else 0.0
+    cluster_means = np.array(
+        [values[labels == c].mean() if (labels == c).any() else 0.0 for c in range(k)]
+    )
+    return values, cluster_means, float(values.mean())
+
+
+def _reference_plus_plus_init(points, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[c] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+def _reference_lloyd(points, centers, max_iters):
+    n, k = points.shape[0], centers.shape[0]
+    centers = centers.copy()
+    labels = np.full(n, -1)
+    prev_wcss = math.inf
+    for _ in range(max_iters):
+        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dists.argmin(axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        for c in np.nonzero(counts == 0)[0]:
+            eligible = counts[new_labels] > 1
+            if not eligible.any():
+                break
+            assigned = dists[np.arange(n), new_labels]
+            assigned = np.where(eligible, assigned, -1.0)
+            idx = int(assigned.argmax())
+            counts[new_labels[idx]] -= 1
+            new_labels[idx] = c
+            counts[c] += 1
+            centers[c] = points[idx]
+            dists[:, c] = ((points - centers[c]) ** 2).sum(axis=1)
+        wcss = float(dists[np.arange(n), new_labels].sum())
+        prev_wcss = wcss
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = points[labels == c]
+            if members.size:
+                centers[c] = members.mean(axis=0)
+    return labels, centers, prev_wcss
+
+
+def reference_kmeans(points, k: int, seed=0, max_iters: int = 100, restarts: int = 10):
+    """k-means++ seeding then Lloyd with an n x k x d distance temporary and
+    one masked mean per center: a frozen copy of the original loop version,
+    kept to pin the vectorized one bit for bit.  Returns (labels, centers,
+    wcss) of the best restart."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        init = _reference_plus_plus_init(points, k, rng)
+        labels, centers, wcss = _reference_lloyd(points, init, max_iters)
+        if best is None or wcss < best[2]:
+            best = (labels, centers, wcss)
+    return best

@@ -394,6 +394,78 @@ class TestClusteringStability:
         with pytest.raises(DomainError):
             run_clustering_stability(graph, 2, tolerances=(0.1, 0.5))
 
+    def test_each_distinct_embedding_clustered_once(self, monkeypatch):
+        from dataclasses import astuple
+
+        from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
+        from spectol import experiments, metrics
+        from spectol.experiments import StabilityRecord
+        from spectol.metrics import (
+            adjusted_rand_index,
+            choose_k_by_silhouette,
+            kmeans,
+            silhouette_width,
+        )
+        from spectol.spectral_core import truncated_eigs
+
+        graph = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm(100))), 3)
+        tols = tuple(2.0**-k for k in range(1, 9))
+        k_range = (2, 3, 4)
+        reps = 3
+
+        # the plain pipeline: solve, cluster and score at every tolerance
+        expected, distinct = [], 0
+        for rep in range(reps):
+            solver_ss, cluster_ss = np.random.SeedSequence(rep).spawn(2)
+            ref = truncated_eigs(graph, 3, 1e-6, seed=solver_ss)
+            ref_k, ref_clustering = choose_k_by_silhouette(ref.vectors, k_range, cluster_ss)
+            prev_vectors = prev_labels = None
+            for tol in tols:
+                vectors = truncated_eigs(graph, 3, tol, seed=solver_ss).vectors
+                distinct += prev_vectors is None or not np.array_equal(vectors, prev_vectors)
+                clustering = kmeans(vectors, ref_k, seed=cluster_ss)
+                expected.append(StabilityRecord(
+                    tol_exponent=-math.log2(tol),
+                    repetition=rep,
+                    k_chosen=ref_k,
+                    ari_vs_reference=adjusted_rand_index(
+                        clustering.labels, ref_clustering.labels),
+                    ari_vs_coarser=(adjusted_rand_index(clustering.labels, prev_labels)
+                                    if prev_labels is not None else float("nan")),
+                    mean_silhouette=silhouette_width(vectors, clustering).mean,
+                ))
+                prev_vectors, prev_labels = vectors, clustering.labels
+        assert distinct < reps * len(tols)
+
+        calls = {"kmeans": 0, "silhouette_width": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name, getattr(metrics, name))
+            monkeypatch.setattr(metrics, name, wrapper)
+            monkeypatch.setattr(experiments, name, wrapper)
+        records, _ = run_clustering_stability(
+            graph, 3, tols, seed=0, repetitions=reps, k_range=k_range
+        )
+        monkeypatch.undo()
+        choose_k_calls = reps * len(k_range)
+        assert calls == {"kmeans": distinct + choose_k_calls,
+                         "silhouette_width": distinct + choose_k_calls}
+
+        def key(rec):
+            return tuple("nan" if v != v else v for v in astuple(rec))
+
+        assert [key(r) for r in records] == [key(r) for r in expected]
+        threaded, _ = run_clustering_stability(
+            graph, 3, tols, seed=0, repetitions=reps, k_range=k_range, workers=2
+        )
+        assert [key(r) for r in threaded] == [key(r) for r in records]
+
     def test_stability_csv_schema(self, tmp_path):
         from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
 

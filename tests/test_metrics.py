@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectol import (
+    Clustering,
     DimensionMismatch,
     DomainError,
     EmptyRange,
@@ -23,7 +24,14 @@ from spectol import (
     silhouette_width,
     zhu_ghodsi_dimension,
 )
-from oracles import brute_force_elbow, brute_force_procrustes, pair_counting_ari
+from spectol.metrics import _SILHOUETTE_BLOCK
+from oracles import (
+    brute_force_elbow,
+    brute_force_procrustes,
+    brute_force_silhouette,
+    pair_counting_ari,
+    reference_kmeans,
+)
 
 
 def random_orthogonal(d: int, seed: int) -> np.ndarray:
@@ -138,6 +146,82 @@ class TestKmeans:
         b = kmeans(pts, 3, seed=4)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.centers, b.centers)
+
+
+class TestKmeansMatchesReference:
+    """Bit-for-bit agreement with the frozen loop version.  For 2 <= d <= 7
+    numpy adds a length-d row and a column of members left to right, the
+    order of the per-coordinate accumulation and of np.bincount; for d = 1
+    and d >= 8 it sums pairwise, and the two can differ in the last bit."""
+
+    @staticmethod
+    def assert_matches(pts, k, seed):
+        labels, centers, wcss = reference_kmeans(pts, k, seed)
+        result = kmeans(pts, k, seed)
+        assert np.array_equal(result.labels, labels)
+        assert np.array_equal(result.centers, centers)
+        assert result.wcss == wcss
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_points(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        d = 2 + seed
+        pts = rng.standard_normal((150, d)) * rng.uniform(0.5, 3.0, size=d)
+        for k in (2, 3, 5):
+            self.assert_matches(pts, k, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicates_revive_empty_clusters(self, seed):
+        # four distinct locations and k = 5: seeding must repeat a location,
+        # argmin sends tied points to one center, and only the empty-cluster
+        # revival can leave all five clusters occupied
+        rng = np.random.default_rng(seed)
+        locations = rng.standard_normal((4, 3))
+        pts = locations[rng.integers(4, size=60)]
+        self.assert_matches(pts, 5, seed)
+        assert len(set(kmeans(pts, 5, seed).labels)) == 5
+
+
+class TestSilhouetteMatchesOracle:
+    @staticmethod
+    def assert_matches(pts, clustering):
+        values, cluster_means, mean = brute_force_silhouette(
+            pts, clustering.labels, clustering.k
+        )
+        result = silhouette_width(pts, clustering)
+        assert np.abs(result.values - values).max() <= 1e-12
+        assert np.abs(result.cluster_means - cluster_means).max() <= 1e-12
+        assert abs(result.mean - mean) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_random_points(self, k):
+        rng = np.random.default_rng(20 + k)
+        pts = rng.standard_normal((90, 3))
+        self.assert_matches(pts, kmeans(pts, k, seed=k))
+
+    def test_empty_cluster_and_singleton(self):
+        rng = np.random.default_rng(30)
+        pts = rng.standard_normal((12, 2))
+        labels = np.array([0] * 6 + [1] * 5 + [3])
+        clustering = Clustering(labels=labels, k=4, centers=np.zeros((4, 2)), wcss=0.0)
+        self.assert_matches(pts, clustering)
+        result = silhouette_width(pts, clustering)
+        assert result.values[11] == 0.0
+        assert result.cluster_means[2] == 0.0
+
+    def test_all_points_identical(self):
+        pts = np.ones((10, 3))
+        labels = np.array([0, 1, 2] * 3 + [0])
+        clustering = Clustering(labels=labels, k=3, centers=np.ones((3, 3)), wcss=0.0)
+        self.assert_matches(pts, clustering)
+        assert np.array_equal(silhouette_width(pts, clustering).values, np.zeros(10))
+
+    def test_several_row_blocks(self):
+        n = 2 * _SILHOUETTE_BLOCK + 37
+        rng = np.random.default_rng(31)
+        blobs = np.repeat(4.0 * np.eye(3), [n // 3, n // 3, n - 2 * (n // 3)], axis=0)
+        pts = rng.standard_normal((n, 3)) + blobs
+        self.assert_matches(pts, kmeans(pts, 3, seed=0))
 
 
 class TestSilhouetteWidth:

@@ -18,7 +18,6 @@ from spectol import (
     canonical_angles,
     dense_eig_oracle,
     estimate_spectral_norm,
-    matvec,
     residual_norm,
     ritz_gap_rho,
     sample_adjacency,
@@ -39,7 +38,7 @@ def random_graph(n: int, p: float, seed: int) -> SparseGraph:
 
 class TestMatvec:
     def test_single_edge_swap(self):
-        assert np.array_equal(matvec(K2, np.array([1.0, 0.0])), [0.0, 1.0])
+        assert np.array_equal(K2.matvec(np.array([1.0, 0.0])), [0.0, 1.0])
 
     def test_empty_graph(self):
         empty = SparseGraph(3, np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64))
