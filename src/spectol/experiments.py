@@ -35,8 +35,7 @@ from .metrics import (
     silhouette_width,
     zhu_ghodsi_dimension,
 )
-from .spectral_core import DEFAULT_MAX_RESTARTS, dense_eig_oracle, truncated_eigs
-from .spectral_core import ritz_gap_rho
+from .spectral_core import DEFAULT_MAX_RESTARTS, ritz_gap_rho, truncated_eigs
 from .tolerance import tolerance_report
 
 log = logging.getLogger(__name__)
@@ -107,7 +106,13 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One (tolerance, replicate) cell of a sweep table."""
+    """One (tolerance, replicate) cell of a sweep table.
+
+    ``elapsed_ms`` is what a solve to this tolerance costs: the solver time
+    of the replicate's chain up to and including it, since each tolerance
+    resumes the looser one's solve.  It is 0.0 unless the config sets
+    ``record_timing``.
+    """
 
     tol_exponent: float
     replicate: int
@@ -157,9 +162,11 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
 
     Within a replicate the sampled graph and the solver's starting seed are
     held fixed across tolerances, so differences down a column are purely
-    the stopping rule.  Returns the records (replicate-major order) and a
-    summary dict; writes CSV and summary JSON when the config names an
-    output path.
+    the stopping rule.  The tolerances of a replicate share one restart
+    path: each solve resumes where the looser one stopped (``resume=``) and
+    returns what a fresh solve would.  Returns the records (replicate-major
+    order) and a summary dict; writes CSV and summary JSON when the config
+    names an output path.
     """
     if isinstance(config.model, SbmSpec):
         P = FactoredProbabilityMatrix(sbm_to_latent(config.model))
@@ -185,19 +192,20 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
         ss = np.random.SeedSequence(config.seed + r)
         graph_ss, solver_ss, report_ss = ss.spawn(3)
         A = fixed_graph if fixed_graph is not None else sample_adjacency(P, graph_ss)
+        # rho needs the spectrum only, so no eigenvectors are formed
         dense_values = (
-            dense_eig_oracle(A.to_dense())[0]
-            if A.n <= config.rho_oracle_limit
-            else None
+            np.linalg.eigvalsh(A.to_dense()) if A.n <= config.rho_oracle_limit else None
         )
         report = tolerance_report(A, seed=report_ss)
         records = []
+        dec = None
+        solve_s = 0.0
         for tol in config.tolerances:
             t0 = time.perf_counter()
             dec = truncated_eigs(
-                A, d, tol, max_restarts=config.max_restarts, seed=solver_ss
+                A, d, tol, max_restarts=config.max_restarts, seed=solver_ss, resume=dec
             )
-            elapsed_ms = (time.perf_counter() - t0) * 1e3
+            solve_s += time.perf_counter() - t0
             if V is not None:
                 err = procrustes_distance(dec.vectors, V[:, :d])[0]
             else:
@@ -224,7 +232,7 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
                     procrustes_error=err,
                     residual=dec.residual,
                     rho=rho,
-                    elapsed_ms=elapsed_ms if config.record_timing else 0.0,
+                    elapsed_ms=solve_s * 1e3 if config.record_timing else 0.0,
                     procrustes_error_scaled=scaled_err,
                 )
             )
@@ -294,11 +302,15 @@ def run_clustering_stability(
 
     Every repetition embeds the same graph at a reference tolerance and picks
     a cluster count by silhouette there, once; each swept tolerance is then
-    re-embedded with the same starting seed and re-clustered at that count,
+    embedded with the same starting seed and re-clustered at that count,
     so the adjusted Rand index against the reference (and between consecutive
     tolerances) isolates the embedding's movement.  Re-selecting the count
     per tolerance would instead measure silhouette flips between near-tied
     counts, which persist even for fully converged embeddings.
+
+    A repetition solves the swept tolerances and the reference in decreasing
+    order along one restart path, each solve resuming where the looser one
+    stopped (``resume=``), with the results of fresh solves.
 
     A solve stops only at a restart, so consecutive tolerances often return
     the same embedding bit for bit.  k-means is deterministic for a fixed
@@ -315,22 +327,27 @@ def run_clustering_stability(
     def one_repetition(rep: int):
         ss = np.random.SeedSequence(seed + rep)
         solver_ss, cluster_ss = ss.spawn(2)
-        ref_dec = truncated_eigs(
-            graph, d, reference_tol, max_restarts=max_restarts, seed=solver_ss
-        )
+        embeddings = {}
+        dec = None
+        for tol in sorted({*tols, float(reference_tol)}, reverse=True):
+            dec = truncated_eigs(
+                graph, d, tol, max_restarts=max_restarts, seed=solver_ss, resume=dec
+            )
+            embeddings[tol] = dec.vectors
+        # only the vectors are clustered: free the restart path (the
+        # solver's basis) before k-means runs
+        del dec
         ref_k, ref_clustering = choose_k_by_silhouette(
-            ref_dec.vectors, k_range, cluster_ss
+            embeddings[float(reference_tol)], k_range, cluster_ss
         )
         records = []
         prev_labels = prev_vectors = None
         for tol in tols:
-            dec = truncated_eigs(
-                graph, d, tol, max_restarts=max_restarts, seed=solver_ss
-            )
-            if prev_vectors is None or not np.array_equal(dec.vectors, prev_vectors):
-                clustering = kmeans(dec.vectors, ref_k, seed=cluster_ss)
-                sil = silhouette_width(dec.vectors, clustering).mean
-                prev_vectors = dec.vectors
+            vectors = embeddings[tol]
+            if prev_vectors is None or not np.array_equal(vectors, prev_vectors):
+                clustering = kmeans(vectors, ref_k, seed=cluster_ss)
+                sil = silhouette_width(vectors, clustering).mean
+                prev_vectors = vectors
             ari_ref = adjusted_rand_index(clustering.labels, ref_clustering.labels)
             ari_prev = (
                 adjusted_rand_index(clustering.labels, prev_labels)

@@ -22,10 +22,21 @@ leading Ritz vectors plus the next block and expansion resumes.
 Two-pass reorthogonalization keeps the basis orthonormal to machine
 precision throughout, so the projected matrix stays faithful after many
 restarts.
+
+The tolerance enters only the stopping test: the exact residual draws no
+random numbers and a failed test leaves the basis as it was, so the restart
+trajectory of a start block is the same for every tolerance.  A solve
+therefore runs that trajectory as a suspended restart path, logging what
+the stopping rule read at each restart, and a later call at a tighter
+tolerance can resume it (``resume=``): it replays the log to count the
+exact checks a fresh solve would make, then pulls new restarts, and returns
+exactly the fresh solve's result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +87,8 @@ class SpectralDecomposition:
     tolerance_used: float
     spectral_norm_estimate: float
     krylov_dim: int
+    # the suspended restart path a later call can resume (``resume=``)
+    _path: _RestartPath | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         gram = self.vectors.T @ self.vectors
@@ -85,6 +98,10 @@ class SpectralDecomposition:
             limit = self.tolerance_used * self.spectral_norm_estimate
             if self.residual > limit * (1.0 + 1e-12):
                 raise DimensionMismatch("converged result violates its own criterion")
+
+    def __getstate__(self) -> dict:
+        # a copy carries no live restart path and so cannot be resumed
+        return {**self.__dict__, "_path": None}
 
 
 def _orthogonalize(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -120,46 +137,15 @@ def _expand_basis(A, Q, W, j, m, b, rng):
     return j, j - start
 
 
-def truncated_eigs(
-    A: SparseGraph,
-    d: int,
-    tol: float,
-    *,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
-    block_size: int | None = None,
-    seed=0,
-) -> SpectralDecomposition:
-    """d leading eigenpairs of A by magnitude, to relative residual tol.
+def _restarts(A, d, m, max_restarts, seed):
+    """The thick-restart trajectory of one start block, one restart at a time.
 
-    Parameters
-    ----------
-    A : SparseGraph
-        Hollow symmetric adjacency structure with at least one edge.
-    d : int
-        Number of eigenpairs, 1 <= d < n.
-    tol : float
-        Relative residual target; the run stops once the spectral norm of
-        A U - U S falls below tol times the top-eigenvalue estimate.
-    max_restarts : int
-        Restart budget.  On exhaustion the best iterate is returned with
-        ``converged`` False rather than raising.
-    block_size : int, optional
-        Working basis size held between restarts, in columns (not the
-        Lanczos block width); defaults to max(2 d + 5, 20), capped at n.
-    seed : int or numpy SeedSequence
-        Drives the uniform random starting block, making runs repeatable.
+    Yields (state, U, theta) after each restart's Ritz extraction: ``state``
+    holds what the stopping rule reads, (U, theta) the d selected Ritz pairs.
+    The tolerance appears nowhere here, so one trajectory serves every
+    tolerance; the caller picks the restart to stop at.
     """
     n = A.n
-    if A.m == 0:
-        raise DegenerateGraph("adjacency matrix is identically zero")
-    if not 1 <= d < n:
-        raise DimensionMismatch(f"need 1 <= d < n, got d={d} with n={n}")
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
-    m = block_size if block_size is not None else max(2 * d + 5, 20)
-    m = min(int(m), n)
-    if m <= d:
-        m = min(n, d + 1)
     b = min(_BLOCK, m)
     keep = max(d, min(d + 5, m - b))
     delta_A = float(A.degrees.max())
@@ -176,9 +162,6 @@ def truncated_eigs(
 
     lam1_prev: float | None = None
     lam1_stable = False
-    theta = np.zeros(d)
-    Yd = np.zeros((b, d))
-    denom = delta_A
     for iteration in range(1, max_restarts + 1):
         j, used = _expand_basis(A, Q, W, j, m, b, rng)
         matvecs += used
@@ -223,24 +206,9 @@ def truncated_eigs(
         U = Q[:, :j] @ Yd
         G = W[:, :j] @ Yd - U * theta
         est = float(np.sqrt(max(0.0, np.linalg.eigvalsh(G.T @ G)[-1])))
-        if settled and est <= tol * denom and j >= d:
-            resid = residual_norm(A, U, theta)
-            matvecs += d
-            if resid <= tol * denom:
-                return SpectralDecomposition(
-                    d=d,
-                    values=theta.copy(),
-                    vectors=U,
-                    residual=resid,
-                    iterations=iteration,
-                    matvecs=matvecs,
-                    converged=True,
-                    tolerance_used=tol,
-                    spectral_norm_estimate=denom,
-                    krylov_dim=m,
-                )
+        yield _Restart(matvecs, settled, est, denom), U, theta
         if iteration == max_restarts:
-            break
+            return
         # thick restart: grow the next block (A times the last b columns)
         # into the spare columns, then compress the basis to the leading
         # Ritz vectors followed by that block
@@ -254,21 +222,162 @@ def truncated_eigs(
             M[:, held : held + fresh] = M[:, j : j + fresh]
         j = held + fresh
 
-    U = Q[:, :j] @ Yd
-    resid = residual_norm(A, U, theta)
-    matvecs += d
-    return SpectralDecomposition(
+
+@dataclass
+class _Restart:
+    """What the stopping rule reads at one restart of a path."""
+
+    matvecs: int  # products along the trajectory, exact residuals excluded
+    settled: bool
+    estimate: float  # residual norm from W = A Q, free of products
+    denom: float
+    residual: float | None = None  # exact residual, once a check needed it
+
+
+def _path_key(d, m, max_restarts, seed) -> tuple:
+    """Equal for two calls on one graph exactly when they share a trajectory.
+
+    Integer seeds compare by value and SeedSequences by identity; any other
+    seed (None, a generator) draws a new start block on every call, so its
+    key equals no other.
+    """
+    if isinstance(seed, numbers.Integral):
+        seed = int(seed)
+    elif not isinstance(seed, np.random.SeedSequence):
+        seed = object()
+    return (d, m, max_restarts, seed)
+
+
+class _RestartPath:
+    """One suspended restart trajectory plus the log of its restarts so far.
+
+    ``U`` and ``theta`` are the Ritz pairs of the last restart pulled; the
+    log keeps only scalars, which is all a replay at a tighter tolerance
+    reads before it reaches that restart.
+    """
+
+    def __init__(self, A, d, m, max_restarts, seed):
+        self.A = A
+        self.key = _path_key(d, m, max_restarts, seed)
+        self.log: list[_Restart] = []
+        self.U = self.theta = None
+        self.owner = None  # weak reference to the latest result on the path
+        self._steps = _restarts(A, d, m, max_restarts, seed)
+
+    def pull(self) -> bool:
+        """Run the trajectory to its next restart; False once the budget is spent."""
+        step = next(self._steps, None)
+        if step is None:
+            return False
+        state, self.U, self.theta = step
+        self.log.append(state)
+        return True
+
+
+def truncated_eigs(
+    A: SparseGraph,
+    d: int,
+    tol: float,
+    *,
+    max_restarts: int = DEFAULT_MAX_RESTARTS,
+    block_size: int | None = None,
+    seed=0,
+    resume: SpectralDecomposition | None = None,
+) -> SpectralDecomposition:
+    """d leading eigenpairs of A by magnitude, to relative residual tol.
+
+    Parameters
+    ----------
+    A : SparseGraph
+        Hollow symmetric adjacency structure with at least one edge.
+    d : int
+        Number of eigenpairs, 1 <= d < n.
+    tol : float
+        Relative residual target; the run stops once the spectral norm of
+        A U - U S falls below tol times the top-eigenvalue estimate.
+    max_restarts : int
+        Restart budget, at least 1.  On exhaustion the best iterate is
+        returned with ``converged`` False rather than raising.
+    block_size : int, optional
+        Working basis size held between restarts, in columns (not the
+        Lanczos block width); defaults to max(2 d + 5, 20), capped at n.
+    seed : int or numpy SeedSequence
+        Drives the uniform random starting block, making runs repeatable.
+    resume : SpectralDecomposition, optional
+        The latest result of an earlier call with the same A (the same
+        object), d, block_size, max_restarts and seed, at a tolerance no
+        tighter than tol.  The solve continues from the restart where that
+        one stopped instead of starting over, and returns exactly what a
+        fresh call would: ``iterations``, ``matvecs`` and every other field
+        count the whole solve.  Any other result raises DomainError.
+    """
+    n = A.n
+    if A.m == 0:
+        raise DegenerateGraph("adjacency matrix is identically zero")
+    if not 1 <= d < n:
+        raise DimensionMismatch(f"need 1 <= d < n, got d={d} with n={n}")
+    if not tol > 0.0:
+        raise DomainError("tolerance must be positive")
+    if max_restarts < 1:
+        raise DomainError("the restart budget must be at least 1")
+    m = block_size if block_size is not None else max(2 * d + 5, 20)
+    m = min(int(m), n)
+    if m <= d:
+        m = min(n, d + 1)
+
+    if resume is None:
+        path = _RestartPath(A, d, m, max_restarts, seed)
+    else:
+        path = getattr(resume, "_path", None)
+        if (
+            path is None
+            or path.A is not A
+            or path.key != _path_key(d, m, max_restarts, seed)
+        ):
+            raise DomainError(
+                "resume needs a solve of the same graph with the same d, "
+                "block_size, max_restarts and an int or SeedSequence seed"
+            )
+        if tol > resume.tolerance_used:
+            raise DomainError("resume cannot loosen the tolerance")
+        if path.owner() is not resume:
+            raise DomainError("resume needs the latest result on its restart path")
+
+    # a replay at a tighter tolerance passes the earlier stops, and any
+    # check it makes before the last logged restart was made (and failed)
+    # by an earlier, looser solve, so only that restart can lack a residual
+    checks = 0
+    k = 0
+    converged = False
+    while k < len(path.log) or path.pull():
+        state = path.log[k]
+        k += 1
+        if state.settled and state.estimate <= tol * state.denom:
+            checks += 1
+            if state.residual is None:
+                state.residual = residual_norm(A, path.U, path.theta)
+            if state.residual <= tol * state.denom:
+                converged = True
+                break
+    assert k == len(path.log), "a replay stopped before the last logged restart"
+    if not converged and state.residual is None:
+        state.residual = residual_norm(A, path.U, path.theta)
+    dec = SpectralDecomposition(
         d=d,
-        values=theta.copy(),
-        vectors=U,
-        residual=resid,
-        iterations=max_restarts,
-        matvecs=matvecs,
-        converged=False,
+        values=path.theta.copy(),
+        vectors=path.U.copy(),
+        residual=state.residual,
+        iterations=k,
+        # an unconverged solve measures its final residual once more
+        matvecs=state.matvecs + d * (checks + (not converged)),
+        converged=converged,
         tolerance_used=tol,
-        spectral_norm_estimate=denom,
+        spectral_norm_estimate=state.denom,
         krylov_dim=m,
+        _path=path,
     )
+    path.owner = weakref.ref(dec)
+    return dec
 
 
 def estimate_spectral_norm(

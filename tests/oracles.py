@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: brute force over the orthogonal
 group, O(n^2) pair counting, exhaustive graph enumeration.  None of it
-imports the package under test.
+imports the package under test, except the fresh-solve harness references
+at the end: they rebuild sweep and stability records from the package's
+own solver and metrics with one independent solve per tolerance, the
+plain pipeline that the harness's shared restart path must reproduce.
 """
 from __future__ import annotations
 
@@ -282,3 +285,80 @@ def reference_kmeans(points, k: int, seed=0, max_iters: int = 100, restarts: int
         if best is None or wcss < best[2]:
             best = (labels, centers, wcss)
     return best
+
+
+def fresh_sweep_records(config) -> list:
+    """The records of ``run_tolerance_sweep(config)`` for a block model with
+    a fixed d, from one fresh solve per (replicate, tolerance)."""
+    from spectol import (
+        FactoredProbabilityMatrix,
+        procrustes_distance,
+        ritz_gap_rho,
+        sample_adjacency,
+        sbm_to_latent,
+        truncated_eigs,
+    )
+    from spectol.experiments import SweepRecord
+
+    P = FactoredProbabilityMatrix(sbm_to_latent(config.model))
+    sigma, V = P.eigendecomposition()
+    d = config.d
+    records = []
+    for r in range(config.replicates):
+        graph_ss, solver_ss, _ = np.random.SeedSequence(config.seed + r).spawn(3)
+        A = sample_adjacency(P, graph_ss)
+        spectrum = np.linalg.eigvalsh(A.to_dense())
+        for tol in config.tolerances:
+            dec = truncated_eigs(A, d, tol, max_restarts=config.max_restarts, seed=solver_ss)
+            scaled = None
+            if config.scaled:
+                scaled = procrustes_distance(
+                    dec.vectors * np.sqrt(np.abs(dec.values)), V[:, :d] * np.sqrt(sigma[:d])
+                )[0]
+            records.append(SweepRecord(
+                tol_exponent=-math.log2(tol),
+                replicate=r,
+                iterations=dec.iterations,
+                matvecs=dec.matvecs,
+                procrustes_error=procrustes_distance(dec.vectors, V[:, :d])[0],
+                residual=dec.residual,
+                rho=ritz_gap_rho(dec.values, spectrum),
+                elapsed_ms=0.0,
+                procrustes_error_scaled=scaled,
+            ))
+    return records
+
+
+def fresh_stability_records(graph, d, tolerances, reference_tol, seed, repetitions,
+                            k_range) -> list:
+    """The records of ``run_clustering_stability``, from one fresh solve and
+    one fresh k-means and silhouette per (repetition, tolerance)."""
+    from spectol import (
+        adjusted_rand_index,
+        choose_k_by_silhouette,
+        kmeans,
+        silhouette_width,
+        truncated_eigs,
+    )
+    from spectol.experiments import StabilityRecord
+
+    records = []
+    for rep in range(repetitions):
+        solver_ss, cluster_ss = np.random.SeedSequence(seed + rep).spawn(2)
+        ref = truncated_eigs(graph, d, reference_tol, seed=solver_ss)
+        ref_k, ref_clustering = choose_k_by_silhouette(ref.vectors, k_range, cluster_ss)
+        prev_labels = None
+        for tol in tolerances:
+            vectors = truncated_eigs(graph, d, tol, seed=solver_ss).vectors
+            clustering = kmeans(vectors, ref_k, seed=cluster_ss)
+            records.append(StabilityRecord(
+                tol_exponent=-math.log2(tol),
+                repetition=rep,
+                k_chosen=ref_k,
+                ari_vs_reference=adjusted_rand_index(clustering.labels, ref_clustering.labels),
+                ari_vs_coarser=(adjusted_rand_index(clustering.labels, prev_labels)
+                                if prev_labels is not None else float("nan")),
+                mean_silhouette=silhouette_width(vectors, clustering).mean,
+            ))
+            prev_labels = clustering.labels
+    return records

@@ -30,12 +30,20 @@ from spectol.spectral_core import DEFAULT_MAX_RESTARTS
 from spectol.tolerance import heuristic_tolerance
 
 from conftest import three_block_spec
+from oracles import fresh_stability_records, fresh_sweep_records
 
 
 def small_sbm(n_per_block: int = 100) -> SbmSpec:
     B = np.full((3, 3), 0.02)
     np.fill_diagonal(B, 0.05)
     return SbmSpec(B, (n_per_block,) * 3)
+
+
+def nan_safe(records) -> list:
+    """Records as tuples that compare equal when both hold nan."""
+    from dataclasses import astuple
+
+    return [tuple("nan" if v != v else v for v in astuple(r)) for r in records]
 
 
 class TestIngestEdgeList:
@@ -121,6 +129,18 @@ class TestIngestEdgeList:
 
 
 class TestSweepConfigValidation:
+    @pytest.mark.parametrize("reference_tol", [1e-6, 2.0**-5])
+    def test_records_match_fresh_solves(self, reference_tol):
+        # one restart path per repetition serves the swept tolerances and
+        # the reference, also when the reference is one of them
+        from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
+
+        graph = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm(100))), 3)
+        tols = tuple(2.0**-k for k in range(1, 9))
+        args = dict(reference_tol=reference_tol, seed=0, repetitions=3, k_range=(2, 3, 4))
+        records, _ = run_clustering_stability(graph, 3, tols, **args)
+        assert nan_safe(records) == nan_safe(fresh_stability_records(graph, 3, tols, **args))
+
     def test_increasing_tolerances_rejected(self):
         with pytest.raises(DomainError):
             SweepConfig(model=small_sbm(), tolerances=(0.1, 0.5))
@@ -285,6 +305,26 @@ class TestToleranceSweep:
         b = benchmark_sweep.threaded.path.with_suffix(".summary.json")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_records_match_fresh_solves(self):
+        # the sweep resumes one restart path per replicate; every record
+        # must equal a fresh solve at its tolerance
+        config = SweepConfig(
+            model=three_block_spec(), d=3, replicates=3, seed=0, scaled=True
+        )
+        records, _ = run_tolerance_sweep(config)
+        assert nan_safe(records) == nan_safe(fresh_sweep_records(config))
+
+    def test_elapsed_ms_is_cumulative(self):
+        # a tolerance's time is what a solve to it costs, the chain so far
+        config = SweepConfig(
+            model=small_sbm(), d=3, replicates=2, seed=1, record_timing=True
+        )
+        records, _ = run_tolerance_sweep(config)
+        for r in range(config.replicates):
+            times = [rec.elapsed_ms for rec in records if rec.replicate == r]
+            assert times[0] > 0.0
+            assert all(a <= b for a, b in zip(times, times[1:]))
+
     def test_paired_error_non_increasing_per_replicate(self, benchmark_sweep):
         # same graph and starting vector down a column, so tightening the
         # tolerance can only move the iterate toward the converged frame;
@@ -385,6 +425,18 @@ class TestClusteringStability:
         assert all(rec.ari_vs_reference == 1.0 for rec in records)
         assert all(math.isnan(rec.ari_vs_coarser) for rec in records)
         assert summary["per_tolerance"][0]["mean_ari_vs_reference"] == 1.0
+
+    @pytest.mark.parametrize("reference_tol", [1e-6, 2.0**-5])
+    def test_records_match_fresh_solves(self, reference_tol):
+        # one restart path per repetition serves the swept tolerances and
+        # the reference, also when the reference is one of them
+        from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
+
+        graph = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm(100))), 3)
+        tols = tuple(2.0**-k for k in range(1, 9))
+        args = dict(reference_tol=reference_tol, seed=0, repetitions=3, k_range=(2, 3, 4))
+        records, _ = run_clustering_stability(graph, 3, tols, **args)
+        assert nan_safe(records) == nan_safe(fresh_stability_records(graph, 3, tols, **args))
 
     def test_increasing_tolerances_rejected(self):
         from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent

@@ -1,6 +1,9 @@
 """Solver correctness against the dense oracle and its own invariants."""
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from spectol import (
     DegenerateGraph,
     DimensionMismatch,
+    DomainError,
     EmptySpectrum,
     FactoredProbabilityMatrix,
     NotSymmetric,
@@ -154,6 +158,127 @@ class TestTruncatedEigs:
         assert dec.residual > 0.0
         gram = dec.vectors.T @ dec.vectors
         assert np.linalg.norm(gram - np.eye(4)) <= 1e-8
+
+
+def assert_same_result(got, want) -> None:
+    """Field-for-field equality of two solver results, arrays bit for bit."""
+    for f in dataclasses.fields(want):
+        if not f.compare:
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def assert_chain_matches_fresh(A, d, tolerances, **kwargs) -> list:
+    """Solve decreasing tolerances along one resumed restart path and check
+    each result against a fresh solve; returns the chained results."""
+    chained, dec = [], None
+    for tol in sorted(tolerances, reverse=True):
+        dec = truncated_eigs(A, d, tol, resume=dec, **kwargs)
+        assert_same_result(dec, truncated_eigs(A, d, tol, **kwargs))
+        chained.append(dec)
+    return chained
+
+
+SWEPT = tuple(2.0**-k for k in range(1, 21)) + (1e-6,)
+
+
+class TestResume:
+    def test_sweep_replicate(self, three_block_900):
+        # replicate 0 of the n = 900 benchmark sweep, seeded as the harness does
+        graph_ss, solver_ss, _ = np.random.SeedSequence(0).spawn(3)
+        A = sample_adjacency(three_block_900, graph_ss)
+        chained = assert_chain_matches_fresh(A, 3, SWEPT, seed=solver_ss)
+        assert all(dec.converged for dec in chained)
+        # most tighter tolerances stop at a restart a looser one reached
+        assert len({dec.iterations for dec in chained}) < len(chained)
+
+    @pytest.mark.parametrize("repetition", [4, 6])
+    def test_clustering_study_repetitions(self, three_block_900, repetition):
+        # the criterion-8 graph and solver seeds, swept tolerances plus the
+        # reference
+        graph = sample_adjacency(three_block_900, 0)
+        solver_ss = np.random.SeedSequence(repetition).spawn(2)[0]
+        tols = tuple(2.0**-k for k in range(1, 13)) + (1e-6,)
+        assert_chain_matches_fresh(graph, 3, tols, seed=solver_ss)
+
+    def test_chain_ending_unconverged(self):
+        A = random_graph(200, 0.1, seed=11)
+        chained = assert_chain_matches_fresh(A, 4, SWEPT, max_restarts=3, seed=0)
+        assert chained[0].converged and not chained[-1].converged
+        assert chained[-1].iterations == 3
+
+    def test_failed_checks_replayed(self):
+        # At the rounding floor the residual estimate from W = A Q can pass
+        # while the exact residual fails.  A fresh solve pays d products for
+        # every such failed check, so a resumed one must count again the
+        # checks its tighter tolerance still makes at logged restarts.  The
+        # tolerances sit just above the smallest logged estimates (read
+        # from the private path log), so every solve makes such checks.
+        A = random_graph(200, 0.1, seed=11)
+        probe = truncated_eigs(A, 4, 1e-18, max_restarts=40, seed=0)
+        floor = sorted(s.estimate / s.denom for s in probe._path.log)[:8]
+        tols = [f * (1.0 + 1e-9) for f in floor]
+        tightest = min(tols)
+        last = assert_chain_matches_fresh(A, 4, tols, max_restarts=40, seed=0)[-1]
+        # the tightest solve did replay checks that failed before its stop
+        assert any(
+            s.settled and s.estimate <= tightest * s.denom
+            for s in last._path.log[: last.iterations - 1]
+        )
+
+    def test_basis_fills_the_space(self):
+        path6 = SparseGraph.from_edges(6, np.array([(i, i + 1) for i in range(5)]))
+        chained = assert_chain_matches_fresh(
+            path6, 2, tuple(2.0**-k for k in range(1, 41)), seed=3
+        )
+        assert chained[-1].krylov_dim == 6
+        assert chained[-1].converged
+
+    def test_misuse_raises(self):
+        A = random_graph(150, 0.15, seed=9)
+        loose = truncated_eigs(A, 3, 2.0**-4, seed=5)
+        for kwargs in (
+            {"A": random_graph(150, 0.15, seed=9)},  # equal graph, other object
+            {"d": 4},
+            {"block_size": 25},
+            {"max_restarts": 50},
+            {"seed": 6},
+            {"seed": np.random.SeedSequence(5)},  # not the same seed object
+            {"tol": 2.0**-3},  # looser than the result resumed
+        ):
+            args = {"A": A, "d": 3, "tol": 2.0**-8, "seed": 5, **kwargs}
+            with pytest.raises(DomainError):
+                truncated_eigs(args.pop("A"), args.pop("d"), args.pop("tol"),
+                               resume=loose, **args)
+        tight = truncated_eigs(A, 3, 2.0**-8, seed=5, resume=loose)
+        with pytest.raises(DomainError):  # no longer the latest on its path
+            truncated_eigs(A, 3, 2.0**-10, seed=5, resume=loose)
+        for copied in (copy.deepcopy(tight), dataclasses.replace(tight)):
+            assert_same_result(copied, tight)
+            with pytest.raises(DomainError):
+                truncated_eigs(A, 3, 2.0**-10, seed=5, resume=copied)
+        unseeded = truncated_eigs(A, 3, 2.0**-4, seed=None)
+        with pytest.raises(DomainError):
+            truncated_eigs(A, 3, 2.0**-8, seed=None, resume=unseeded)
+        # the refused calls left the path usable
+        assert_same_result(
+            truncated_eigs(A, 3, 2.0**-10, seed=5, resume=tight),
+            truncated_eigs(A, 3, 2.0**-10, seed=5),
+        )
+
+    def test_equal_tolerance_and_int_seed(self):
+        A = random_graph(80, 0.2, seed=1)
+        first = truncated_eigs(A, 3, 1e-4, seed=np.int64(7))
+        again = truncated_eigs(A, 3, 1e-4, seed=7, resume=first)
+        assert_same_result(again, first)
+
+    def test_restart_budget_validated(self):
+        with pytest.raises(DomainError):
+            truncated_eigs(K5, 2, 1e-6, max_restarts=0)
 
 
 class TestResidualNorm:
