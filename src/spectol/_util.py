@@ -18,3 +18,19 @@ def order_by_magnitude(values: np.ndarray) -> np.ndarray:
     boosted = magnitudes * (1.0 + 1e-12 * (values > 0))
     # lexsort uses the last key as primary
     return np.lexsort((np.arange(n), -np.sign(values), -boosted))
+
+
+# rows formatted per call: bounds the temporary tuple of Python numbers
+_ROWS_PER_WRITE = 1 << 16
+
+
+def write_rows(fh, template: str, rows) -> None:
+    """Write each row of ``rows`` through the %-format ``template``.
+
+    One format call per block of rows: the same bytes as formatting every
+    value on its own, with no Python step per value.
+    """
+    rows = np.asarray(rows)
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        block = rows[start : start + _ROWS_PER_WRITE]
+        fh.write(template * len(block) % tuple(block.ravel().tolist()))

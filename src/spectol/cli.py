@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import write_rows
 from .errors import SpectolError
 from .experiments import (
     DEFAULT_TOLERANCES,
@@ -98,12 +99,11 @@ def _cmd_embed(args) -> int:
     dec = truncated_eigs(graph, d, tol, seed=args.seed)
     values_path = Path(str(args.out) + ".values.csv")
     vectors_path = Path(str(args.out) + ".vectors.csv")
-    values_path.write_text(
-        "".join(format(v, ".17g") + "\n" for v in dec.values), encoding="utf-8"
-    )
+    with open(values_path, "w", encoding="utf-8") as fh:
+        write_rows(fh, "%.17g\n", dec.values)
+    row = ",".join(["%.17g"] * dec.vectors.shape[1]) + "\n"
     with open(vectors_path, "w", encoding="utf-8") as fh:
-        for row in dec.vectors:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        write_rows(fh, row, dec.vectors)
     status = "converged" if dec.converged else "NOT converged"
     print(
         f"{status}: d={d} tol={tol:.6g} iterations={dec.iterations} "

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import write_rows
 from .errors import DomainError, EmptyGraph, ParseError
 from .graph_model import (
     FactoredProbabilityMatrix,
@@ -409,6 +410,107 @@ class IngestResult:
     duplicates_merged: int
 
 
+# a bulk-parsed id at or above this may be int64 parsing's saturated value
+# of a longer token; its line is read again by _parse_line
+_BULK_ID_LIMIT = 10**18
+
+
+def _parse_line(lineno: int, line: str, comment_prefix: str, indexing: str):
+    """The id pair of one edge-list line, or None for a blank or comment line."""
+    text = line.strip()
+    if not text or text.startswith(comment_prefix):
+        return None
+    parts = text.split()
+    if len(parts) != 2:
+        raise ParseError(lineno, f"expected two tokens, got {len(parts)}")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(lineno, f"non-integer token in {parts!r}") from None
+    if u < 0 or v < 0:
+        raise ParseError(lineno, "negative vertex id")
+    if indexing == "one" and 0 in (u, v):
+        raise ParseError(lineno, "one-based ids start at 1")
+    return u, v
+
+
+def _read_id_pairs(path, comment_prefix: str, indexing: str) -> tuple[np.ndarray, int]:
+    """The (k, 2) id pairs of an edge-list file's non-loop edges, in no fixed
+    order, and its self-loop count.
+
+    A plain line, two runs of ASCII digits and nothing else but spaces and
+    tabs, is parsed with all the others in one numpy call.  Every other
+    non-blank line goes through ``_parse_line`` in line order, as does a
+    plain line that an empty or digit comment prefix may comment out, that
+    holds an id of 19 or more digits, or that holds a 0 under one-based
+    indexing; so each rule and each error is ``_parse_line``'s.
+    """
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        data.decode("utf-8")  # a file that is not UTF-8 fails as in text mode
+    if b"\r" in data:
+        # the line breaks text-mode reading sees (universal newlines)
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    newline = raw == ord("\n")
+    digit = raw - ord("0") <= 9
+    token_start = np.empty_like(digit)
+    token_start[:1] = digit[:1]
+    np.greater(digit[1:], digit[:-1], out=token_start[1:])
+    # token starts and line breaks in file order: a line's token count is
+    # the number of token starts between its break and the one before
+    events = np.flatnonzero(token_start | newline)
+    at_break = np.flatnonzero(newline[events])
+    tokens = np.diff(at_break, prepend=-1, append=events.size) - 1
+    breaks = events[at_break]
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.append(breaks, raw.size)
+    plain = np.ones(starts.size, dtype=bool)
+    odd = ~(digit | newline | (raw == ord(" ")) | (raw == ord("\t")))
+    plain[np.searchsorted(breaks, np.flatnonzero(odd))] = False
+    bulk = plain & (tokens == 2)
+    if comment_prefix[:1] in "0123456789":
+        bulk[:] = False
+    slow = ~bulk & ~(plain & (tokens == 0))
+
+    bulk_lines = np.flatnonzero(bulk)
+    if bulk_lines.size:
+        # the bulk parse reads the file with the other lines cut out
+        cut = np.flatnonzero(slow)
+        pieces = zip(np.append(0, ends[cut]), np.append(starts[cut], raw.size))
+        text = b"".join(data[a:b] for a, b in pieces) if cut.size else data
+        ids = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+        if ids.shape[0] != bulk_lines.size:
+            raise RuntimeError("bulk edge-list parse out of step with its line scan")
+        suspect = ids >= _BULK_ID_LIMIT
+        if indexing == "one":
+            suspect |= ids == 0
+        requeue = suspect[:, 0] | suspect[:, 1]
+        if requeue.any():
+            slow[bulk_lines[requeue]] = True
+            ids = ids[~requeue]
+    else:
+        ids = np.empty((0, 2), dtype=np.int64)
+    loop = ids[:, 0] == ids[:, 1]
+    self_loops = int(np.count_nonzero(loop))
+    if self_loops:
+        ids = ids[~loop]
+
+    pairs = []
+    for i in np.flatnonzero(slow):
+        line = data[starts[i] : ends[i]].decode("utf-8")
+        pair = _parse_line(int(i) + 1, line, comment_prefix, indexing)
+        if pair is None:
+            continue
+        if pair[0] == pair[1]:
+            self_loops += 1
+        else:
+            pairs.append(pair)
+    if pairs:
+        ids = np.concatenate([ids, np.array(pairs, dtype=np.int64)])
+    return ids, self_loops
+
+
 def ingest_edge_list(
     path, *, comment_prefix: str = "#", indexing: str = "auto"
 ) -> IngestResult:
@@ -420,54 +522,36 @@ def ingest_edge_list(
     indexing the observed ids are compacted to 0..n-1 and the original ids
     returned as the map; "zero" and "one" preserve the full id range,
     keeping isolated vertices.
+
+    Every O(m) step is an array operation: plain "u v" lines are parsed in
+    bulk (the line rules are ``_parse_line``'s, and a ``ParseError`` names
+    the first bad line), and id compaction and duplicate merging each take
+    one sort and a neighbour-difference mask.
     """
     if indexing not in ("auto", "zero", "one"):
         raise DomainError("indexing must be 'auto', 'zero', or 'one'")
-    heads: list[int] = []
-    tails: list[int] = []
-    self_loops = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith(comment_prefix):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ParseError(lineno, f"expected two tokens, got {len(parts)}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer token in {parts!r}") from None
-            if u < 0 or v < 0:
-                raise ParseError(lineno, "negative vertex id")
-            if indexing == "one" and 0 in (u, v):
-                raise ParseError(lineno, "one-based ids start at 1")
-            if u == v:
-                self_loops += 1
-                continue
-            heads.append(u)
-            tails.append(v)
-    if not heads:
+    ids, self_loops = _read_id_pairs(path, comment_prefix, indexing)
+    if not ids.size:
         raise EmptyGraph(f"no edges in {path}")
-    u = np.asarray(heads, dtype=np.int64)
-    v = np.asarray(tails, dtype=np.int64)
     if indexing == "auto":
-        vertex_ids = np.unique(np.concatenate([u, v]))
-        u = np.searchsorted(vertex_ids, u)
-        v = np.searchsorted(vertex_ids, v)
+        # np.unique sorts when asked for an inverse; without one, recent
+        # numpy takes a hash table, many times slower on int64 ids
+        vertex_ids, inverse = np.unique(ids.ravel(), return_inverse=True)
+        ids = inverse.reshape(-1, 2)
         n = vertex_ids.size
     elif indexing == "zero":
-        n = int(max(u.max(), v.max())) + 1
+        n = int(ids.max()) + 1
         vertex_ids = np.arange(n, dtype=np.int64)
     else:
-        u = u - 1
-        v = v - 1
-        n = int(max(u.max(), v.max())) + 1
+        ids = ids - 1
+        n = int(ids.max()) + 1
         vertex_ids = np.arange(1, n + 1, dtype=np.int64)
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    codes = np.unique(lo * np.int64(n) + hi)
-    duplicates = lo.size - codes.size
+    u, v = ids[:, 0], ids[:, 1]
+    codes = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
+    codes.sort()  # and a neighbour mask, not np.unique's hash table
+    distinct = np.append(True, codes[1:] != codes[:-1])
+    codes = codes[distinct]
+    duplicates = distinct.size - codes.size
     endpoints = np.column_stack([codes // n, codes % n])
     if self_loops:
         log.warning("dropped %d self loop(s) while reading %s", self_loops, path)
@@ -488,8 +572,7 @@ def write_edge_list(path, graph: SparseGraph, *, header: dict | None = None) -> 
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
-        for a, b in zip(src[mask], graph.indices[mask]):
-            fh.write(f"{a} {b}\n")
+        write_rows(fh, "%d %d\n", np.column_stack([src[mask], graph.indices[mask]]))
 
 
 def _format_value(column: str, value) -> str:

@@ -147,7 +147,11 @@ class SparseGraph:
 
     Storage is compressed rows: the neighbors of vertex i sit in
     ``indices[indptr[i]:indptr[i+1]]``, strictly increasing.  Symmetry, absence
-    of self loops, sortedness, and uniqueness are asserted on construction.
+    of self loops, sortedness, and uniqueness are asserted on construction,
+    for every graph, in O(m) plus one sort: once the rows are known to be
+    sorted and unique, the entries in storage order are the ascending keys
+    ``row * n + column``, and the graph is symmetric exactly when the keys
+    ``column * n + row``, sorted, are the same array.
     """
 
     n: int
@@ -172,18 +176,15 @@ class SparseGraph:
             src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
             if np.any(src == indices):
                 raise DimensionMismatch("self loops are not allowed")
-            # sorted and duplicate-free within each row: consecutive entries of
-            # the same row must strictly increase
-            same_row = src[1:] == src[:-1]
-            if np.any(same_row & (np.diff(indices) <= 0)):
+            # rows are sorted and duplicate-free exactly when the entry keys
+            # row * n + column strictly increase in storage order
+            forward = src * n + indices
+            if np.any(forward[1:] <= forward[:-1]):
                 raise DimensionMismatch("neighbor lists must be sorted and unique")
-            # symmetry: the entry multiset must be invariant under transposition
-            forward = np.lexsort((indices, src))
-            backward = np.lexsort((src, indices))
-            if not (
-                np.array_equal(src[forward], indices[backward])
-                and np.array_equal(indices[forward], src[backward])
-            ):
+            # symmetry: the transposed keys, sorted, must be the same array
+            backward = indices * n + src
+            backward.sort()
+            if not np.array_equal(forward, backward):
                 raise DimensionMismatch("adjacency structure is not symmetric")
         indptr.flags.writeable = False
         indices.flags.writeable = False
@@ -192,17 +193,21 @@ class SparseGraph:
 
     @classmethod
     def from_edges(cls, n: int, endpoints: np.ndarray) -> "SparseGraph":
-        """Build from an (m, 2) array of distinct undirected edges u != v."""
+        """Build from an (m, 2) array of distinct undirected edges u != v.
+
+        Both orientations of every edge are ordered by one sort of the int64
+        keys ``row * n + column``; a row's entry count is its vertex's number
+        of appearances among the endpoints.
+        """
         endpoints = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
+        if endpoints.size and (endpoints.min() < 0 or endpoints.max() >= n):
+            raise DimensionMismatch("neighbor index out of range")
         u, v = endpoints[:, 0], endpoints[:, 1]
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        counts = np.bincount(src, minlength=n) if src.size else np.zeros(n, np.int64)
+        keys = np.concatenate([u * n + v, v * n + u])
+        keys.sort()
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(n, indptr, dst)
+        np.cumsum(np.bincount(endpoints.ravel(), minlength=n), out=indptr[1:])
+        return cls(n, indptr, keys % n)
 
     @property
     def m(self) -> int:

@@ -1,11 +1,12 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately naive: brute force over the orthogonal
-group, O(n^2) pair counting, exhaustive graph enumeration.  None of it
-imports the package under test, except the fresh-solve harness references
-at the end: they rebuild sweep and stability records from the package's
-own solver and metrics with one independent solve per tolerance, the
-plain pipeline that the harness's shared restart path must reproduce.
+group, O(n^2) pair counting, exhaustive graph enumeration, a per-line
+edge-list reader and two-lexsort adjacency checks.  None of it imports the
+package under test, except its exception types and the fresh-solve harness
+references at the end: they rebuild sweep and stability records from the
+package's own solver and metrics with one independent solve per tolerance,
+the plain pipeline that the harness's shared restart path must reproduce.
 """
 from __future__ import annotations
 
@@ -285,6 +286,106 @@ def reference_kmeans(points, k: int, seed=0, max_iters: int = 100, restarts: int
         if best is None or wcss < best[2]:
             best = (labels, centers, wcss)
     return best
+
+
+def reference_csr_error(n: int, indptr, indices) -> str | None:
+    """The message of the first structural rule a compressed-row adjacency
+    breaks, or None: a frozen copy of the original checks, whose symmetry
+    test lexsorts the entries by (row, column) and by (column, row)."""
+    indptr = np.array(indptr, dtype=np.int64)
+    indices = np.array(indices, dtype=np.int64)
+    if n < 1:
+        return "a graph needs at least one vertex"
+    if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
+        return "malformed row pointer array"
+    if np.any(np.diff(indptr) < 0):
+        return "row pointers must be nondecreasing"
+    if indices.size % 2 != 0:
+        return "a symmetric hollow graph has an even entry count"
+    if indices.size:
+        if indices.min() < 0 or indices.max() >= n:
+            return "neighbor index out of range"
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        if np.any(src == indices):
+            return "self loops are not allowed"
+        same_row = src[1:] == src[:-1]
+        if np.any(same_row & (np.diff(indices) <= 0)):
+            return "neighbor lists must be sorted and unique"
+        forward = np.lexsort((indices, src))
+        backward = np.lexsort((src, indices))
+        if not (
+            np.array_equal(src[forward], indices[backward])
+            and np.array_equal(indices[forward], src[backward])
+        ):
+            return "adjacency structure is not symmetric"
+    return None
+
+
+def reference_ingest_edge_list(path, *, comment_prefix: str = "#",
+                               indexing: str = "auto") -> dict:
+    """A frozen copy of the original edge-list reader: one Python step per
+    line, ``np.unique`` for id compaction and duplicate merging, and a
+    lexsort compressed-row build.  Returns the graph's ``indptr`` and
+    ``indices``, the ``vertex_ids`` map and the two cleaning counts."""
+    from spectol.errors import DomainError, EmptyGraph, ParseError
+
+    if indexing not in ("auto", "zero", "one"):
+        raise DomainError("indexing must be 'auto', 'zero', or 'one'")
+    heads, tails = [], []
+    self_loops = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith(comment_prefix):
+                continue
+            parts = text.split()
+            if len(parts) != 2:
+                raise ParseError(lineno, f"expected two tokens, got {len(parts)}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(lineno, f"non-integer token in {parts!r}") from None
+            if u < 0 or v < 0:
+                raise ParseError(lineno, "negative vertex id")
+            if indexing == "one" and 0 in (u, v):
+                raise ParseError(lineno, "one-based ids start at 1")
+            if u == v:
+                self_loops += 1
+                continue
+            heads.append(u)
+            tails.append(v)
+    if not heads:
+        raise EmptyGraph(f"no edges in {path}")
+    u = np.asarray(heads, dtype=np.int64)
+    v = np.asarray(tails, dtype=np.int64)
+    if indexing == "auto":
+        vertex_ids = np.unique(np.concatenate([u, v]))
+        u = np.searchsorted(vertex_ids, u)
+        v = np.searchsorted(vertex_ids, v)
+        n = vertex_ids.size
+    elif indexing == "zero":
+        n = int(max(u.max(), v.max())) + 1
+        vertex_ids = np.arange(n, dtype=np.int64)
+    else:
+        u = u - 1
+        v = v - 1
+        n = int(max(u.max(), v.max())) + 1
+        vertex_ids = np.arange(1, n + 1, dtype=np.int64)
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    codes = np.unique(lo * np.int64(n) + hi)
+    src = np.concatenate([codes // n, codes % n])
+    dst = np.concatenate([codes % n, codes // n])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return {
+        "indptr": indptr,
+        "indices": dst[order],
+        "vertex_ids": vertex_ids,
+        "self_loops_dropped": self_loops,
+        "duplicates_merged": lo.size - codes.size,
+    }
 
 
 def fresh_sweep_records(config) -> list:

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectol import SbmSpec
 from spectol.cli import cli_main
@@ -30,7 +35,11 @@ from spectol.spectral_core import DEFAULT_MAX_RESTARTS
 from spectol.tolerance import heuristic_tolerance
 
 from conftest import three_block_spec
-from oracles import fresh_stability_records, fresh_sweep_records
+from oracles import (
+    fresh_stability_records,
+    fresh_sweep_records,
+    reference_ingest_edge_list,
+)
 
 
 def small_sbm(n_per_block: int = 100) -> SbmSpec:
@@ -46,7 +55,81 @@ def nan_safe(records) -> list:
     return [tuple("nan" if v != v else v for v in astuple(r)) for r in records]
 
 
+# lines the bulk parser leaves to the per-line rules: comments, blanks,
+# wrong token counts, non-integers, signs, underscores, Unicode digits and
+# whitespace, and an id past int64
+ODD_LINES = (
+    "# n=12 m=5 seed=0",
+    "% a percent comment",
+    "",
+    "   ",
+    "\t",
+    "1 2 3",
+    "5",
+    "x y",
+    "-1 2",
+    "+5 3",
+    "1_0 2",
+    "\u0663 \u0664",
+    "3\x0c4",
+    "2\x1c5",
+    "99999999999999999999 3",
+)
+
+
+@st.composite
+def edge_list_files(draw):
+    """An edge-list text, mostly "u v" lines, plus the reader's options."""
+    indexing = draw(st.sampled_from(["auto", "zero", "one"]))
+    comment_prefix = draw(st.sampled_from(["#", "%", "1"]))
+    ident = st.integers(0, 12).map(str) | st.just("007")
+    if indexing == "auto":
+        # 19 digits, inside int64; the dense id range of "zero" or "one"
+        # could not be allocated
+        ident |= st.just("1000000000000000000")
+    pad = st.sampled_from(["", " ", "\t"])
+    plain = st.builds(
+        lambda left, a, sep, b, right: f"{left}{a}{sep}{b}{right}",
+        pad, ident, st.sampled_from([" ", "\t", "  ", " \t"]), ident, pad,
+    )
+    lines = draw(st.lists(plain | plain | st.sampled_from(ODD_LINES), max_size=25))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return text, comment_prefix, indexing
+
+
+def outcome(read, path, **kwargs):
+    try:
+        return read(path, **kwargs), None
+    except Exception as exc:  # noqa: BLE001  compared against the reference
+        return None, exc
+
+
 class TestIngestEdgeList:
+    @settings(max_examples=400, deadline=None)
+    @given(case=edge_list_files())
+    def test_matches_per_line_reference(self, case):
+        text, comment_prefix, indexing = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.txt"
+            path.write_bytes(text.encode("utf-8"))
+            kwargs = dict(comment_prefix=comment_prefix, indexing=indexing)
+            want, want_exc = outcome(reference_ingest_edge_list, path, **kwargs)
+            got, got_exc = outcome(ingest_edge_list, path, **kwargs)
+        if want_exc is not None:
+            assert type(got_exc) is type(want_exc)
+            assert str(got_exc) == str(want_exc)
+            assert getattr(got_exc, "line_number", None) == getattr(
+                want_exc, "line_number", None
+            )
+            return
+        assert got_exc is None
+        assert np.array_equal(got.graph.indptr, want["indptr"])
+        assert np.array_equal(got.graph.indices, want["indices"])
+        assert np.array_equal(got.vertex_ids, want["vertex_ids"])
+        assert got.self_loops_dropped == want["self_loops_dropped"]
+        assert got.duplicates_merged == want["duplicates_merged"]
+
     def test_path_graph(self, tmp_path):
         path = tmp_path / "path.txt"
         path.write_text("0 1\n1 2\n")
@@ -126,6 +209,27 @@ class TestIngestEdgeList:
         assert back.m == graph.m
         assert np.array_equal(back.indptr, graph.indptr)
         assert np.array_equal(back.indices, graph.indices)
+
+
+class TestWriteRows:
+    def test_same_bytes_as_per_value_format(self, monkeypatch):
+        from spectol import _util
+
+        # blocks of three rows, so seven rows cross two block boundaries
+        monkeypatch.setattr(_util, "_ROWS_PER_WRITE", 3)
+        rng = np.random.default_rng(0)
+        floats = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3))
+        floats[0] = [np.nan, np.inf, -np.inf]
+        floats[1] = [-0.0, 5e-324, 1.0 / 3.0]
+        out = io.StringIO()
+        _util.write_rows(out, "%.17g,%.17g,%.17g\n", floats)
+        assert out.getvalue() == "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in floats
+        )
+        edges = rng.integers(0, 10**12, (7, 2))
+        out = io.StringIO()
+        _util.write_rows(out, "%d %d\n", edges)
+        assert out.getvalue() == "".join(f"{a} {b}\n" for a, b in edges)
 
 
 class TestSweepConfigValidation:
@@ -447,17 +551,8 @@ class TestClusteringStability:
             run_clustering_stability(graph, 2, tolerances=(0.1, 0.5))
 
     def test_each_distinct_embedding_clustered_once(self, monkeypatch):
-        from dataclasses import astuple
-
         from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
         from spectol import experiments, metrics
-        from spectol.experiments import StabilityRecord
-        from spectol.metrics import (
-            adjusted_rand_index,
-            choose_k_by_silhouette,
-            kmeans,
-            silhouette_width,
-        )
         from spectol.spectral_core import truncated_eigs
 
         graph = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm(100))), 3)
@@ -465,28 +560,15 @@ class TestClusteringStability:
         k_range = (2, 3, 4)
         reps = 3
 
-        # the plain pipeline: solve, cluster and score at every tolerance
-        expected, distinct = [], 0
+        expected = fresh_stability_records(graph, 3, tols, 1e-6, 0, reps, k_range)
+        distinct = 0
         for rep in range(reps):
-            solver_ss, cluster_ss = np.random.SeedSequence(rep).spawn(2)
-            ref = truncated_eigs(graph, 3, 1e-6, seed=solver_ss)
-            ref_k, ref_clustering = choose_k_by_silhouette(ref.vectors, k_range, cluster_ss)
-            prev_vectors = prev_labels = None
+            solver_ss, _ = np.random.SeedSequence(rep).spawn(2)
+            prev = None
             for tol in tols:
                 vectors = truncated_eigs(graph, 3, tol, seed=solver_ss).vectors
-                distinct += prev_vectors is None or not np.array_equal(vectors, prev_vectors)
-                clustering = kmeans(vectors, ref_k, seed=cluster_ss)
-                expected.append(StabilityRecord(
-                    tol_exponent=-math.log2(tol),
-                    repetition=rep,
-                    k_chosen=ref_k,
-                    ari_vs_reference=adjusted_rand_index(
-                        clustering.labels, ref_clustering.labels),
-                    ari_vs_coarser=(adjusted_rand_index(clustering.labels, prev_labels)
-                                    if prev_labels is not None else float("nan")),
-                    mean_silhouette=silhouette_width(vectors, clustering).mean,
-                ))
-                prev_vectors, prev_labels = vectors, clustering.labels
+                distinct += prev is None or not np.array_equal(vectors, prev)
+                prev = vectors
         assert distinct < reps * len(tols)
 
         calls = {"kmeans": 0, "silhouette_width": 0}
@@ -509,14 +591,11 @@ class TestClusteringStability:
         assert calls == {"kmeans": distinct + choose_k_calls,
                          "silhouette_width": distinct + choose_k_calls}
 
-        def key(rec):
-            return tuple("nan" if v != v else v for v in astuple(rec))
-
-        assert [key(r) for r in records] == [key(r) for r in expected]
+        assert nan_safe(records) == nan_safe(expected)
         threaded, _ = run_clustering_stability(
             graph, 3, tols, seed=0, repetitions=reps, k_range=k_range, workers=2
         )
-        assert [key(r) for r in threaded] == [key(r) for r in records]
+        assert nan_safe(threaded) == nan_safe(records)
 
     def test_stability_csv_schema(self, tmp_path):
         from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent

@@ -23,6 +23,8 @@ from spectol import (
     sbm_to_latent,
 )
 
+from oracles import reference_csr_error
+
 
 def three_block_spec() -> SbmSpec:
     B = np.full((3, 3), 0.02)
@@ -208,6 +210,73 @@ class TestSparseGraphStructure:
     def test_rejects_asymmetry(self):
         with pytest.raises(DimensionMismatch):
             SparseGraph(3, np.array([0, 1, 2, 2]), np.array([1, 2]))
+
+    def test_rejects_unsorted_row(self):
+        with pytest.raises(DimensionMismatch, match="sorted and unique"):
+            SparseGraph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
+
+    def test_rejects_duplicate_neighbor(self):
+        with pytest.raises(DimensionMismatch, match="sorted and unique"):
+            SparseGraph(2, np.array([0, 2, 4]), np.array([1, 1, 0, 0]))
+
+    def test_rejects_index_out_of_range(self):
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            SparseGraph(2, np.array([0, 1, 2]), np.array([2, 0]))
+
+    def test_rejects_odd_entry_count(self):
+        with pytest.raises(DimensionMismatch, match="even entry count"):
+            SparseGraph(2, np.array([0, 1, 1]), np.array([1]))
+
+    def test_rejects_directed_four_cycle(self):
+        # 0->1->2->3->0: every in-degree equals its out-degree, so only a
+        # check of the entries themselves tells it from a symmetric graph
+        with pytest.raises(DimensionMismatch, match="not symmetric"):
+            SparseGraph(4, np.array([0, 1, 2, 3, 4]), np.array([1, 2, 3, 0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        edge_bits=st.integers(0, 2**21 - 1),
+        mutation=st.sampled_from(["none", "move", "swap", "flip"]),
+        entry=st.integers(0, 10**6),
+        target=st.integers(-1, 7),
+        cells=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=2
+        ),
+    )
+    def test_validation_matches_two_lexsort_reference(
+        self, n, edge_bits, mutation, entry, target, cells
+    ):
+        # a random symmetric adjacency with at most one change: an entry
+        # moved to another column or swapped with the next one in storage,
+        # or one or two one-sided entries flipped (added or removed)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        A = np.zeros((n, n), dtype=int)
+        for bit, (i, j) in enumerate(pairs):
+            if edge_bits >> bit & 1:
+                A[i, j] = A[j, i] = 1
+        if mutation == "flip":
+            for r, c in cells:
+                A[r % n, c % n] ^= 1
+        rows, cols = np.nonzero(A)
+        if cols.size and mutation == "move":
+            cols[entry % cols.size] = min(target, n)
+        elif cols.size > 1 and mutation == "swap":
+            k = entry % (cols.size - 1)
+            cols[[k, k + 1]] = cols[[k + 1, k]]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        expected = reference_csr_error(n, indptr, cols)
+        if expected is None:
+            assert np.array_equal(SparseGraph(n, indptr, cols).indices, cols)
+        else:
+            with pytest.raises(DimensionMismatch) as excinfo:
+                SparseGraph(n, indptr, cols)
+            assert str(excinfo.value) == expected
+
+    def test_from_edges_rejects_endpoint_out_of_range(self):
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            SparseGraph.from_edges(3, np.array([[0, 3]]))
 
     def test_neighbor_lists_sorted(self):
         A = SparseGraph.from_edges(4, np.array([[2, 0], [0, 1], [3, 0]]))
