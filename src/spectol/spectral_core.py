@@ -4,24 +4,25 @@ The solver is a block thick-restart Lanczos iteration.  It starts from a
 block of random vectors, grows an orthonormal basis Q one block step at a
 time (A times the previous block, reorthogonalized), keeps W = A Q
 alongside, and diagonalizes the projected matrix H = Q^T A Q once the basis
-reaches its working size.  A block gives each member of a near-tied leading
-pair its own start direction, where a single start vector would give the
-pair one direction until the recurrence splits it.  Termination tests the
-d leading Ritz pairs through the relative criterion
+reaches its working size.  Q and W hold one basis vector per row, so every
+matrix-vector product, projection and update reads and writes contiguous
+memory.  A block gives each member of a near-tied leading pair its own
+start direction, where a single start vector would give the pair one
+direction until the recurrence splits it.  Termination tests the d leading
+Ritz pairs through the relative criterion
 
-    ||A U - U S|| / lambda_hat_1 <= tol
+    ||A U - U S|| / |theta_1| <= tol
 
 where the spectral norm of the thin residual matrix is measured exactly and
-lambda_hat_1 is the current estimate of the largest eigenvalue magnitude
-(the maximum degree serves as a certified stand-in until the estimate has
-stabilized across restarts).  The residual test only fires once the selected
-Ritz values have settled across the last block step; a small residual by
-itself can accept the wrong invariant subspace when a leading direction has
-not yet entered the basis.  On failure the basis is compressed to the
-leading Ritz vectors plus the next block and expansion resumes.
-Two-pass reorthogonalization keeps the basis orthonormal to machine
-precision throughout, so the projected matrix stays faithful after many
-restarts.
+theta_1 is the current Ritz value of largest magnitude.  A Ritz value never
+exceeds the spectral norm, so a converged solve has residual at most tol
+times ||A||.  The residual test only fires once the selected Ritz values
+have settled across the last block step; a small residual by itself can
+accept the wrong invariant subspace when a leading direction has not yet
+entered the basis.  On failure the basis is compressed to the leading Ritz
+vectors plus the next block and expansion resumes.  Two-pass
+reorthogonalization keeps the basis orthonormal to machine precision
+throughout, so the projected matrix stays faithful after many restarts.
 
 The tolerance enters only the stopping test: the exact residual draws no
 random numbers and a failed test leaves the basis as it was, so the restart
@@ -50,12 +51,11 @@ from .errors import (
     NotSymmetric,
     TooLarge,
 )
-from .graph_model import SparseGraph
+from .graph_model import DENSE_LIMIT, SparseGraph
 
-# relative change across restarts below which the top-eigenvalue estimate is
-# trusted as the denominator of the stopping criterion
+# relative change over the last block step below which a selected Ritz value
+# counts as settled (the settling gate of the stopping rule)
 _STABILIZE_RTOL = 1e-3
-_DENSE_ORACLE_LIMIT = 5000
 DEFAULT_MAX_RESTARTS = 400
 # Lanczos block width: random start vectors and new directions per block
 # step.  Two directions give both members of a near-tied leading pair their
@@ -73,8 +73,9 @@ class SpectralDecomposition:
     ties resolved positive first), ``vectors`` the matching orthonormal Ritz
     vectors.  ``residual`` is the exact spectral norm of A U - U S at
     termination and ``spectral_norm_estimate`` the denominator the stopping
-    rule used, so ``converged`` implies residual <= tolerance_used times that
-    estimate.
+    rule used, the largest Ritz value magnitude, which never exceeds ||A||.
+    So ``converged`` implies residual <= tolerance_used times that estimate,
+    and so times ||A||.
     """
 
     d: int
@@ -105,34 +106,34 @@ class SpectralDecomposition:
 
 
 def _orthogonalize(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Two-pass Gram-Schmidt projection of t against an orthonormal basis."""
+    """Two-pass Gram-Schmidt projection of t against orthonormal basis rows."""
     for _ in range(2):
-        t = t - basis @ (basis.T @ t)
+        t = t - (basis @ t) @ basis
     return t
 
 
 def _expand_basis(A, Q, W, j, m, b, rng):
-    """Grow the block Lanczos basis to m columns; returns (new_size, matvecs_used).
+    """Grow the block Lanczos basis to m rows; returns (new_size, matvecs_used).
 
-    Column j extends the Krylov block of column j - b: it is A times that
-    column, reorthogonalized against everything retained, so b consecutive
-    columns form one block step.  On breakdown (an invariant subspace was
-    hit) a random direction is injected; if even that lies in the span the
-    basis has filled the whole space and expansion stops early.
+    Row j extends the Krylov block of row j - b: it is A times that row,
+    reorthogonalized against everything retained, so b consecutive rows
+    form one block step.  On breakdown (an invariant subspace was hit) a
+    random direction is injected; if even that lies in the span the basis
+    has filled the whole space and expansion stops early.
     """
-    n = Q.shape[0]
+    n = Q.shape[1]
     start = j
     while j < m:
-        source = W[:, max(j - b, 0)]
-        t = _orthogonalize(source, Q[:, :j])
+        source = W[max(j - b, 0)]
+        t = _orthogonalize(source, Q[:j])
         beta = np.linalg.norm(t)
         if beta <= 1e-12 * max(1.0, np.linalg.norm(source)):
-            t = _orthogonalize(rng.standard_normal(n), Q[:, :j])
+            t = _orthogonalize(rng.standard_normal(n), Q[:j])
             beta = np.linalg.norm(t)
             if beta <= 1e-8 * np.sqrt(n):
                 break
-        Q[:, j] = t / beta
-        W[:, j] = A.matvec(Q[:, j])
+        Q[j] = t / beta
+        W[j] = A.matvec(Q[j])
         j += 1
     return j, j - start
 
@@ -148,38 +149,30 @@ def _restarts(A, d, m, max_restarts, seed):
     n = A.n
     b = min(_BLOCK, m)
     keep = max(d, min(d + 5, m - b))
-    delta_A = float(A.degrees.max())
 
     rng = np.random.default_rng(seed)
-    # b spare columns hold the next block while a restart compresses the basis
-    Q = np.zeros((n, m + b))
-    W = np.zeros((n, m + b))
-    Q[:, :b] = np.linalg.qr(rng.random((n, b)))[0]
+    # one basis vector per row; b spare rows hold the next block while a
+    # restart compresses the basis
+    Q = np.zeros((m + b, n))
+    W = np.zeros((m + b, n))
+    Q[:b] = np.linalg.qr(rng.random((n, b)))[0].T
     for i in range(b):
-        W[:, i] = A.matvec(Q[:, i])
+        W[i] = A.matvec(Q[i])
     matvecs = b
     j = b
 
-    lam1_prev: float | None = None
-    lam1_stable = False
     for iteration in range(1, max_restarts + 1):
         j, used = _expand_basis(A, Q, W, j, m, b, rng)
         matvecs += used
-        H = Q[:, :j].T @ W[:, :j]
+        H = Q[:j] @ W[:j].T
         H = 0.5 * (H + H.T)
         all_theta, all_Y = np.linalg.eigh(H)
         order = order_by_magnitude(all_theta)
         take = order[: min(d, j)]
         theta = all_theta[take]
         Yd = all_Y[:, take]
-
-        lam1 = float(np.abs(all_theta[order[0]]))
-        if lam1_prev is not None and abs(lam1 - lam1_prev) <= _STABILIZE_RTOL * max(
-            lam1, 1e-300
-        ):
-            lam1_stable = True
-        lam1_prev = lam1
-        denom = lam1 if lam1_stable and lam1 > 0 else delta_A
+        # |theta_1| <= ||A||, so passing against it passes against ||A||
+        denom = float(np.abs(all_theta[order[0]]))
 
         # settling gate: a small residual alone can accept an iterate sitting
         # near the wrong invariant subspace, with a leading direction the
@@ -187,7 +180,7 @@ def _restarts(A, d, m, max_restarts, seed):
         # iterates betray themselves through leading Ritz values that still
         # move as the basis grows, so termination also requires every
         # selected value to have settled over the last block step (a single
-        # column is only part of a block step)
+        # row is only part of a block step)
         settled = False
         if j > d:
             p = max(j - b, d)
@@ -203,23 +196,25 @@ def _restarts(A, d, m, max_restarts, seed):
         # residual spectral norm of the top-d block, formed explicitly from
         # W = A Q: the algebraically equal Y^T (W^T W) Y - Theta^2 cancels
         # catastrophically and floors the estimate near sqrt(eps) * |lambda|
-        U = Q[:, :j] @ Yd
-        G = W[:, :j] @ Yd - U * theta
-        est = float(np.sqrt(max(0.0, np.linalg.eigvalsh(G.T @ G)[-1])))
-        yield _Restart(matvecs, settled, est, denom), U, theta
+        Ut = Yd.T @ Q[:j]
+        G = Yd.T @ W[:j] - theta[:, None] * Ut
+        est = float(np.sqrt(max(0.0, np.linalg.eigvalsh(G @ G.T)[-1])))
+        # U = Ut.T is n x d with contiguous columns: residual_norm reads
+        # them as rows without a copy
+        yield _Restart(matvecs, settled, est, denom), Ut.T, theta
         if iteration == max_restarts:
             return
-        # thick restart: grow the next block (A times the last b columns)
-        # into the spare columns, then compress the basis to the leading
-        # Ritz vectors followed by that block
+        # thick restart: grow the next block (A times the last b rows) into
+        # the spare rows, then compress the basis to the leading Ritz
+        # vectors followed by that block
         nxt, used = _expand_basis(A, Q, W, j, j + b, b, rng)
         matvecs += used
         hold = order[: min(keep, j)]
         held = hold.size
         fresh = min(nxt - j, m - held)
         for M in (Q, W):
-            M[:, :held] = M[:, :j] @ all_Y[:, hold]
-            M[:, held : held + fresh] = M[:, j : j + fresh]
+            M[:held] = all_Y[:, hold].T @ M[:j]
+            M[held : held + fresh] = M[j : j + fresh]
         j = held + fresh
 
 
@@ -294,12 +289,13 @@ def truncated_eigs(
         Number of eigenpairs, 1 <= d < n.
     tol : float
         Relative residual target; the run stops once the spectral norm of
-        A U - U S falls below tol times the top-eigenvalue estimate.
+        A U - U S falls below tol times the largest Ritz value magnitude,
+        which never exceeds ||A||.
     max_restarts : int
         Restart budget, at least 1.  On exhaustion the best iterate is
         returned with ``converged`` False rather than raising.
     block_size : int, optional
-        Working basis size held between restarts, in columns (not the
+        Working basis size held between restarts, in basis vectors (not the
         Lanczos block width); defaults to max(2 d + 5, 20), capped at n.
     seed : int or numpy SeedSequence
         Drives the uniform random starting block, making runs repeatable.
@@ -365,7 +361,7 @@ def truncated_eigs(
     dec = SpectralDecomposition(
         d=d,
         values=path.theta.copy(),
-        vectors=path.U.copy(),
+        vectors=path.U.copy(order="C"),
         residual=state.residual,
         iterations=k,
         # an unconverged solve measures its final residual once more
@@ -406,10 +402,12 @@ def residual_norm(A: SparseGraph, vectors: np.ndarray, values: np.ndarray) -> fl
     s = np.asarray(values, dtype=float).reshape(-1)
     if U.ndim != 2 or U.shape[0] != A.n or U.shape[1] != s.size:
         raise DimensionMismatch("vectors must be n x d with one value per column")
-    G = np.empty_like(U)
+    # one contiguous row per vector (free when U has contiguous columns)
+    rows = np.ascontiguousarray(U.T)
+    G = np.empty_like(rows)
     for i in range(s.size):
-        G[:, i] = A.matvec(U[:, i]) - s[i] * U[:, i]
-    gram = G.T @ G
+        G[i] = A.matvec(rows[i]) - s[i] * rows[i]
+    gram = G @ G.T
     return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1])))
 
 
@@ -424,8 +422,8 @@ def dense_eig_oracle(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric("a square matrix is required")
     n = M.shape[0]
-    if n > _DENSE_ORACLE_LIMIT:
-        raise TooLarge(f"dense oracle limited to n <= {_DENSE_ORACLE_LIMIT}, got {n}")
+    if n > DENSE_LIMIT:
+        raise TooLarge(f"dense oracle limited to n <= {DENSE_LIMIT}, got {n}")
     scale = max(1.0, float(np.abs(M).max())) if M.size else 1.0
     if float(np.abs(M - M.T).max()) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12")

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: brute force over the orthogonal
 group, O(n^2) pair counting, exhaustive graph enumeration, a per-line
-edge-list reader and two-lexsort adjacency checks.  None of it imports the
+edge-list reader, two-lexsort adjacency checks and the Lanczos solver with
+its basis stored one vector per column.  None of it imports the
 package under test, except its exception types and the fresh-solve harness
 references at the end: they rebuild sweep and stability records from the
 package's own solver and metrics with one independent solve per tolerance,
@@ -388,6 +389,123 @@ def reference_ingest_edge_list(path, *, comment_prefix: str = "#",
     }
 
 
+def _magnitude_order(values):
+    # decreasing |value|, positive first within a relative 1e-12, then index
+    boosted = np.abs(values) * (1.0 + 1e-12 * (values > 0))
+    return np.lexsort((np.arange(values.size), -np.sign(values), -boosted))
+
+
+def _column_orthogonalize(t, basis):
+    for _ in range(2):
+        t = t - basis @ (basis.T @ t)
+    return t
+
+
+def _column_expand(A, Q, W, j, m, b, rng):
+    n = Q.shape[0]
+    start = j
+    while j < m:
+        source = W[:, max(j - b, 0)]
+        t = _column_orthogonalize(source, Q[:, :j])
+        beta = np.linalg.norm(t)
+        if beta <= 1e-12 * max(1.0, np.linalg.norm(source)):
+            t = _column_orthogonalize(rng.standard_normal(n), Q[:, :j])
+            beta = np.linalg.norm(t)
+            if beta <= 1e-8 * np.sqrt(n):
+                break
+        Q[:, j] = t / beta
+        W[:, j] = A.matvec(Q[:, j])
+        j += 1
+    return j, j - start
+
+
+def _column_restarts(A, d, m, max_restarts, seed):
+    n = A.n
+    b = min(2, m)
+    keep = max(d, min(d + 5, m - b))
+    rng = np.random.default_rng(seed)
+    Q = np.zeros((n, m + b))
+    W = np.zeros((n, m + b))
+    Q[:, :b] = np.linalg.qr(rng.random((n, b)))[0]
+    for i in range(b):
+        W[:, i] = A.matvec(Q[:, i])
+    matvecs = b
+    j = b
+    for iteration in range(1, max_restarts + 1):
+        j, used = _column_expand(A, Q, W, j, m, b, rng)
+        matvecs += used
+        H = Q[:, :j].T @ W[:, :j]
+        H = 0.5 * (H + H.T)
+        all_theta, all_Y = np.linalg.eigh(H)
+        order = _magnitude_order(all_theta)
+        take = order[: min(d, j)]
+        theta = all_theta[take]
+        Yd = all_Y[:, take]
+        denom = float(np.abs(all_theta[order[0]]))
+        settled = False
+        if j > d:
+            p = max(j - b, d)
+            prev = np.linalg.eigvalsh(H[:p, :p])
+            prev = prev[_magnitude_order(prev)[:d]]
+            settled = bool(np.all(
+                np.abs(theta - prev) <= 1e-3 * np.maximum(np.abs(theta), 1e-300)
+            ))
+        U = Q[:, :j] @ Yd
+        G = W[:, :j] @ Yd - U * theta
+        est = float(np.sqrt(max(0.0, np.linalg.eigvalsh(G.T @ G)[-1])))
+        yield matvecs, settled, est, denom, U, theta
+        if iteration == max_restarts:
+            return
+        nxt, used = _column_expand(A, Q, W, j, j + b, b, rng)
+        matvecs += used
+        hold = order[: min(keep, j)]
+        held = hold.size
+        fresh = min(nxt - j, m - held)
+        for M in (Q, W):
+            M[:, :held] = M[:, :j] @ all_Y[:, hold]
+            M[:, held : held + fresh] = M[:, j : j + fresh]
+        j = held + fresh
+
+
+def column_major_solve(A, d, tol, *, seed, max_restarts: int = 400) -> dict:
+    """A fresh ``truncated_eigs(A, d, tol, seed=seed)`` on the block
+    thick-restart Lanczos solver as it stood with its basis stored one
+    vector per column: a frozen copy of that trajectory, stopped by the
+    same rule (settled, estimate, then the exact residual, against
+    tol * |theta_1|).  Kept to pin the row-major solver's iteration and
+    product counts exactly and its values and vectors to rounding.
+    Returns ``iterations``, ``matvecs``, ``values``, ``vectors`` and
+    ``converged``; an unconverged solve counts d products for measuring
+    its final residual, as the solver does."""
+    m = min(max(2 * d + 5, 20), A.n)
+    if m <= d:
+        m = min(A.n, d + 1)
+
+    def exact_residual(U, theta):
+        G = np.column_stack([A.matvec(U[:, i]) - theta[i] * U[:, i]
+                             for i in range(d)])
+        return float(np.sqrt(max(0.0, np.linalg.eigvalsh(G.T @ G)[-1])))
+
+    checks = iterations = 0
+    converged = False
+    for matvecs, settled, est, denom, U, theta in _column_restarts(
+        A, d, m, max_restarts, seed
+    ):
+        iterations += 1
+        if settled and est <= tol * denom:
+            checks += 1
+            if exact_residual(U, theta) <= tol * denom:
+                converged = True
+                break
+    return {
+        "iterations": iterations,
+        "matvecs": matvecs + d * (checks + (not converged)),
+        "values": theta,
+        "vectors": U,
+        "converged": converged,
+    }
+
+
 def fresh_sweep_records(config) -> list:
     """The records of ``run_tolerance_sweep(config)`` for a block model with
     a fixed d, from one fresh solve per (replicate, tolerance)."""
@@ -463,3 +581,4 @@ def fresh_stability_records(graph, d, tolerances, reference_tol, seed, repetitio
             ))
             prev_labels = clustering.labels
     return records
+

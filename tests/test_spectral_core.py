@@ -28,6 +28,9 @@ from spectol import (
     sbm_to_latent,
     truncated_eigs,
 )
+from spectol.graph_model import DENSE_LIMIT
+
+from oracles import column_major_solve
 
 K2 = SparseGraph.from_edges(2, np.array([[0, 1]]))
 K5 = SparseGraph.from_edges(5, np.array([(i, j) for i in range(5) for j in range(i + 1, 5)]))
@@ -149,6 +152,51 @@ class TestTruncatedEigs:
             dec = truncated_eigs(A, 3, 1e-12, seed=seed)
             _, sin_fro = canonical_angles(dec.vectors, vecs[:, :3])
             assert sin_fro <= 1e-8
+
+    def test_matches_eigsh_above_dense_limit(self):
+        sp = pytest.importorskip("scipy.sparse")
+        eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
+        # a three-block model at n = 20,000: expected degree 16 within the
+        # block plus about 2 across; its planted eigenvalues (18.5, 15.1 and
+        # 14.4 in expectation) clear the bulk (radius about 9).  Each block
+        # pair gets a Poisson number of uniform vertex pairs, repeats merged.
+        sizes = np.array([10_000, 6_000, 4_000])
+        B = np.full((3, 3), 2e-4)
+        B[np.diag_indices(3)] = 16.0 / sizes
+        n = int(sizes.sum())
+        assert n > DENSE_LIMIT
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        rng = np.random.default_rng(0)
+        drawn = []
+        for a in range(3):
+            for c in range(a, 3):
+                count = rng.poisson(B[a, c] * sizes[a] * sizes[c] / (1 + (a == c)))
+                drawn.append(np.column_stack([
+                    offsets[a] + rng.integers(sizes[a], size=count),
+                    offsets[c] + rng.integers(sizes[c], size=count),
+                ]))
+        pairs = np.concatenate(drawn)
+        pairs = np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1)
+        codes = np.unique(pairs[:, 0] * n + pairs[:, 1])
+        A = SparseGraph.from_edges(n, np.column_stack([codes // n, codes % n]))
+
+        d, tol = 3, 1e-6
+        dec = truncated_eigs(A, d, tol, seed=0)
+        M = sp.csr_matrix((np.ones(A.indices.size), A.indices, A.indptr), shape=(n, n))
+        w, V = eigsh(M, k=d + 1, which="LM", tol=0, v0=np.ones(n))
+        order = np.argsort(-np.abs(w))
+        w, V = w[order], V[:, order]
+        # the contract: residual <= tol |theta_1| <= tol ||A||
+        assert dec.converged
+        assert dec.residual <= tol * abs(w[0])
+        # each Ritz value lies within the residual of its eigenvalue
+        # (eigsh at tol=0 is exact to rounding, a few eps ||A||)
+        assert np.all(np.abs(dec.values - w[:d]) <= dec.residual + 1e-12 * abs(w[0]))
+        # Davis-Kahan: the rest of the spectrum lies within |lambda_(d+1)|
+        gap = np.abs(dec.values).min() - abs(w[d])
+        assert gap > 0
+        _, sin_fro = canonical_angles(dec.vectors, V[:, :d])
+        assert sin_fro <= np.sqrt(d) * dec.residual / gap + 1e-10
 
     def test_budget_exhaustion_returns_flagged_best(self):
         A = random_graph(200, 0.1, seed=11)
@@ -281,6 +329,37 @@ class TestResume:
             truncated_eigs(K5, 2, 1e-6, max_restarts=0)
 
 
+class TestRowMajorBasis:
+    @pytest.mark.parametrize("case", ["sweep replicate", "clustering study", "path graph"])
+    def test_matches_column_major_oracle(self, three_block_900, case):
+        # replicate 0 of the seed-0 n = 900 sweep, repetition 4 of the
+        # criterion-8 study, and a 6-vertex path whose basis fills the space
+        if case == "sweep replicate":
+            graph_ss, seed, _ = np.random.SeedSequence(0).spawn(3)
+            A, d = sample_adjacency(three_block_900, graph_ss), 3
+            tolerances = [2.0**-k for k in range(1, 21)]
+        elif case == "clustering study":
+            A, d = sample_adjacency(three_block_900, 0), 3
+            seed = np.random.SeedSequence(4).spawn(2)[0]
+            tolerances = [2.0**-k for k in range(1, 13)] + [1e-6]
+        else:
+            A = SparseGraph.from_edges(6, np.array([(i, i + 1) for i in range(5)]))
+            d, seed = 2, 3
+            tolerances = [2.0**-k for k in range(1, 41)]
+        for tol in tolerances:
+            got = truncated_eigs(A, d, tol, seed=seed)
+            want = column_major_solve(A, d, tol, seed=seed)
+            assert (got.iterations, got.matvecs, got.converged) == (
+                want["iterations"], want["matvecs"], want["converged"]
+            )
+            assert np.all(np.abs(got.values - want["values"])
+                          <= 1e-12 * np.abs(want["values"]))
+            # the two layouts sum in different orders; rounding moves a Ritz
+            # vector by about eps over the relative eigengap (2e-3 here)
+            signs = np.sign(np.sum(got.vectors * want["vectors"], axis=0))
+            assert np.abs(got.vectors - want["vectors"] * signs).max() <= 1e-10
+
+
 class TestResidualNorm:
     def test_exact_eigenpairs(self):
         A = random_graph(40, 0.3, seed=6)
@@ -381,20 +460,21 @@ class TestInvariants:
     def test_near_degenerate_pair_not_accepted_unsettled(self, three_block_900):
         # The three-block model has an exactly repeated second eigenvalue, and
         # the sampled graph splits the pair by only ~0.07.  With this seed the
-        # first-restart candidate already passes the residual test at the
-        # bootstrap denominator while its pair values are still moving
-        # (sin-theta 0.16 for the block solver; a single-vector recurrence
-        # sat on a bulk vector there, sin-theta 0.995).  The settling gate
-        # must refuse that candidate and force another restart, after which
-        # the pair is resolved.
+        # first-restart candidate's pair values are still moving (sin-theta
+        # 0.16 for the block solver; a single-vector recurrence sat on a bulk
+        # vector there, sin-theta 0.995).  Its residual estimate is 0.019
+        # |theta_1|: at 2^-5 it passes the residual test, so the settling
+        # gate must refuse it and force another restart, after which the
+        # pair is resolved.
         graph = sample_adjacency(three_block_900, 0)
         _, vecs = dense_eig_oracle(graph.to_dense())
-        dec = truncated_eigs(
-            graph, 3, 2.0**-6, seed=np.random.SeedSequence(7, spawn_key=(0,))
-        )
-        _, sin_fro = canonical_angles(vecs[:, :3], dec.vectors)
-        assert dec.iterations >= 2
-        assert sin_fro <= 0.01
+        for exponent in (5, 6):
+            dec = truncated_eigs(
+                graph, 3, 2.0**-exponent, seed=np.random.SeedSequence(7, spawn_key=(0,))
+            )
+            _, sin_fro = canonical_angles(vecs[:, :3], dec.vectors)
+            assert dec.iterations >= 2
+            assert sin_fro <= 0.01
 
     @pytest.mark.parametrize("repetition", [4, 6])
     @pytest.mark.parametrize("exponent", [6, 7])
@@ -419,6 +499,25 @@ class TestInvariants:
         G = dense @ dec.vectors - dec.vectors * dec.values
         _, sin_fro = canonical_angles(vecs[:, :3], dec.vectors)
         assert sin_fro <= np.linalg.norm(G) / rho + 1e-10
+
+    def test_converged_means_residual_within_tol_of_the_norm(self, three_block_900):
+        # The criterion-8 graph with the study's solver seeds, for its d = 3
+        # solves and for the d = 1 solve estimate_spectral_norm runs (which
+        # stops at its first restart here).  For converged to imply residual
+        # <= tol ||A||, the denominator must not exceed ||A|| = 27.7; the
+        # maximum degree, 43 here, does.
+        graph = sample_adjacency(three_block_900, 0)
+        norm = float(np.abs(np.linalg.eigvalsh(graph.to_dense())).max())
+        for d in (1, 3):
+            for repetition in range(10):
+                solver_ss = np.random.SeedSequence(repetition).spawn(2)[0]
+                for k in range(1, 5):
+                    tol = 2.0**-k
+                    dec = truncated_eigs(graph, d, tol, seed=solver_ss)
+                    assert dec.converged
+                    # a Ritz value, so at most ||A|| up to rounding
+                    assert dec.spectral_norm_estimate <= norm * (1.0 + 1e-12)
+                    assert dec.residual <= tol * norm
 
     def test_kahan_and_sin_theta_on_one_run(self):
         A = random_graph(100, 0.2, seed=20)
