@@ -55,6 +55,7 @@ from .tolerance import (
     expected_squared_deviation_diagonal,
     heuristic_tolerance,
     sampling_error_constant,
+    solve_at_heuristic,
     tolerance_report,
 )
 from .metrics import (

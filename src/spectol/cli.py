@@ -37,7 +37,7 @@ from .graph_model import (
     sbm_to_latent,
 )
 from .spectral_core import truncated_eigs
-from .tolerance import tolerance_report
+from .tolerance import HEURISTIC_RULES, solve_at_heuristic, tolerance_report
 
 
 def _add_sbm_arguments(parser: argparse.ArgumentParser) -> None:
@@ -67,10 +67,21 @@ def _sbm_from_args(args) -> SbmSpec:
     return SbmSpec(block_probabilities=B, sizes=sizes)
 
 
+def _dimension(text: str):
+    """argparse type of --dim: 'auto' or an integer >= 1."""
+    if text == "auto":
+        return text
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer >= 1, got {text!r}"
+        )
+    return int(text)
+
+
 def _resolve_dim(args, graph) -> int:
     if args.dim == "auto":
         return _pilot_dimension(graph, args.seed)
-    return int(args.dim)
+    return args.dim
 
 
 def _cmd_sample(args) -> int:
@@ -88,15 +99,9 @@ def _cmd_embed(args) -> int:
     graph = ingest_edge_list(args.graph).graph
     d = _resolve_dim(args, graph)
     if args.tol is not None:
-        tol = args.tol
+        dec = truncated_eigs(graph, d, args.tol, seed=args.seed)
     else:
-        report = tolerance_report(graph, seed=args.seed)
-        tol = {
-            "spectral": report.heuristic_spectral,
-            "sqrt_n": report.heuristic_sqrt_n,
-            "conservative": report.conservative,
-        }[args.tol_heuristic]
-    dec = truncated_eigs(graph, d, tol, seed=args.seed)
+        dec = solve_at_heuristic(graph, d, args.tol_heuristic, seed=args.seed)
     values_path = Path(str(args.out) + ".values.csv")
     vectors_path = Path(str(args.out) + ".vectors.csv")
     with open(values_path, "w", encoding="utf-8") as fh:
@@ -106,7 +111,7 @@ def _cmd_embed(args) -> int:
         write_rows(fh, row, dec.vectors)
     status = "converged" if dec.converged else "NOT converged"
     print(
-        f"{status}: d={d} tol={tol:.6g} iterations={dec.iterations} "
+        f"{status}: d={d} tol={dec.tolerance_used:.6g} iterations={dec.iterations} "
         f"matvecs={dec.matvecs} residual={dec.residual:.6g}"
     )
     print(f"values -> {values_path}")
@@ -188,7 +193,7 @@ def _cmd_cluster_stability(args) -> int:
 def _cmd_check(args) -> int:
     spec = _sbm_from_args(args)
     P = FactoredProbabilityMatrix(sbm_to_latent(spec))
-    d = spec.k if args.dim == "auto" else int(args.dim)
+    d = spec.k if args.dim == "auto" else args.dim
     graph = sample_adjacency(P, args.seed)
     report = tolerance_report(graph, seed=args.seed)
     assumptions = check_assumptions(P, d, args.c0, args.a)
@@ -230,11 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="embed a graph from an edge-list file")
     p.add_argument("--graph", required=True, help="edge-list input path")
-    p.add_argument("--dim", default="auto", help="embedding dimension or 'auto'")
+    p.add_argument(
+        "--dim", type=_dimension, default="auto", help="embedding dimension or 'auto'"
+    )
     p.add_argument("--tol", type=float, help="explicit stopping tolerance")
     p.add_argument(
         "--tol-heuristic",
-        choices=("spectral", "sqrt_n", "conservative"),
+        choices=HEURISTIC_RULES,
         default="spectral",
         help="tolerance rule used when --tol is absent",
     )
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON or key=value config file")
     _add_sbm_arguments(p)
     p.add_argument("--graph", help="edge-list input path (instead of SBM flags)")
-    p.add_argument("--dim", default="auto")
+    p.add_argument("--dim", type=_dimension, default="auto")
     p.add_argument("--tolerances", help="e.g. 2^-1..2^-20 or 0.5,0.25,1e-6")
     p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster-stability", help="embed-then-cluster stability study")
     _add_sbm_arguments(p)
     p.add_argument("--graph", help="edge-list input path (instead of SBM flags)")
-    p.add_argument("--dim", default="auto")
+    p.add_argument("--dim", type=_dimension, default="auto")
     p.add_argument("--tolerances", help="e.g. 2^-1..2^-14")
     p.add_argument("--reference-tol", type=float, default=1e-6)
     p.add_argument("--repetitions", type=int, default=10)
@@ -271,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="tolerance report and model assumption checks")
     _add_sbm_arguments(p)
-    p.add_argument("--dim", default="auto", help="embedding dimension (default: block count)")
+    p.add_argument(
+        "--dim", type=_dimension, default="auto",
+        help="embedding dimension (default: block count)",
+    )
     p.add_argument("--c0", type=float, default=0.1, help="gap ratio threshold")
     p.add_argument("--a", type=float, default=0.5, help="density exponent margin")
     p.add_argument("--seed", type=int, default=0)
@@ -289,7 +299,7 @@ def cli_main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         return args.func(args)
-    except (SpectolError, OSError) as exc:
+    except (SpectolError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,6 +62,8 @@ STABILITY_COLUMNS = (
 )
 _INT_COLUMNS = {"replicate", "repetition", "iterations", "matvecs", "k_chosen"}
 DIMENSION_SELECTION_METHOD = "profile_likelihood_equal_variance"
+# relative residual of the rank-20 pilot behind d = "auto"
+PILOT_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -139,11 +141,16 @@ class StabilityRecord:
 
 
 def _pilot_dimension(graph: SparseGraph, seed) -> int:
-    """Profile-likelihood elbow of a pilot decomposition's magnitude scree."""
+    """Profile-likelihood elbow of a pilot decomposition's magnitude scree.
+
+    The elbow reads only the sorted magnitudes, and a Ritz value's error is
+    of the order of its residual squared over the gap, so the pilot stops at
+    a loose tolerance.
+    """
     rank = min(20, graph.n - 2)
     if rank < 2:
         return 1
-    dec = truncated_eigs(graph, rank, 1e-4, seed=seed)
+    dec = truncated_eigs(graph, rank, PILOT_TOL, seed=seed)
     scree = np.sort(np.abs(dec.values))[::-1]
     return zhu_ghodsi_dimension(scree)
 

@@ -1,6 +1,7 @@
 """Shared fixtures plus the acceptance-criteria report printed after a run."""
 from __future__ import annotations
 
+import dataclasses
 import time
 from types import SimpleNamespace
 
@@ -35,6 +36,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             tr.write_line(f"criterion {number:2d} ({name}): {verdict} - {detail}")
         else:
             tr.write_line(f"criterion {number:2d}: FAIL - no result recorded (test errored or skipped)")
+
+
+def assert_same_result(got, want) -> None:
+    """Field-for-field equality of two solver results, arrays bit for bit."""
+    for f in dataclasses.fields(want):
+        if not f.compare:
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 def three_block_spec() -> SbmSpec:

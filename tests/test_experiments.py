@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,11 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectol import SbmSpec
+from spectol import (
+    FactoredProbabilityMatrix,
+    SbmSpec,
+    SparseGraph,
+    sample_adjacency,
+    sbm_to_latent,
+    spectral_core,
+    tolerance,
+)
 from spectol.cli import cli_main
 from spectol.errors import DomainError, EmptyGraph, ParseError
 from spectol.experiments import (
     DEFAULT_TOLERANCES,
+    PILOT_TOL,
     STABILITY_COLUMNS,
     SWEEP_COLUMNS,
     SweepConfig,
@@ -30,9 +40,11 @@ from spectol.experiments import (
     sweep_config_from_dict,
     write_edge_list,
     write_records_csv,
+    _pilot_dimension,
 )
-from spectol.spectral_core import DEFAULT_MAX_RESTARTS
-from spectol.tolerance import heuristic_tolerance
+from spectol.metrics import zhu_ghodsi_dimension
+from spectol.spectral_core import DEFAULT_MAX_RESTARTS, truncated_eigs
+from spectol.tolerance import HEURISTIC_RULES, heuristic_tolerance
 
 from conftest import three_block_spec
 from oracles import (
@@ -618,6 +630,35 @@ class TestClusteringStability:
         assert len(rows) == 1 + 2 * 2
 
 
+def block_model(sizes, p_in: float, p_out: float) -> FactoredProbabilityMatrix:
+    k = len(sizes)
+    B = np.full((k, k), p_out) + np.eye(k) * (p_in - p_out)
+    return FactoredProbabilityMatrix(sbm_to_latent(SbmSpec(B, tuple(sizes))))
+
+
+class TestPilotDimension:
+    # the three-block benchmark model, the two-block model CI embeds, and the
+    # four-block n = 1,200 model; the elbow is the same at 1e-4, 1e-3, 1e-2
+    # and 1e-1 on each
+    @pytest.mark.parametrize(
+        "sizes, p_in, p_out, seed, elbow",
+        [
+            ((300,) * 3, 0.05, 0.02, 0, 1),
+            ((300,) * 3, 0.05, 0.02, 1, 1),
+            ((300,) * 3, 0.05, 0.02, 2, 1),
+            ((200,) * 2, 0.1, 0.02, 0, 2),
+            ((200,) * 2, 0.1, 0.02, 1, 2),
+            ((300,) * 4, 0.05, 0.02, 0, 1),
+        ],
+    )
+    def test_loose_pilot_finds_the_tight_pilots_elbow(self, sizes, p_in, p_out, seed, elbow):
+        A = sample_adjacency(block_model(sizes, p_in, p_out), seed)
+        tight = truncated_eigs(A, 20, 1e-4, seed=seed)
+        tight_elbow = zhu_ghodsi_dimension(np.sort(np.abs(tight.values))[::-1])
+        assert PILOT_TOL > 1e-4
+        assert _pilot_dimension(A, seed) == tight_elbow == elbow
+
+
 def k5_edge_list(path) -> None:
     lines = [f"{i} {j}" for i in range(5) for j in range(i + 1, 5)]
     path.write_text("\n".join(lines) + "\n")
@@ -673,6 +714,72 @@ class TestCli:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", HEURISTIC_RULES)
+    def test_embed_small_graph_fails_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, rule
+    ):
+        graph_path = tmp_path / "k5.txt"
+        k5_edge_list(graph_path)
+        monkeypatch.setattr(SparseGraph, "matvec", lambda *a: pytest.fail("solved"))
+        code = cli_main(
+            ["embed", "--graph", str(graph_path), "--dim", "1",
+             "--tol-heuristic", rule, "--out", str(tmp_path / "e")]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_embed_runs_one_restart_path(
+        self, tmp_path, capsys, monkeypatch, three_block_900
+    ):
+        graph_path = tmp_path / "g.txt"
+        write_edge_list(graph_path, sample_adjacency(three_block_900, seed=0))
+        products = []
+        matvec = SparseGraph.matvec
+        monkeypatch.setattr(
+            SparseGraph, "matvec", lambda A, x: products.append(1) or matvec(A, x)
+        )
+        dims = []
+        solve = spectral_core.truncated_eigs
+        spy = lambda A, d, tol, **kw: dims.append(d) or solve(A, d, tol, **kw)
+        monkeypatch.setattr(spectral_core, "truncated_eigs", spy)
+        monkeypatch.setattr(tolerance, "truncated_eigs", spy)
+        code = cli_main(
+            ["embed", "--graph", str(graph_path), "--dim", "3", "--out", str(tmp_path / "e")]
+        )
+        assert code == 0
+        printed = int(re.search(r"matvecs=(\d+)", capsys.readouterr().out).group(1))
+        # a conservative solve, then the heuristic resuming its path: no d = 1
+        # bootstrap and no product the printed count leaves out
+        assert dims == [3, 3]
+        assert len(products) == printed
+
+    @pytest.mark.parametrize(
+        "command", ["embed", "sweep", "cluster-stability", "check"]
+    )
+    @pytest.mark.parametrize("dim", ["x", "0", "-1", "2.5"])
+    def test_bad_dimension_is_usage_error(self, tmp_path, capsys, command, dim):
+        graph_path = tmp_path / "k5.txt"
+        k5_edge_list(graph_path)
+        source = (
+            ["--graph", str(graph_path)]
+            if command != "check"
+            else ["--sizes", "10,10", "--b-diag", "0.5"]
+        )
+        code = cli_main([command, *source, "--dim", dim, "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "argument --dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["embed", "sweep", "cluster-stability"])
+    def test_non_utf8_graph_is_runtime_error(self, tmp_path, capsys, command):
+        graph_path = tmp_path / "bad.txt"
+        graph_path.write_bytes(b"0 1\n1 \xff2\n")
+        code = cli_main(
+            [command, "--graph", str(graph_path), "--dim", "1", "--out", str(tmp_path / "e")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_embed_missing_file(self, tmp_path, capsys):
         code = cli_main(

@@ -30,6 +30,7 @@ from spectol import (
 )
 from spectol.graph_model import DENSE_LIMIT
 
+from conftest import assert_same_result
 from oracles import column_major_solve
 
 K2 = SparseGraph.from_edges(2, np.array([[0, 1]]))
@@ -206,18 +207,6 @@ class TestTruncatedEigs:
         assert dec.residual > 0.0
         gram = dec.vectors.T @ dec.vectors
         assert np.linalg.norm(gram - np.eye(4)) <= 1e-8
-
-
-def assert_same_result(got, want) -> None:
-    """Field-for-field equality of two solver results, arrays bit for bit."""
-    for f in dataclasses.fields(want):
-        if not f.compare:
-            continue
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(b, np.ndarray):
-            assert np.array_equal(a, b), f.name
-        else:
-            assert a == b, f.name
 
 
 def assert_chain_matches_fresh(A, d, tolerances, **kwargs) -> list:

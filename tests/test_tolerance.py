@@ -13,18 +13,26 @@ from spectol import (
     EmptyGraph,
     FactoredProbabilityMatrix,
     LatentPositions,
+    NoConvergence,
     RankDeficient,
     SbmSpec,
     SparseGraph,
     ZeroRho,
     bound_envelope,
+    conservative_tolerance,
     expected_squared_deviation_diagonal,
     heuristic_tolerance,
     sample_adjacency,
     sampling_error_constant,
     sbm_to_latent,
+    solve_at_heuristic,
     tolerance_report,
+    truncated_eigs,
 )
+from spectol import tolerance
+from spectol.tolerance import HEURISTIC_RULES
+
+from conftest import assert_same_result
 from oracles import exhaustive_sq_deviation, monte_carlo_sq_deviation
 
 K2 = SparseGraph.from_edges(2, np.array([[0, 1]]))
@@ -107,6 +115,68 @@ class TestToleranceReport:
         assert report.conservative <= 1.0 / math.sqrt(report.spectral_norm_estimate)
         assert abs(report.heuristic_sqrt_n - 0.0173858) <= 1e-6
         assert report.heuristic_spectral > report.heuristic_sqrt_n
+
+
+def star_with_random_edges(seed: int = 0) -> SparseGraph:
+    """A 400-vertex star plus 600 random edges among its leaves.
+
+    The hub's degree, 399, dwarfs lambda_1 (ln ln n)^2 (about 69), so the
+    spectral heuristic is looser than the conservative tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = np.triu_indices(399, 1)
+    pick = rng.choice(rows.size, size=600, replace=False)
+    leaves = np.column_stack([rows[pick], cols[pick]]) + 1
+    hub = np.column_stack([np.zeros(399, dtype=np.int64), np.arange(1, 400)])
+    return SparseGraph.from_edges(400, np.vstack([hub, leaves]))
+
+
+class TestSolveAtHeuristic:
+    @pytest.mark.parametrize("rule", HEURISTIC_RULES)
+    @pytest.mark.parametrize("graph", ["three_block", "star"])
+    def test_equals_fresh_solve_at_the_rule(self, three_block_900, graph, rule):
+        if graph == "three_block":
+            A, d = sample_adjacency(three_block_900, seed=3), 3
+        else:
+            A, d = star_with_random_edges(), 2
+        dec = solve_at_heuristic(A, d, rule, seed=5)
+        assert dec.converged
+        assert_same_result(dec, truncated_eigs(A, d, dec.tolerance_used, seed=5))
+        # the heuristic reads lambda_1 off the d-dimensional conservative solve
+        conservative = conservative_tolerance(A)
+        lam1 = truncated_eigs(A, d, conservative, seed=5).spectral_norm_estimate
+        expected = {
+            "spectral": heuristic_tolerance(A.n, lam1),
+            "sqrt_n": heuristic_tolerance(A.n, float(A.n)),
+            "conservative": conservative,
+        }[rule]
+        assert dec.tolerance_used == expected
+        # the three-block graph resumes the path; the star's spectral
+        # heuristic is looser and takes the fresh-solve branch
+        looser = graph == "star" and rule == "spectral"
+        assert (dec.tolerance_used > conservative) == looser
+
+    @pytest.mark.parametrize("rule", HEURISTIC_RULES)
+    def test_small_graph_fails_before_any_solve(self, monkeypatch, rule):
+        monkeypatch.setattr(tolerance, "truncated_eigs", lambda *a, **k: pytest.fail())
+        path = SparseGraph.from_edges(15, np.array([(i, i + 1) for i in range(14)]))
+        with pytest.raises(DomainError):
+            solve_at_heuristic(path, 1, rule)
+
+    def test_unconverged_bootstrap_raises(self, monkeypatch, three_block_900):
+        # this graph and seed need three restarts at the conservative tolerance
+        A = sample_adjacency(three_block_900, seed=0)
+        solve = tolerance.truncated_eigs
+        monkeypatch.setattr(
+            tolerance, "truncated_eigs", lambda *a, **k: solve(*a, max_restarts=1, **k)
+        )
+        with pytest.raises(NoConvergence):
+            solve_at_heuristic(A, 3, "spectral", seed=0)
+        assert not solve_at_heuristic(A, 3, "conservative", seed=0).converged
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(DomainError):
+            solve_at_heuristic(star_with_random_edges(), 1, "degree")
 
 
 class TestExpectedSquaredDeviation:
