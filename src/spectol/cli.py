@@ -78,6 +78,16 @@ def _dimension(text: str):
     return int(text)
 
 
+def _k_range(text: str) -> tuple[int, ...]:
+    """argparse type of --k-range: comma-separated integers >= 2."""
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isdecimal() and int(part) >= 2 for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 2, got {text!r}"
+        )
+    return tuple(int(part) for part in parts)
+
+
 def _resolve_dim(args, graph) -> int:
     if args.dim == "auto":
         return _pilot_dimension(graph, args.seed)
@@ -169,7 +179,6 @@ def _cmd_cluster_stability(args) -> int:
     tolerances = (
         parse_tolerances(args.tolerances) if args.tolerances else DEFAULT_TOLERANCES
     )
-    k_range = tuple(int(k) for k in args.k_range.split(",") if k.strip())
     records, summary = run_clustering_stability(
         graph,
         d,
@@ -177,7 +186,7 @@ def _cmd_cluster_stability(args) -> int:
         reference_tol=args.reference_tol,
         seed=args.seed,
         repetitions=args.repetitions,
-        k_range=k_range,
+        k_range=args.k_range,
     )
     if args.out:
         write_records_csv(args.out, records)
@@ -271,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerances", help="e.g. 2^-1..2^-14")
     p.add_argument("--reference-tol", type=float, default=1e-6)
     p.add_argument("--repetitions", type=int, default=10)
-    p.add_argument("--k-range", default="2,3,4,5,6")
+    p.add_argument(
+        "--k-range", type=_k_range, default=(2, 3, 4, 5, 6),
+        help="candidate cluster counts, e.g. 2,3,4",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_cluster_stability)

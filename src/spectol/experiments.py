@@ -318,7 +318,9 @@ def run_clustering_stability(
 
     A repetition solves the swept tolerances and the reference in decreasing
     order along one restart path, each solve resuming where the looser one
-    stopped (``resume=``), with the results of fresh solves.
+    stopped (``resume=``), with the results of fresh solves.  Every
+    candidate count in ``k_range`` must lie in [2, n]; a bad range is a
+    ``DomainError`` before the first solve.
 
     A solve stops only at a restart, so consecutive tolerances often return
     the same embedding bit for bit.  k-means is deterministic for a fixed
@@ -331,6 +333,9 @@ def run_clustering_stability(
         raise DomainError("tolerances must be strictly decreasing")
     if repetitions < 1:
         raise DomainError("at least one repetition is required")
+    k_range = tuple(int(k) for k in k_range)
+    if not k_range or not all(2 <= k <= graph.n for k in k_range):
+        raise DomainError(f"cluster counts must lie in [2, {graph.n}], got {k_range}")
 
     def one_repetition(rep: int):
         ss = np.random.SeedSequence(seed + rep)

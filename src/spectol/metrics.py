@@ -24,7 +24,7 @@ from .errors import (
 )
 
 _ORTHONORMAL_TOL = 1e-8
-# rows of the pairwise distance matrix silhouette_width holds at once
+# rows of the pairwise distance matrix a silhouette pass holds at once
 _SILHOUETTE_BLOCK = 256
 
 
@@ -97,38 +97,49 @@ def _plus_plus_init(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def _sq_dists(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, rows x points, summed one coordinate at
-    a time so that no rows x points x d temporary exists."""
-    out = np.zeros((rows.shape[0], points.shape[0]))
+def _sq_dists(rows: np.ndarray, points_t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances into ``out`` (rows x points), from the
+    points' coordinates held one per row (``points_t`` is d x points).  The
+    sum runs one coordinate at a time through one reused temporary, so no
+    rows x points x d array exists."""
+    tmp = np.empty_like(out)
+    out.fill(0.0)
     for j in range(rows.shape[1]):
-        out += (rows[:, j, None] - points[None, :, j]) ** 2
+        np.subtract(rows[:, j, None], points_t[j], out=tmp)
+        tmp *= tmp
+        out += tmp
     return out
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
     n, k = points.shape[0], centers.shape[0]
+    points_t = np.ascontiguousarray(points.T)
     centers = centers.copy()
     labels = np.full(n, -1)
     prev_wcss = math.inf
+    # cluster-major: row c holds every point's distance to center c
+    dists = np.empty((k, n))
     for _ in range(max_iters):
-        dists = _sq_dists(points, centers)
-        new_labels = dists.argmin(axis=1)
+        _sq_dists(centers, points_t, dists)
+        # a running strict minimum keeps the first of tied centers, as argmin
+        new_labels = np.zeros(n, dtype=np.intp)
+        nearest = dists[0].copy()
+        for c in range(1, k):
+            np.putmask(new_labels, dists[c] < nearest, c)
+            np.minimum(nearest, dists[c], out=nearest)
         # revive empty clusters by seizing the point farthest from its center
         counts = np.bincount(new_labels, minlength=k)
         for c in np.nonzero(counts == 0)[0]:
             eligible = counts[new_labels] > 1
             if not eligible.any():
                 break
-            assigned = dists[np.arange(n), new_labels]
-            assigned = np.where(eligible, assigned, -1.0)
-            idx = int(assigned.argmax())
+            idx = int(np.where(eligible, nearest, -1.0).argmax())
             counts[new_labels[idx]] -= 1
             new_labels[idx] = c
             counts[c] += 1
             centers[c] = points[idx]
-            dists[:, c] = ((points - centers[c]) ** 2).sum(axis=1)
-        wcss = float(dists[np.arange(n), new_labels].sum())
+            nearest[idx] = 0.0  # the seized point is its cluster's new center
+        wcss = float(nearest.sum())
         assert wcss <= prev_wcss * (1.0 + 1e-9) + 1e-12, "cost rose within Lloyd"
         prev_wcss = wcss
         if np.array_equal(new_labels, labels):
@@ -136,7 +147,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
         labels = new_labels
         filled = counts > 0
         for j in range(points.shape[1]):
-            sums = np.bincount(labels, weights=points[:, j], minlength=k)
+            sums = np.bincount(labels, weights=points_t[j], minlength=k)
             centers[filled, j] = sums[filled] / counts[filled]
     return labels, centers, prev_wcss
 
@@ -152,7 +163,10 @@ def kmeans(
     """Lloyd iteration with D^2-weighted seeding, best of seeded restarts.
 
     Deterministic for a fixed seed; the within-cluster sum of squares is
-    checked to be non-increasing across every Lloyd iteration.
+    checked to be non-increasing across every Lloyd iteration.  Lloyd holds
+    its distances cluster-major, k x n, summed one coordinate at a time, and
+    assigns each point to the first of its nearest centers, as argmin would;
+    the center updates read a contiguous copy of points.T.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
@@ -188,23 +202,41 @@ def silhouette_width(points: np.ndarray, clustering: Clustering) -> SilhouetteRe
     0, as does the 0/0 case and a point with no nonempty foreign cluster.
     Distances are formed _SILHOUETTE_BLOCK rows at a time and folded into
     per-cluster sums at once, so memory stays O(_SILHOUETTE_BLOCK * n)
-    rather than O(n^2).
+    rather than O(n^2).  choose_k_by_silhouette shares one such pass among
+    all its candidate clusterings.
     """
+    return _silhouette_widths(points, [clustering])[0]
+
+
+def _silhouette_widths(points, clusterings) -> list[SilhouetteResult]:
+    """silhouette_width of several clusterings of one point set, from one
+    pass over its pairwise distances: each block of rows is formed once and
+    folded into the per-cluster sums of every clustering, then released
+    (its buffer is reused) before the next block is formed."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    labels = clustering.labels
-    k = clustering.k
-    if k < 2:
-        raise SingleCluster("silhouette widths need at least two clusters")
     n = points.shape[0]
-    if labels.shape != (n,):
-        raise LengthMismatch("one label per point is required")
+    for clustering in clusterings:
+        if clustering.k < 2:
+            raise SingleCluster("silhouette widths need at least two clusters")
+        if clustering.labels.shape != (n,):
+            raise LengthMismatch("one label per point is required")
+    one_hots = [np.eye(c.k)[c.labels] for c in clusterings]
+    # summed distance from every point to every cluster, per clustering
+    sums = [np.empty((n, c.k)) for c in clusterings]
+    points_t = np.ascontiguousarray(points.T)
+    block = np.empty((min(_SILHOUETTE_BLOCK, n), n))
+    for start in range(0, n, _SILHOUETTE_BLOCK):
+        rows = points[start : start + _SILHOUETTE_BLOCK]
+        dist = block[: len(rows)]
+        np.sqrt(_sq_dists(rows, points_t, dist), out=dist)
+        for one_hot, total in zip(one_hots, sums):
+            total[start : start + len(rows)] = dist @ one_hot
+    return [_widths(c.labels, c.k, total) for c, total in zip(clusterings, sums)]
+
+
+def _widths(labels: np.ndarray, k: int, sums: np.ndarray) -> SilhouetteResult:
+    n = labels.size
     sizes = np.bincount(labels, minlength=k)
-    one_hot = np.eye(k)[labels]
-    # summed distance from every point to every cluster
-    sums = np.concatenate([
-        np.sqrt(_sq_dists(points[start : start + _SILHOUETTE_BLOCK], points)) @ one_hot
-        for start in range(0, n, _SILHOUETTE_BLOCK)
-    ])
     rows = np.arange(n)
     own = sizes[labels]
     a = sums[rows, labels] / np.maximum(own - 1, 1)
@@ -228,17 +260,18 @@ def choose_k_by_silhouette(
     """Pick the cluster count maximizing mean silhouette width.
 
     Candidates are tried in increasing order and ties keep the smaller k.
+    Every candidate's k-means runs first; their silhouette widths then come
+    from one pass over the pairwise distances, not one pass per candidate,
+    with the same values as ``silhouette_width`` gives each clustering.
     """
     candidates = sorted(int(k) for k in k_range)
     if not candidates:
         raise EmptyRange("no candidate cluster counts")
-    best_k, best_clustering, best_score = None, None, -math.inf
-    for k in candidates:
-        clustering = kmeans(points, k, seed)
-        score = silhouette_width(points, clustering).mean
-        if score > best_score:
-            best_k, best_clustering, best_score = k, clustering, score
-    return best_k, best_clustering
+    clusterings = [kmeans(points, k, seed) for k in candidates]
+    scores = [s.mean for s in _silhouette_widths(points, clusterings)]
+    # max keeps the first of tied scores, so the smaller k
+    best = max(range(len(candidates)), key=scores.__getitem__)
+    return candidates[best], clusterings[best]
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: brute force over the orthogonal
 group, O(n^2) pair counting, exhaustive graph enumeration, a per-line
-edge-list reader, two-lexsort adjacency checks and the Lanczos solver with
-its basis stored one vector per column.  None of it imports the
-package under test, except its exception types and the fresh-solve harness
-references at the end: they rebuild sweep and stability records from the
-package's own solver and metrics with one independent solve per tolerance,
-the plain pipeline that the harness's shared restart path must reproduce.
+edge-list reader, two-lexsort adjacency checks, Lloyd with its distances
+held one point per row, and the Lanczos solver with its basis stored one
+vector per column.  None of it imports the package under test, except its
+exception types and the fresh-solve harness references at the end: they
+rebuild sweep and stability records from the package's own solver and
+metrics with one independent solve per tolerance, the plain pipeline
+that the harness's shared restart path must reproduce.
 """
 from __future__ import annotations
 
@@ -284,6 +285,59 @@ def reference_kmeans(points, k: int, seed=0, max_iters: int = 100, restarts: int
     for _ in range(restarts):
         init = _reference_plus_plus_init(points, k, rng)
         labels, centers, wcss = _reference_lloyd(points, init, max_iters)
+        if best is None or wcss < best[2]:
+            best = (labels, centers, wcss)
+    return best
+
+
+def _row_major_lloyd(points, centers, max_iters):
+    n, k = points.shape[0], centers.shape[0]
+    centers = centers.copy()
+    labels = np.full(n, -1)
+    prev_wcss = math.inf
+    for _ in range(max_iters):
+        dists = np.zeros((n, k))
+        for j in range(points.shape[1]):
+            dists += (points[:, j, None] - centers[None, :, j]) ** 2
+        new_labels = dists.argmin(axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        for c in np.nonzero(counts == 0)[0]:
+            eligible = counts[new_labels] > 1
+            if not eligible.any():
+                break
+            assigned = dists[np.arange(n), new_labels]
+            assigned = np.where(eligible, assigned, -1.0)
+            idx = int(assigned.argmax())
+            counts[new_labels[idx]] -= 1
+            new_labels[idx] = c
+            counts[c] += 1
+            centers[c] = points[idx]
+            dists[:, c] = ((points - centers[c]) ** 2).sum(axis=1)
+        wcss = float(dists[np.arange(n), new_labels].sum())
+        prev_wcss = wcss
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        filled = counts > 0
+        for j in range(points.shape[1]):
+            sums = np.bincount(labels, weights=points[:, j], minlength=k)
+            centers[filled, j] = sums[filled] / counts[filled]
+    return labels, centers, prev_wcss
+
+
+def row_major_kmeans(points, k: int, seed=0, max_iters: int = 100, restarts: int = 10):
+    """k-means++ seeding then Lloyd with its distances held point-major
+    (n x k), accumulated one coordinate at a time, an argmin along each row
+    and per-coordinate bincount center updates: a frozen copy of the first
+    vectorized version.  Its arithmetic is the cluster-major one's in the
+    same order for every d, so it pins that layout bit for bit.  Returns
+    (labels, centers, wcss) of the best restart."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        init = _reference_plus_plus_init(points, k, rng)
+        labels, centers, wcss = _row_major_lloyd(points, init, max_iters)
         if best is None or wcss < best[2]:
             best = (labels, centers, wcss)
     return best

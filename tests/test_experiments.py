@@ -562,6 +562,19 @@ class TestClusteringStability:
         with pytest.raises(DomainError):
             run_clustering_stability(graph, 2, tolerances=(0.1, 0.5))
 
+    @pytest.mark.parametrize("k_range", [(), (1, 2), (2, 91), (0,)])
+    def test_bad_k_range_rejected_before_any_solve(self, monkeypatch, k_range):
+        from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
+        from spectol import experiments
+
+        graph = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm(30))), 0)
+        assert graph.n == 90
+        solves = []
+        monkeypatch.setattr(experiments, "truncated_eigs", lambda *a, **kw: solves.append(a))
+        with pytest.raises(DomainError):
+            run_clustering_stability(graph, 2, tolerances=(0.5, 0.25), k_range=k_range)
+        assert solves == []
+
     def test_each_distinct_embedding_clustered_once(self, monkeypatch):
         from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
         from spectol import experiments, metrics
@@ -583,7 +596,9 @@ class TestClusteringStability:
                 prev = vectors
         assert distinct < reps * len(tols)
 
-        calls = {"kmeans": 0, "silhouette_width": 0}
+        # every silhouette pass over an embedding's pairwise distances goes
+        # through metrics._silhouette_widths, whichever clusterings it scores
+        calls = {"kmeans": 0, "_silhouette_widths": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -594,14 +609,17 @@ class TestClusteringStability:
         for name in calls:
             wrapper = counted(name, getattr(metrics, name))
             monkeypatch.setattr(metrics, name, wrapper)
-            monkeypatch.setattr(experiments, name, wrapper)
+            if hasattr(experiments, name):
+                monkeypatch.setattr(experiments, name, wrapper)
         records, _ = run_clustering_stability(
             graph, 3, tols, seed=0, repetitions=reps, k_range=k_range
         )
         monkeypatch.undo()
-        choose_k_calls = reps * len(k_range)
-        assert calls == {"kmeans": distinct + choose_k_calls,
-                         "silhouette_width": distinct + choose_k_calls}
+        # choose_k_by_silhouette runs one k-means per candidate count but one
+        # distance pass per repetition; each distinct embedding of the sweep
+        # costs one k-means and one pass
+        assert calls == {"kmeans": distinct + reps * len(k_range),
+                         "_silhouette_widths": distinct + reps}
 
         assert nan_safe(records) == nan_safe(expected)
         threaded, _ = run_clustering_stability(
@@ -769,6 +787,32 @@ class TestCli:
         code = cli_main([command, *source, "--dim", dim, "--out", str(tmp_path / "e")])
         assert code == 2
         assert "argument --dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_range", ["x", "", "1,2", "0,2", "2,,3", "2.5", "2;3"])
+    def test_bad_k_range_is_usage_error(self, tmp_path, capsys, k_range):
+        graph_path = tmp_path / "k5.txt"
+        k5_edge_list(graph_path)
+        code = cli_main(
+            ["cluster-stability", "--graph", str(graph_path), "--dim", "1",
+             "--k-range", k_range, "--out", str(tmp_path / "st.csv")]
+        )
+        assert code == 2
+        assert "argument --k-range" in capsys.readouterr().err
+
+    def test_k_range_above_n_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        from spectol import experiments
+
+        graph_path = tmp_path / "k5.txt"
+        k5_edge_list(graph_path)
+        solves = []
+        monkeypatch.setattr(experiments, "truncated_eigs", lambda *a, **kw: solves.append(a))
+        code = cli_main(
+            ["cluster-stability", "--graph", str(graph_path), "--dim", "1",
+             "--k-range", "2, 6", "--out", str(tmp_path / "st.csv")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cluster counts")
+        assert solves == [] and not (tmp_path / "st.csv").exists()
 
     @pytest.mark.parametrize("command", ["embed", "sweep", "cluster-stability"])
     def test_non_utf8_graph_is_runtime_error(self, tmp_path, capsys, command):

@@ -24,13 +24,14 @@ from spectol import (
     silhouette_width,
     zhu_ghodsi_dimension,
 )
-from spectol.metrics import _SILHOUETTE_BLOCK
+from spectol.metrics import _SILHOUETTE_BLOCK, _silhouette_widths
 from oracles import (
     brute_force_elbow,
     brute_force_procrustes,
     brute_force_silhouette,
     pair_counting_ari,
     reference_kmeans,
+    row_major_kmeans,
 )
 
 
@@ -182,6 +183,41 @@ class TestKmeansMatchesReference:
         assert len(set(kmeans(pts, 5, seed).labels)) == 5
 
 
+class TestKmeansMatchesRowMajor:
+    """Bit-for-bit agreement with the frozen point-major Lloyd for every d,
+    including d = 1 and d >= 8, where reference_kmeans's masked means may
+    differ in the last bit: the cluster-major layout accumulates the same
+    coordinates in the same order and breaks ties as argmin does."""
+
+    @staticmethod
+    def assert_matches(pts, k, seed):
+        labels, centers, wcss = row_major_kmeans(pts, k, seed)
+        result = kmeans(pts, k, seed)
+        assert result.labels.dtype == labels.dtype
+        assert np.array_equal(result.labels, labels)
+        assert np.array_equal(result.centers, centers)
+        assert result.wcss == wcss
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_random_points(self, d):
+        rng = np.random.default_rng(200 + d)
+        pts = rng.standard_normal((150, d)) * rng.uniform(0.5, 3.0, size=d)
+        for k in (1, 2, 3, 5, 7):
+            self.assert_matches(pts, k, d)
+
+    @pytest.mark.parametrize("d", (1, 3, 9))
+    @pytest.mark.parametrize("locations, k", [(4, 5), (2, 4)])
+    def test_duplicates_revive_empty_clusters(self, d, locations, k):
+        # fewer distinct locations than clusters: tied points all go to the
+        # first of the tied centers, and only the revival of empty clusters
+        # (several in one iteration when two locations feed four clusters)
+        # leaves every cluster occupied
+        rng = np.random.default_rng(d)
+        pts = rng.standard_normal((locations, d))[rng.integers(locations, size=60)]
+        self.assert_matches(pts, k, d)
+        assert len(set(kmeans(pts, k, d).labels)) == k
+
+
 class TestSilhouetteMatchesOracle:
     @staticmethod
     def assert_matches(pts, clustering):
@@ -287,6 +323,49 @@ class TestChooseK:
     def test_empty_range(self):
         with pytest.raises(EmptyRange):
             choose_k_by_silhouette(np.zeros((4, 1)), (), seed=0)
+
+
+class TestChooseKOnePass:
+    """choose_k_by_silhouette scores every candidate from one pass over the
+    pairwise distances; it must give what a per-k loop of kmeans and
+    silhouette_width gives, across several row blocks."""
+
+    n = 2 * _SILHOUETTE_BLOCK + 37
+
+    def points(self, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(40 + seed)
+        sizes = [self.n // 3, self.n // 3, self.n - 2 * (self.n // 3)]
+        return rng.standard_normal((self.n, 3)) + np.repeat(3.0 * np.eye(3), sizes, axis=0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k_range", [(2, 3), (2, 3, 4, 5, 6), (7, 3, 2, 4)])
+    def test_matches_per_k_loop(self, seed, k_range):
+        pts = self.points(seed)
+        best_k, best, best_score = None, None, -np.inf
+        for k in sorted(k_range):
+            clustering = kmeans(pts, k, seed)
+            score = silhouette_width(pts, clustering).mean
+            if score > best_score:
+                best_k, best, best_score = k, clustering, score
+        k, clustering = choose_k_by_silhouette(pts, k_range, seed)
+        assert k == best_k
+        assert np.array_equal(clustering.labels, best.labels)
+        assert np.array_equal(clustering.centers, best.centers)
+        assert silhouette_width(pts, clustering).mean == best_score
+
+    def test_one_pass_equals_separate_passes(self):
+        pts = self.points(0)
+        clusterings = [kmeans(pts, k, seed=k) for k in (2, 3, 5, 8)]
+        for clustering, result in zip(clusterings, _silhouette_widths(pts, clusterings)):
+            alone = silhouette_width(pts, clustering)
+            assert np.array_equal(result.values, alone.values)
+            assert np.array_equal(result.cluster_means, alone.cluster_means)
+            assert result.mean == alone.mean
+
+    def test_tie_keeps_smaller_k(self):
+        # identical points score 0 under every k
+        k, clustering = choose_k_by_silhouette(np.ones((20, 2)), (4, 2, 3), seed=0)
+        assert k == 2 and clustering.k == 2
 
 
 class TestAdjustedRandIndex:
