@@ -11,21 +11,20 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._util import write_rows
 from .errors import SpectolError
 from .experiments import (
     DEFAULT_TOLERANCES,
+    SweepConfig,
+    block_model,
     ingest_edge_list,
     load_sweep_config,
     parse_tolerances,
     run_clustering_stability,
     run_tolerance_sweep,
-    sweep_config_from_dict,
+    summary_path,
     write_edge_list,
-    write_records_csv,
-    _parse_block_matrix,
+    write_run,
     _pilot_dimension,
 )
 from .graph_model import (
@@ -56,15 +55,19 @@ def _add_sbm_arguments(parser: argparse.ArgumentParser) -> None:
 def _sbm_from_args(args) -> SbmSpec:
     if not args.sizes:
         raise SpectolError("an SBM needs --sizes")
-    sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
-    if args.b:
-        B = _parse_block_matrix(args.b)
-    elif args.b_diag is not None:
-        k = len(sizes)
-        B = np.full((k, k), args.b_off) + np.eye(k) * (args.b_diag - args.b_off)
+    return block_model(args.sizes, b=args.b, b_diag=args.b_diag, b_off=args.b_off)
+
+
+def _tolerances(args) -> tuple[float, ...]:
+    return parse_tolerances(args.tolerances) if args.tolerances else DEFAULT_TOLERANCES
+
+
+def _report(output, summary: dict) -> None:
+    if output:
+        print(f"records -> {output}")
+        print(f"summary -> {summary_path(output)}")
     else:
-        raise SpectolError("an SBM needs --b or --b-diag")
-    return SbmSpec(block_probabilities=B, sizes=sizes)
+        print(json.dumps(summary, indent=2))
 
 
 def _dimension(text: str):
@@ -133,38 +136,20 @@ def _cmd_sweep(args) -> int:
     if args.config:
         config = load_sweep_config(args.config)
     else:
-        data: dict = {}
-        if args.graph:
-            data["edge_list"] = args.graph
-        else:
-            if not args.sizes:
-                raise SpectolError("sweep needs --config, --graph, or SBM flags")
-            data["sizes"] = args.sizes
-            if args.b:
-                data["b"] = args.b
-            elif args.b_diag is not None:
-                data["b_diag"] = args.b_diag
-                data["b_off"] = args.b_off
-            else:
-                raise SpectolError("an SBM needs --b or --b-diag")
-        data["d"] = args.dim
-        if args.tolerances:
-            data["tolerances"] = args.tolerances
-        data["replicates"] = args.replicates
-        data["seed"] = args.seed
-        data["heuristic_variant"] = args.variant
-        data["workers"] = args.workers
-        data["scaled"] = args.scaled
-        data["record_timing"] = args.timing
-        if args.out:
-            data["output"] = args.out
-        config = sweep_config_from_dict(data)
-    records, summary = run_tolerance_sweep(config)
-    if config.output:
-        print(f"records -> {config.output}")
-        print(f"summary -> {Path(config.output).with_suffix('.summary.json')}")
-    else:
-        print(json.dumps(summary, indent=2))
+        config = SweepConfig(
+            model=args.graph or _sbm_from_args(args),
+            d=args.dim,
+            tolerances=_tolerances(args),
+            replicates=args.replicates,
+            seed=args.seed,
+            heuristic_variant=args.variant,
+            output=args.out,
+            scaled=args.scaled,
+            record_timing=args.timing,
+            workers=args.workers,
+        )
+    _, summary = run_tolerance_sweep(config)
+    _report(config.output, summary)
     return 0
 
 
@@ -176,26 +161,18 @@ def _cmd_cluster_stability(args) -> int:
         P = FactoredProbabilityMatrix(sbm_to_latent(spec))
         graph = sample_adjacency(P, args.seed)
     d = _resolve_dim(args, graph)
-    tolerances = (
-        parse_tolerances(args.tolerances) if args.tolerances else DEFAULT_TOLERANCES
-    )
     records, summary = run_clustering_stability(
         graph,
         d,
-        tolerances,
+        _tolerances(args),
         reference_tol=args.reference_tol,
         seed=args.seed,
         repetitions=args.repetitions,
         k_range=args.k_range,
     )
     if args.out:
-        write_records_csv(args.out, records)
-        summary_path = Path(args.out).with_suffix(".summary.json")
-        summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-        print(f"records -> {args.out}")
-        print(f"summary -> {summary_path}")
-    else:
-        print(json.dumps(summary, indent=2))
+        write_run(args.out, records, summary)
+    _report(args.out, summary)
     return 0
 
 

@@ -66,6 +66,23 @@ DIMENSION_SELECTION_METHOD = "profile_likelihood_equal_variance"
 PILOT_TOL = 1e-2
 
 
+def _check_tolerances(tolerances, name: str = "tolerances") -> tuple[float, ...]:
+    """``tolerances`` as floats, if they are positive and strictly decreasing."""
+    tols = tuple(float(t) for t in tolerances)
+    if not tols or not all(t > 0 for t in tols):
+        raise DomainError(f"{name} must be positive")
+    if any(b >= a for a, b in zip(tols, tols[1:])):
+        raise DomainError(f"{name} must be strictly decreasing")
+    return tols
+
+
+def _check_runs(count: int, noun: str, workers: int) -> None:
+    if count < 1:
+        raise DomainError(f"at least one {noun} is required")
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything one paired tolerance sweep needs.
@@ -91,19 +108,12 @@ class SweepConfig:
     max_restarts: int = DEFAULT_MAX_RESTARTS
 
     def __post_init__(self) -> None:
-        tols = tuple(float(t) for t in self.tolerances)
-        if not tols or any(t <= 0 for t in tols):
-            raise DomainError("tolerances must be positive")
-        if any(b >= a for a, b in zip(tols, tols[1:])):
-            raise DomainError("tolerances must be strictly decreasing")
-        if self.replicates < 1:
-            raise DomainError("at least one replicate is required")
+        tols = _check_tolerances(self.tolerances)
+        _check_runs(self.replicates, "replicate", self.workers)
         if self.heuristic_variant not in ("spectral", "sqrt_n"):
             raise DomainError("heuristic_variant must be 'spectral' or 'sqrt_n'")
         if self.d != "auto" and (not isinstance(self.d, int) or self.d < 1):
             raise DomainError("d must be a positive integer or 'auto'")
-        if self.workers < 1:
-            raise DomainError("workers must be at least 1")
         object.__setattr__(self, "tolerances", tols)
 
 
@@ -165,6 +175,40 @@ def _mean_se(values) -> tuple[float, float]:
     return mean, se
 
 
+def _run_replicates(one, count: int, workers: int, tolerances, stats):
+    """Run ``one(r) -> (records, extra)`` for r < count, on ``workers`` threads.
+
+    Returns the records in replicate-major order, the extras in replicate
+    order, and one summary row per tolerance: its exponent and value, then
+    ``stats`` of its records across replicates.
+    """
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, range(count)))
+    else:
+        results = [one(r) for r in range(count)]
+    per_replicate = [recs for recs, _ in results]
+    per_tolerance = [
+        {"tol_exponent": -math.log2(tol), "tolerance": tol, **stats(cell)}
+        for tol, cell in zip(tolerances, zip(*per_replicate))
+    ]
+    records = [rec for recs in per_replicate for rec in recs]
+    return records, [extra for _, extra in results], per_tolerance
+
+
+def summary_path(output) -> Path:
+    """Where the summary JSON of a run whose records go to ``output`` is written."""
+    return Path(output).with_suffix(".summary.json")
+
+
+def write_run(output, records, summary: dict, *, scaled: bool = False) -> None:
+    """Write records as CSV to ``output`` and the summary to ``summary_path``."""
+    write_records_csv(output, records, scaled=scaled)
+    summary_path(output).write_text(
+        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+    )
+
+
 def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     """Paired sweep: one graph per replicate, every tolerance on that graph.
 
@@ -214,18 +258,13 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
                 A, d, tol, max_restarts=config.max_restarts, seed=solver_ss, resume=dec
             )
             solve_s += time.perf_counter() - t0
+            err = scaled_err = float("nan")
             if V is not None:
                 err = procrustes_distance(dec.vectors, V[:, :d])[0]
-            else:
-                err = float("nan")
-            scaled_err: float | None = None
-            if config.scaled:
-                if V is not None:
+                if config.scaled:
                     left = dec.vectors * np.sqrt(np.abs(dec.values))
                     right = V[:, :d] * np.sqrt(sigma[:d])
                     scaled_err = procrustes_distance(left, right)[0]
-                else:
-                    scaled_err = float("nan")
             rho = (
                 ritz_gap_rho(dec.values, dense_values)
                 if dense_values is not None
@@ -241,35 +280,24 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
                     residual=dec.residual,
                     rho=rho,
                     elapsed_ms=solve_s * 1e3 if config.record_timing else 0.0,
-                    procrustes_error_scaled=scaled_err,
+                    procrustes_error_scaled=scaled_err if config.scaled else None,
                 )
             )
         return records, report
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            per_replicate = list(pool.map(one_replicate, range(config.replicates)))
-    else:
-        per_replicate = [one_replicate(r) for r in range(config.replicates)]
-
-    records = [rec for recs, _ in per_replicate for rec in recs]
-    reports = [rep for _, rep in per_replicate]
-
-    per_tolerance = []
-    for i, tol in enumerate(config.tolerances):
-        cell = [recs[i] for recs, _ in per_replicate]
+    def stats(cell):
         mean_err, se_err = _mean_se([c.procrustes_error for c in cell])
-        per_tolerance.append(
-            {
-                "tol_exponent": -math.log2(tol),
-                "tolerance": tol,
-                "mean_procrustes": mean_err,
-                "se_procrustes": se_err,
-                "mean_iterations": _mean_se([c.iterations for c in cell])[0],
-                "mean_matvecs": _mean_se([c.matvecs for c in cell])[0],
-                "mean_residual": _mean_se([c.residual for c in cell])[0],
-            }
-        )
+        return {
+            "mean_procrustes": mean_err,
+            "se_procrustes": se_err,
+            "mean_iterations": _mean_se([c.iterations for c in cell])[0],
+            "mean_matvecs": _mean_se([c.matvecs for c in cell])[0],
+            "mean_residual": _mean_se([c.residual for c in cell])[0],
+        }
+
+    records, reports, per_tolerance = _run_replicates(
+        one_replicate, config.replicates, config.workers, config.tolerances, stats
+    )
     mean_spectral = _mean_se([rep.heuristic_spectral for rep in reports])[0]
     mean_sqrt_n = _mean_se([rep.heuristic_sqrt_n for rep in reports])[0]
     summary = {
@@ -288,9 +316,7 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
         "per_tolerance": per_tolerance,
     }
     if config.output:
-        write_records_csv(config.output, records, scaled=config.scaled)
-        summary_path = Path(config.output).with_suffix(".summary.json")
-        summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+        write_run(config.output, records, summary, scaled=config.scaled)
     return records, summary
 
 
@@ -318,9 +344,11 @@ def run_clustering_stability(
 
     A repetition solves the swept tolerances and the reference in decreasing
     order along one restart path, each solve resuming where the looser one
-    stopped (``resume=``), with the results of fresh solves.  Every
-    candidate count in ``k_range`` must lie in [2, n]; a bad range is a
-    ``DomainError`` before the first solve.
+    stopped (``resume=``), with the results of fresh solves.  The inputs
+    are checked before the first solve, a bad one being a ``DomainError``:
+    the tolerances and ``reference_tol`` as ``SweepConfig`` checks its
+    tolerances, ``repetitions`` and ``workers`` as its ``replicates`` and
+    ``workers``, and every candidate count in ``k_range`` must lie in [2, n].
 
     A solve stops only at a restart, so consecutive tolerances often return
     the same embedding bit for bit.  k-means is deterministic for a fixed
@@ -328,11 +356,9 @@ def run_clustering_stability(
     and silhouette instead of recomputing them: each distinct embedding of
     a repetition is clustered once, with identical results.
     """
-    tols = tuple(float(t) for t in tolerances)
-    if not tols or any(b >= a for a, b in zip(tols, tols[1:])):
-        raise DomainError("tolerances must be strictly decreasing")
-    if repetitions < 1:
-        raise DomainError("at least one repetition is required")
+    tols = _check_tolerances(tolerances)
+    _check_tolerances((reference_tol,), "reference_tol")
+    _check_runs(repetitions, "repetition", workers)
     k_range = tuple(int(k) for k in k_range)
     if not k_range or not all(2 <= k <= graph.n for k in k_range):
         raise DomainError(f"cluster counts must lie in [2, {graph.n}], got {k_range}")
@@ -380,33 +406,23 @@ def run_clustering_stability(
             )
         return records, ref_k
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(one_repetition, range(repetitions)))
-    else:
-        per_rep = [one_repetition(rep) for rep in range(repetitions)]
-
-    records = [rec for recs, _ in per_rep for rec in recs]
-    per_tolerance = []
-    for i, tol in enumerate(tols):
-        cell = [recs[i] for recs, _ in per_rep]
+    def stats(cell):
         mean_ref, se_ref = _mean_se([c.ari_vs_reference for c in cell])
-        mean_prev, _ = _mean_se([c.ari_vs_coarser for c in cell])
-        per_tolerance.append(
-            {
-                "tol_exponent": -math.log2(tol),
-                "tolerance": tol,
-                "mean_ari_vs_reference": mean_ref,
-                "se_ari_vs_reference": se_ref,
-                "mean_ari_vs_coarser": mean_prev,
-                "mean_k_chosen": _mean_se([c.k_chosen for c in cell])[0],
-            }
-        )
+        return {
+            "mean_ari_vs_reference": mean_ref,
+            "se_ari_vs_reference": se_ref,
+            "mean_ari_vs_coarser": _mean_se([c.ari_vs_coarser for c in cell])[0],
+            "mean_k_chosen": _mean_se([c.k_chosen for c in cell])[0],
+        }
+
+    records, ref_ks, per_tolerance = _run_replicates(
+        one_repetition, repetitions, workers, tols, stats
+    )
     summary = {
         "dimension": d,
         "reference_tolerance": reference_tol,
         "repetitions": repetitions,
-        "reference_k_per_repetition": [int(k) for _, k in per_rep],
+        "reference_k_per_repetition": [int(k) for k in ref_ks],
         "per_tolerance": per_tolerance,
     }
     return records, summary
@@ -613,26 +629,11 @@ def read_sweep_csv(path) -> list[SweepRecord]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        scaled = "procrustes_error_scaled" in header
-        out = []
-        for row in reader:
-            data = dict(zip(header, row))
-            out.append(
-                SweepRecord(
-                    tol_exponent=float(data["tol_exponent"]),
-                    replicate=int(data["replicate"]),
-                    iterations=int(data["iterations"]),
-                    matvecs=int(data["matvecs"]),
-                    procrustes_error=float(data["procrustes_error"]),
-                    residual=float(data["residual"]),
-                    rho=float(data["rho"]),
-                    elapsed_ms=float(data["elapsed_ms"]),
-                    procrustes_error_scaled=(
-                        float(data["procrustes_error_scaled"]) if scaled else None
-                    ),
-                )
-            )
-    return out
+        convert = [int if col in _INT_COLUMNS else float for col in header]
+        return [
+            SweepRecord(**{col: f(x) for col, f, x in zip(header, convert, row)})
+            for row in reader
+        ]
 
 
 def _parse_tolerance_token(token: str) -> float:
@@ -658,21 +659,48 @@ def parse_tolerances(text: str) -> tuple[float, ...]:
     return tuple(_parse_tolerance_token(tok) for tok in text.split(","))
 
 
-def _parse_block_matrix(text: str) -> np.ndarray:
-    rows = [
-        [float(x) for x in row.split(",") if x.strip()]
-        for row in text.split(";")
-        if row.strip()
-    ]
-    return np.asarray(rows, dtype=float)
+def _parse(convert, value, what: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"cannot parse {what} {value!r}") from None
+
+
+def _items(value, sep: str) -> list:
+    """A list's items, or the non-blank ``sep``-separated fields of a string."""
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    return [field for field in str(value).split(sep) if field.strip()]
+
+
+def block_model(sizes, *, b=None, b_diag=None, b_off=0.0) -> SbmSpec:
+    """The block model of ``sizes`` with the full block matrix ``b``, or with
+    ``b_diag`` within blocks and ``b_off`` between them.
+
+    Every argument may be a string, as flags and key=value files give them
+    ("300,300", "0.05,0.02;0.02,0.05": rows split at ';', entries at ','),
+    or numbers and lists, as JSON gives them.  A token that is not a number
+    is a ``DomainError`` naming it; ``SbmSpec`` checks shapes and ranges.
+    """
+    sizes = tuple(_parse(int, s, "block size") for s in _items(sizes, ","))
+    if b is not None:
+        B = [
+            [_parse(float, x, "block probability") for x in _items(row, ",")]
+            for row in _items(b, ";")
+        ]
+    elif b_diag is not None:
+        diag = _parse(float, b_diag, "b_diag")
+        off = _parse(float, b_off, "b_off")
+        k = len(sizes)
+        B = np.full((k, k), off) + np.eye(k) * (diag - off)
+    else:
+        raise DomainError("a block model needs b or b_diag")
+    return SbmSpec(block_probabilities=B, sizes=sizes)
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
     """Build a SweepConfig from flat keys (strings allowed for every value)."""
     data = dict(data)
-
-    def as_int(x):
-        return int(x)
 
     def as_bool(x):
         if isinstance(x, bool):
@@ -684,53 +712,32 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
             return False
         raise DomainError(f"cannot parse boolean {x!r}")
 
+    model_keys = {key: data.pop(key) for key in ("b", "b_diag", "b_off") if key in data}
     if "edge_list" in data:
         model: SbmSpec | str = str(data.pop("edge_list"))
-        for key in ("sizes", "b", "b_diag", "b_off"):
-            data.pop(key, None)
+        data.pop("sizes", None)
+    elif "sizes" in data:
+        model = block_model(data.pop("sizes"), **model_keys)
     else:
-        if "sizes" not in data:
-            raise DomainError("config needs either edge_list or sizes")
-        sizes_raw = data.pop("sizes")
-        if isinstance(sizes_raw, str):
-            sizes = tuple(int(s) for s in sizes_raw.split(",") if s.strip())
-        else:
-            sizes = tuple(int(s) for s in sizes_raw)
-        if "b" in data:
-            b_raw = data.pop("b")
-            B = _parse_block_matrix(b_raw) if isinstance(b_raw, str) else np.asarray(b_raw, float)
-            data.pop("b_diag", None)
-            data.pop("b_off", None)
-        else:
-            diag = float(data.pop("b_diag"))
-            off = float(data.pop("b_off", 0.0))
-            k = len(sizes)
-            B = np.full((k, k), off) + np.eye(k) * (diag - off)
-        model = SbmSpec(block_probabilities=B, sizes=sizes)
+        raise DomainError("config needs either edge_list or sizes")
 
     kwargs: dict = {"model": model}
-    if "d" in data or "dim" in data:
-        d_raw = data.pop("d", None)
-        if d_raw is None:
-            d_raw = data.pop("dim")
-        data.pop("dim", None)
-        kwargs["d"] = "auto" if str(d_raw).strip() == "auto" else int(d_raw)
+    d_raw = data.pop("d", data.pop("dim", None))
+    if d_raw is not None:
+        kwargs["d"] = "auto" if str(d_raw).strip() == "auto" else _parse(int, d_raw, "d")
     if "tolerances" in data:
         raw = data.pop("tolerances")
         kwargs["tolerances"] = (
-            parse_tolerances(raw) if isinstance(raw, str) else tuple(float(t) for t in raw)
+            parse_tolerances(raw)
+            if isinstance(raw, str)
+            else tuple(_parse(float, t, "tolerance") for t in _items(raw, ","))
         )
-    for key, convert in (
-        ("replicates", as_int),
-        ("seed", as_int),
-        ("workers", as_int),
-        ("max_restarts", as_int),
-        ("rho_oracle_limit", as_int),
-        ("scaled", as_bool),
-        ("record_timing", as_bool),
-    ):
+    for key in ("replicates", "seed", "workers", "max_restarts", "rho_oracle_limit"):
         if key in data:
-            kwargs[key] = convert(data.pop(key))
+            kwargs[key] = _parse(int, data.pop(key), key)
+    for key in ("scaled", "record_timing"):
+        if key in data:
+            kwargs[key] = as_bool(data.pop(key))
     if "heuristic_variant" in data:
         kwargs["heuristic_variant"] = str(data.pop("heuristic_variant"))
     if "output" in data:
@@ -744,7 +751,11 @@ def load_sweep_config(path) -> SweepConfig:
     """Load a sweep config from JSON or flat key=value text."""
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        return sweep_config_from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.lineno, exc.msg) from None
+        return sweep_config_from_dict(data)
     data: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -77,8 +77,15 @@ class SbmSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        B = np.array(self.block_probabilities, dtype=float)
         sizes = tuple(int(s) for s in self.sizes)
+        try:
+            B = np.array(self.block_probabilities, dtype=float)
+        except ValueError:  # rows of unequal length, or not numbers
+            raise DimensionMismatch(
+                "block probability matrix must be a square array of numbers"
+            ) from None
+        if not sizes:
+            raise DimensionMismatch("a block model needs at least one block")
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise DimensionMismatch("block probability matrix must be square")
         if B.shape[0] != len(sizes):

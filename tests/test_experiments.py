@@ -24,13 +24,14 @@ from spectol import (
     tolerance,
 )
 from spectol.cli import cli_main
-from spectol.errors import DomainError, EmptyGraph, ParseError
+from spectol.errors import DimensionMismatch, DomainError, EmptyGraph, ParseError
 from spectol.experiments import (
     DEFAULT_TOLERANCES,
     PILOT_TOL,
     STABILITY_COLUMNS,
     SWEEP_COLUMNS,
     SweepConfig,
+    block_model,
     ingest_edge_list,
     load_sweep_config,
     parse_tolerances,
@@ -337,6 +338,20 @@ class TestConfigFiles:
         with pytest.raises(DomainError):
             sweep_config_from_dict({"sizes": "10,10", "b_diag": 0.1, "typo": 1})
 
+    @pytest.mark.parametrize(
+        "sizes, matrix, error",
+        [
+            ("10,10", {"b_diag": "0.1", "b_off": "y"}, DomainError),
+            (",", {"b_diag": 0.1}, DimensionMismatch),
+            ("10,10", {"b": "0.1,0.2;0.3"}, DimensionMismatch),
+            ([10, 10], {"b": [[0.1, 0.2], [0.2]]}, DimensionMismatch),
+            ("10,10", {"b": [[0.1]]}, DimensionMismatch),
+        ],
+    )
+    def test_bad_block_model_rejected(self, sizes, matrix, error):
+        with pytest.raises(error):
+            block_model(sizes, **matrix)
+
     def test_json_and_key_value_files_agree(self, tmp_path):
         json_path = tmp_path / "sweep.json"
         json_path.write_text(json.dumps(self.JSON_CONFIG))
@@ -357,6 +372,17 @@ class TestConfigFiles:
             a.model.block_probabilities, b.model.block_probabilities
         )
         assert a.model.sizes == b.model.sizes
+        # one builder reads strings as flags and key=value files give them,
+        # and numbers and lists as JSON gives them
+        specs = [
+            block_model("300,300", b="0.05,0.02;0.02,0.05"),
+            block_model([300, 300], b=[[0.05, 0.02], [0.02, 0.05]]),
+            block_model("300,300", b_diag="0.05", b_off="0.02"),
+            block_model([300, 300], b_diag=0.05, b_off=0.02),
+        ]
+        for spec in specs:
+            assert spec.sizes == (300, 300)
+            assert np.array_equal(spec.block_probabilities, specs[0].block_probabilities)
         for field in (
             "d",
             "tolerances",
@@ -562,8 +588,25 @@ class TestClusteringStability:
         with pytest.raises(DomainError):
             run_clustering_stability(graph, 2, tolerances=(0.1, 0.5))
 
-    @pytest.mark.parametrize("k_range", [(), (1, 2), (2, 91), (0,)])
-    def test_bad_k_range_rejected_before_any_solve(self, monkeypatch, k_range):
+    # the ids of the k_range cases are the ones pytest gave them when they
+    # were the only cases
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param({"k_range": ()}, id="k_range0"),
+            pytest.param({"k_range": (1, 2)}, id="k_range1"),
+            pytest.param({"k_range": (2, 91)}, id="k_range2"),
+            pytest.param({"k_range": (0,)}, id="k_range3"),
+            pytest.param({"tolerances": (0.5, 0.25, -1)}, id="negative_tolerance"),
+            pytest.param({"tolerances": (0.5, 0.0)}, id="zero_tolerance"),
+            pytest.param({"reference_tol": 0}, id="zero_reference_tol"),
+            pytest.param({"reference_tol": -1e-6}, id="negative_reference_tol"),
+            pytest.param({"workers": 0}, id="workers0"),
+            pytest.param({"workers": -3}, id="workers-3"),
+            pytest.param({"repetitions": 0}, id="repetitions0"),
+        ],
+    )
+    def test_bad_k_range_rejected_before_any_solve(self, monkeypatch, bad):
         from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
         from spectol import experiments
 
@@ -572,7 +615,7 @@ class TestClusteringStability:
         solves = []
         monkeypatch.setattr(experiments, "truncated_eigs", lambda *a, **kw: solves.append(a))
         with pytest.raises(DomainError):
-            run_clustering_stability(graph, 2, tolerances=(0.5, 0.25), k_range=k_range)
+            run_clustering_stability(graph, 2, **{"tolerances": (0.5, 0.25), **bad})
         assert solves == []
 
     def test_each_distinct_embedding_clustered_once(self, monkeypatch):
@@ -648,12 +691,6 @@ class TestClusteringStability:
         assert len(rows) == 1 + 2 * 2
 
 
-def block_model(sizes, p_in: float, p_out: float) -> FactoredProbabilityMatrix:
-    k = len(sizes)
-    B = np.full((k, k), p_out) + np.eye(k) * (p_in - p_out)
-    return FactoredProbabilityMatrix(sbm_to_latent(SbmSpec(B, tuple(sizes))))
-
-
 class TestPilotDimension:
     # the three-block benchmark model, the two-block model CI embeds, and the
     # four-block n = 1,200 model; the elbow is the same at 1e-4, 1e-3, 1e-2
@@ -670,7 +707,8 @@ class TestPilotDimension:
         ],
     )
     def test_loose_pilot_finds_the_tight_pilots_elbow(self, sizes, p_in, p_out, seed, elbow):
-        A = sample_adjacency(block_model(sizes, p_in, p_out), seed)
+        spec = block_model(sizes, b_diag=p_in, b_off=p_out)
+        A = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(spec)), seed)
         tight = truncated_eigs(A, 20, 1e-4, seed=seed)
         tight_elbow = zhu_ghodsi_dimension(np.sort(np.abs(tight.values))[::-1])
         assert PILOT_TOL > 1e-4
@@ -894,6 +932,19 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(cfg)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert len(summary["per_tolerance"]) == 3
+        # the same keys as flags give the same bytes
+        with open(cfg, "a") as fh:
+            fh.write(f"output = {tmp_path / 'cfg.csv'}\n")
+        assert cli_main(["sweep", "--config", str(cfg)]) == 0
+        assert cli_main(
+            ["sweep", "--sizes", "50,50", "--b-diag", "0.1", "--b-off", "0.02",
+             "--dim", "2", "--tolerances", "2^-2..2^-4", "--replicates", "2",
+             "--out", str(tmp_path / "flags.csv")]
+        ) == 0
+        for suffix in (".csv", ".summary.json"):
+            assert (tmp_path / f"cfg{suffix}").read_bytes() == (
+                tmp_path / f"flags{suffix}"
+            ).read_bytes()
 
     def test_cluster_stability_smoke(self, tmp_path):
         out = tmp_path / "stability.csv"
@@ -917,6 +968,41 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["no-such-command"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, flags, config",
+        [
+            *[
+                (command, flags, None)
+                for command in ("sample", "sweep", "cluster-stability", "check")
+                for flags in (
+                    ["--sizes", "x", "--b-diag", "0.1"],
+                    ["--sizes", "10,10", "--b", "0.1,x"],
+                    ["--sizes", "10,10"],
+                )
+            ],
+            *[
+                ("sweep", None, config)
+                for config in (
+                    "sizes = x\nb_diag = 0.1\n",
+                    "sizes = 10,10\nb = 0.1,x\n",
+                    "sizes = 10,10\n",
+                    "sizes = 10,10\nb_diag = 0.1\nreplicates = x\n",
+                )
+            ],
+        ],
+    )
+    def test_bad_model_or_config_is_runtime_error(
+        self, tmp_path, capsys, command, flags, config
+    ):
+        if config is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(config)
+            flags = ["--config", str(path)]
+        code = cli_main([command, *flags, "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_model_is_runtime_error(self, tmp_path, capsys):
         code = cli_main(["sample", "--out", str(tmp_path / "x.txt")])
