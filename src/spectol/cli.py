@@ -15,7 +15,6 @@ from ._util import write_rows
 from .errors import SpectolError
 from .experiments import (
     DEFAULT_TOLERANCES,
-    SweepConfig,
     block_model,
     ingest_edge_list,
     load_sweep_config,
@@ -23,6 +22,7 @@ from .experiments import (
     run_clustering_stability,
     run_tolerance_sweep,
     summary_path,
+    sweep_config_from_dict,
     write_edge_list,
     write_run,
     _pilot_dimension,
@@ -36,7 +36,7 @@ from .graph_model import (
     sbm_to_latent,
 )
 from .spectral_core import truncated_eigs
-from .tolerance import HEURISTIC_RULES, solve_at_heuristic, tolerance_report
+from .tolerance import HEURISTIC_RULES, report_from_solve, solve_at_heuristic
 
 
 def _add_sbm_arguments(parser: argparse.ArgumentParser) -> None:
@@ -132,22 +132,26 @@ def _cmd_embed(args) -> int:
     return 0 if dec.converged else 1
 
 
+# the config key each sweep flag sets, where the two names differ
+_SWEEP_KEYS = {"graph": "edge_list", "dim": "d", "variant": "heuristic_variant",
+               "timing": "record_timing", "out": "output"}
+
+
 def _cmd_sweep(args) -> int:
+    # no sweep flag has a default of its own, so a flag is given when it is set
+    given = {key: value for key, value in sorted(vars(args).items())
+             if value is not None and key not in ("command", "func", "config")}
+    if args.config and given:
+        flags = ", ".join("--" + key.replace("_", "-") for key in given)
+        print(f"error: --config takes no other flags, got {flags}", file=sys.stderr)
+        return 2
     if args.config:
         config = load_sweep_config(args.config)
+    elif args.graph or args.sizes:
+        data = {_SWEEP_KEYS.get(key, key): value for key, value in given.items()}
+        config = sweep_config_from_dict(data)
     else:
-        config = SweepConfig(
-            model=args.graph or _sbm_from_args(args),
-            d=args.dim,
-            tolerances=_tolerances(args),
-            replicates=args.replicates,
-            seed=args.seed,
-            heuristic_variant=args.variant,
-            output=args.out,
-            scaled=args.scaled,
-            record_timing=args.timing,
-            workers=args.workers,
-        )
+        raise SpectolError("an SBM needs --sizes")
     _, summary = run_tolerance_sweep(config)
     _report(config.output, summary)
     return 0
@@ -181,7 +185,9 @@ def _cmd_check(args) -> int:
     P = FactoredProbabilityMatrix(sbm_to_latent(spec))
     d = spec.k if args.dim == "auto" else args.dim
     graph = sample_adjacency(P, args.seed)
-    report = tolerance_report(graph, seed=args.seed)
+    # lambda_1 comes from the d-dimensional solve embed starts from
+    solve = solve_at_heuristic(graph, d, "conservative", seed=args.seed)
+    report = report_from_solve(graph, solve)
     assumptions = check_assumptions(P, d, args.c0, args.a)
     payload = {
         "n": graph.n,
@@ -235,20 +241,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output prefix for values/vectors")
     p.set_defaults(func=_cmd_embed)
 
+    # no sweep flag has a default: the flags are config keys, whose defaults
+    # apply, and a flag next to --config is an error, not silently ignored
     p = sub.add_parser("sweep", help="paired tolerance sweep")
-    p.add_argument("--config", help="JSON or key=value config file")
+    p.add_argument("--config", help="JSON or key=value config file (no other flags)")
     _add_sbm_arguments(p)
     p.add_argument("--graph", help="edge-list input path (instead of SBM flags)")
-    p.add_argument("--dim", type=_dimension, default="auto")
+    p.add_argument("--dim", type=_dimension)
     p.add_argument("--tolerances", help="e.g. 2^-1..2^-20 or 0.5,0.25,1e-6")
-    p.add_argument("--replicates", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", choices=("spectral", "sqrt_n"), default="spectral")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--scaled", action="store_true", help="also compare scaled embeddings")
-    p.add_argument("--timing", action="store_true", help="record wall-clock times")
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--variant", choices=("spectral", "sqrt_n"))
+    p.add_argument("--workers", type=int)
+    switch = {"action": "store_true", "default": None}
+    p.add_argument("--scaled", **switch, help="also compare scaled embeddings")
+    p.add_argument("--timing", **switch, help="record wall-clock times")
     p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, b_off=None)
 
     p = sub.add_parser("cluster-stability", help="embed-then-cluster stability study")
     _add_sbm_arguments(p)

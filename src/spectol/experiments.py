@@ -36,8 +36,8 @@ from .metrics import (
     silhouette_width,
     zhu_ghodsi_dimension,
 )
-from .spectral_core import DEFAULT_MAX_RESTARTS, ritz_gap_rho, truncated_eigs
-from .tolerance import tolerance_report
+from .spectral_core import ritz_gap_rho, truncated_eigs
+from .tolerance import conservative_tolerance, report_from_solve
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +64,8 @@ _INT_COLUMNS = {"replicate", "repetition", "iterations", "matvecs", "k_chosen"}
 DIMENSION_SELECTION_METHOD = "profile_likelihood_equal_variance"
 # relative residual of the rank-20 pilot behind d = "auto"
 PILOT_TOL = 1e-2
+# largest n whose sweep records rho, from the dense spectrum of each graph
+RHO_ORACLE_LIMIT = 1500
 
 
 def _check_tolerances(tolerances, name: str = "tolerances") -> tuple[float, ...]:
@@ -104,8 +106,6 @@ class SweepConfig:
     scaled: bool = False
     record_timing: bool = False
     workers: int = 1
-    rho_oracle_limit: int = 1500
-    max_restarts: int = DEFAULT_MAX_RESTARTS
 
     def __post_init__(self) -> None:
         tols = _check_tolerances(self.tolerances)
@@ -122,9 +122,9 @@ class SweepRecord:
     """One (tolerance, replicate) cell of a sweep table.
 
     ``elapsed_ms`` is what a solve to this tolerance costs: the solver time
-    of the replicate's chain up to and including it, since each tolerance
-    resumes the looser one's solve.  It is 0.0 unless the config sets
-    ``record_timing``.
+    of the replicate's chain up to and including it, a looser conservative
+    link too, since each tolerance resumes the looser one's solve.  It is
+    0.0 unless the config sets ``record_timing``.
     """
 
     tol_exponent: float
@@ -216,17 +216,17 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     held fixed across tolerances, so differences down a column are purely
     the stopping rule.  The tolerances of a replicate share one restart
     path: each solve resumes where the looser one stopped (``resume=``) and
-    returns what a fresh solve would.  Returns the records (replicate-major
-    order) and a summary dict; writes CSV and summary JSON when the config
-    names an output path.
+    returns what a fresh solve would.  The graph's conservative tolerance
+    joins the path (recorded only if configured), and the summary's
+    heuristics are read off its solve, as ``embed`` reads them.  Returns the
+    records (replicate-major order) and a summary dict; writes CSV and
+    summary JSON when the config names an output path.
     """
+    P = sigma = V = fixed_graph = None
     if isinstance(config.model, SbmSpec):
         P = FactoredProbabilityMatrix(sbm_to_latent(config.model))
         sigma, V = P.eigendecomposition()
-        fixed_graph = None
     else:
-        P = None
-        sigma = V = None
         fixed_graph = ingest_edge_list(config.model).graph
 
     if config.d == "auto":
@@ -241,35 +241,33 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
         selection = "fixed"
 
     def one_replicate(r: int):
-        ss = np.random.SeedSequence(config.seed + r)
-        graph_ss, solver_ss, report_ss = ss.spawn(3)
+        graph_ss, solver_ss = np.random.SeedSequence(config.seed + r).spawn(2)
         A = fixed_graph if fixed_graph is not None else sample_adjacency(P, graph_ss)
         # rho needs the spectrum only, so no eigenvectors are formed
         dense_values = (
-            np.linalg.eigvalsh(A.to_dense()) if A.n <= config.rho_oracle_limit else None
+            np.linalg.eigvalsh(A.to_dense()) if A.n <= RHO_ORACLE_LIMIT else None
         )
-        report = tolerance_report(A, seed=report_ss)
+        conservative = conservative_tolerance(A)
         records = []
         dec = None
         solve_s = 0.0
-        for tol in config.tolerances:
+        for tol in sorted({*config.tolerances, conservative}, reverse=True):
             t0 = time.perf_counter()
-            dec = truncated_eigs(
-                A, d, tol, max_restarts=config.max_restarts, seed=solver_ss, resume=dec
-            )
+            dec = truncated_eigs(A, d, tol, seed=solver_ss, resume=dec)
             solve_s += time.perf_counter() - t0
-            err = scaled_err = float("nan")
+            if tol == conservative:
+                report = report_from_solve(A, dec)
+            if tol not in config.tolerances:
+                continue
+            err = scaled_err = rho = float("nan")
             if V is not None:
                 err = procrustes_distance(dec.vectors, V[:, :d])[0]
                 if config.scaled:
                     left = dec.vectors * np.sqrt(np.abs(dec.values))
                     right = V[:, :d] * np.sqrt(sigma[:d])
                     scaled_err = procrustes_distance(left, right)[0]
-            rho = (
-                ritz_gap_rho(dec.values, dense_values)
-                if dense_values is not None
-                else float("nan")
-            )
+            if dense_values is not None:
+                rho = ritz_gap_rho(dec.values, dense_values)
             records.append(
                 SweepRecord(
                     tol_exponent=-math.log2(tol),
@@ -298,20 +296,18 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     records, reports, per_tolerance = _run_replicates(
         one_replicate, config.replicates, config.workers, config.tolerances, stats
     )
-    mean_spectral = _mean_se([rep.heuristic_spectral for rep in reports])[0]
-    mean_sqrt_n = _mean_se([rep.heuristic_sqrt_n for rep in reports])[0]
+    means = {
+        f"mean_{key}": _mean_se([getattr(rep, key) for rep in reports])[0]
+        for key in ("heuristic_spectral", "heuristic_sqrt_n", "conservative")
+    }
     summary = {
         "dimension": d,
         "dimension_selection": selection,
         "replicates": config.replicates,
         "heuristic": {
             "variant": config.heuristic_variant,
-            "mean_heuristic_spectral": mean_spectral,
-            "mean_heuristic_sqrt_n": mean_sqrt_n,
-            "mean_conservative": _mean_se([rep.conservative for rep in reports])[0],
-            "recommended": mean_spectral
-            if config.heuristic_variant == "spectral"
-            else mean_sqrt_n,
+            **means,
+            "recommended": means[f"mean_heuristic_{config.heuristic_variant}"],
         },
         "per_tolerance": per_tolerance,
     }
@@ -329,7 +325,6 @@ def run_clustering_stability(
     *,
     repetitions: int = 10,
     k_range=(2, 3, 4, 5, 6),
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
     workers: int = 1,
 ) -> tuple[list[StabilityRecord], dict]:
     """How stable is the embed-then-cluster pipeline under the tolerance?
@@ -369,9 +364,7 @@ def run_clustering_stability(
         embeddings = {}
         dec = None
         for tol in sorted({*tols, float(reference_tol)}, reverse=True):
-            dec = truncated_eigs(
-                graph, d, tol, max_restarts=max_restarts, seed=solver_ss, resume=dec
-            )
+            dec = truncated_eigs(graph, d, tol, seed=solver_ss, resume=dec)
             embeddings[tol] = dec.vectors
         # only the vectors are clustered: free the restart path (the
         # solver's basis) before k-means runs
@@ -666,6 +659,13 @@ def _parse(convert, value, what: str):
         raise DomainError(f"cannot parse {what} {value!r}") from None
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a fraction or a bool, which int() takes, is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise DomainError(f"cannot parse {what} {value!r}")
+    return _parse(int, value, what)
+
+
 def _items(value, sep: str) -> list:
     """A list's items, or the non-blank ``sep``-separated fields of a string."""
     if isinstance(value, (list, tuple)):
@@ -682,7 +682,7 @@ def block_model(sizes, *, b=None, b_diag=None, b_off=0.0) -> SbmSpec:
     or numbers and lists, as JSON gives them.  A token that is not a number
     is a ``DomainError`` naming it; ``SbmSpec`` checks shapes and ranges.
     """
-    sizes = tuple(_parse(int, s, "block size") for s in _items(sizes, ","))
+    sizes = tuple(_integer(s, "block size") for s in _items(sizes, ","))
     if b is not None:
         B = [
             [_parse(float, x, "block probability") for x in _items(row, ",")]
@@ -703,9 +703,7 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
     data = dict(data)
 
     def as_bool(x):
-        if isinstance(x, bool):
-            return x
-        text = str(x).strip().lower()
+        text = str(x).strip().lower()  # str(True) is "True"
         if text in ("true", "1", "yes"):
             return True
         if text in ("false", "0", "no"):
@@ -722,9 +720,10 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
         raise DomainError("config needs either edge_list or sizes")
 
     kwargs: dict = {"model": model}
+    d_key = "d" if "d" in data else "dim"
     d_raw = data.pop("d", data.pop("dim", None))
     if d_raw is not None:
-        kwargs["d"] = "auto" if str(d_raw).strip() == "auto" else _parse(int, d_raw, "d")
+        kwargs["d"] = "auto" if str(d_raw).strip() == "auto" else _integer(d_raw, d_key)
     if "tolerances" in data:
         raw = data.pop("tolerances")
         kwargs["tolerances"] = (
@@ -732,16 +731,15 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
             if isinstance(raw, str)
             else tuple(_parse(float, t, "tolerance") for t in _items(raw, ","))
         )
-    for key in ("replicates", "seed", "workers", "max_restarts", "rho_oracle_limit"):
+    for key in ("replicates", "seed", "workers"):
         if key in data:
-            kwargs[key] = _parse(int, data.pop(key), key)
+            kwargs[key] = _integer(data.pop(key), key)
     for key in ("scaled", "record_timing"):
         if key in data:
             kwargs[key] = as_bool(data.pop(key))
-    if "heuristic_variant" in data:
-        kwargs["heuristic_variant"] = str(data.pop("heuristic_variant"))
-    if "output" in data:
-        kwargs["output"] = str(data.pop("output"))
+    for key in ("heuristic_variant", "output"):
+        if key in data:
+            kwargs[key] = str(data.pop(key))
     if data:
         raise DomainError(f"unknown config keys: {sorted(data)}")
     return SweepConfig(**kwargs)

@@ -275,7 +275,6 @@ def truncated_eigs(
     tol: float,
     *,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
-    block_size: int | None = None,
     seed=0,
     resume: SpectralDecomposition | None = None,
 ) -> SpectralDecomposition:
@@ -294,14 +293,11 @@ def truncated_eigs(
     max_restarts : int
         Restart budget, at least 1.  On exhaustion the best iterate is
         returned with ``converged`` False rather than raising.
-    block_size : int, optional
-        Working basis size held between restarts, in basis vectors (not the
-        Lanczos block width); defaults to max(2 d + 5, 20), capped at n.
     seed : int or numpy SeedSequence
         Drives the uniform random starting block, making runs repeatable.
     resume : SpectralDecomposition, optional
         The latest result of an earlier call with the same A (the same
-        object), d, block_size, max_restarts and seed, at a tolerance no
+        object), d, max_restarts and seed, at a tolerance no
         tighter than tol.  The solve continues from the restart where that
         one stopped instead of starting over, and returns exactly what a
         fresh call would: ``iterations``, ``matvecs`` and every other field
@@ -316,10 +312,8 @@ def truncated_eigs(
         raise DomainError("tolerance must be positive")
     if max_restarts < 1:
         raise DomainError("the restart budget must be at least 1")
-    m = block_size if block_size is not None else max(2 * d + 5, 20)
-    m = min(int(m), n)
-    if m <= d:
-        m = min(n, d + 1)
+    # working basis size held between restarts, in basis vectors
+    m = min(max(2 * d + 5, 20), n)
 
     if resume is None:
         path = _RestartPath(A, d, m, max_restarts, seed)
@@ -332,7 +326,7 @@ def truncated_eigs(
         ):
             raise DomainError(
                 "resume needs a solve of the same graph with the same d, "
-                "block_size, max_restarts and an int or SeedSequence seed"
+                "max_restarts and an int or SeedSequence seed"
             )
         if tol > resume.tolerance_used:
             raise DomainError("resume cannot loosen the tolerance")

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyGraph, NoConvergence, RankDeficient, ZeroRho
-from .graph_model import FactoredProbabilityMatrix, SparseGraph, max_row_sum
-from .spectral_core import (
-    DEFAULT_MAX_RESTARTS,
-    SpectralDecomposition,
-    estimate_spectral_norm,
-    truncated_eigs,
-)
+from .graph_model import FactoredProbabilityMatrix, SparseGraph
+from .spectral_core import SpectralDecomposition, truncated_eigs
 
 # smallest vertex count for which log(log(n)) is safely above zero
 MIN_HEURISTIC_N = 16
@@ -60,22 +55,21 @@ class ToleranceReport:
     conservative: float
 
 
-def tolerance_report(A: SparseGraph, *, seed=0) -> ToleranceReport:
-    """Bootstrap procedure: estimate the top eigenvalue at the conservative
-    tolerance, then report both heuristic variants alongside it.
+def report_from_solve(A: SparseGraph, dec: SpectralDecomposition) -> ToleranceReport:
+    """The report of A read off ``dec``, a solve of A at the conservative
+    tolerance: its largest Ritz magnitude is the estimate of lambda_1.
 
-    The estimate comes from a d = 1 solve of its own; to embed at a
-    heuristic tolerance, ``solve_at_heuristic`` reads it off the embedding's
-    own solve instead.  The sweep keeps this report: it draws the estimate
-    from a per-replicate seed of its own (``report_ss``), and taking it from
-    the replicate's solve would move the summary's heuristic figures in
-    their last digits, so the summaries stay byte-identical only with it.
-    ``check`` prints every field.
+    Every heuristic spectol computes goes through here: ``tolerance_report``,
+    ``solve_at_heuristic``, the sweep and ``check``.  Raises DomainError
+    when ``dec`` stopped at another tolerance or n < MIN_HEURISTIC_N, and
+    NoConvergence when ``dec`` did not converge.
     """
-    if A.n < MIN_HEURISTIC_N:
-        raise DomainError(f"report defined for n >= {MIN_HEURISTIC_N}, got {A.n}")
     conservative = conservative_tolerance(A)
-    lam1 = estimate_spectral_norm(A, tol=conservative, seed=seed)
+    if dec.tolerance_used != conservative:
+        raise DomainError("the report reads a solve at the conservative tolerance")
+    if not dec.converged:
+        raise NoConvergence(dec.iterations)  # an unconverged solve spent its budget
+    lam1 = dec.spectral_norm_estimate
     return ToleranceReport(
         n=A.n,
         spectral_norm_estimate=lam1,
@@ -86,19 +80,26 @@ def tolerance_report(A: SparseGraph, *, seed=0) -> ToleranceReport:
     )
 
 
+def tolerance_report(A: SparseGraph, *, seed=0) -> ToleranceReport:
+    """The report of A from a d = 1 solve at the conservative tolerance."""
+    if A.n < MIN_HEURISTIC_N:
+        raise DomainError(f"report defined for n >= {MIN_HEURISTIC_N}, got {A.n}")
+    dec = truncated_eigs(A, 1, conservative_tolerance(A), seed=seed)
+    return report_from_solve(A, dec)
+
+
 def solve_at_heuristic(
     A: SparseGraph, d: int, rule: str = "spectral", *, seed=0
 ) -> SpectralDecomposition:
     """d leading eigenpairs of A at the tolerance one rule sets, on one solve.
 
     The d-dimensional problem is solved at the conservative tolerance
-    1 / sqrt(max degree) first.  Its largest Ritz magnitude estimates ||A||
-    for the ``spectral`` rule, as ``tolerance_report``'s separate d = 1 solve
-    would.  A heuristic tighter than the conservative tolerance (always for
-    ``sqrt_n``, and for ``spectral`` whenever lambda_1 (ln ln n)^2 exceeds
-    the max degree) resumes the same restart path; a looser one, as on
-    hub-dominated graphs, gets a fresh solve.  ``conservative`` stops after
-    the first solve.  Either way the result equals
+    1 / sqrt(max degree) first, and ``report_from_solve`` reads the
+    heuristics off it.  A heuristic tighter than the conservative tolerance
+    (always for ``sqrt_n``, and for ``spectral`` whenever lambda_1 (ln ln n)^2
+    exceeds the max degree) resumes the same restart path; a looser one, as
+    on hub-dominated graphs, gets a fresh solve.  ``conservative`` stops
+    after the first solve.  Either way the result equals
     ``truncated_eigs(A, d, result.tolerance_used, seed=seed)``, whose
     ``matvecs`` leave out the fresh branch's first solve and any residual
     check the conservative solve made where the heuristic makes none.
@@ -112,15 +113,12 @@ def solve_at_heuristic(
         raise DomainError(f"rule must be one of {', '.join(HEURISTIC_RULES)}")
     if A.n < MIN_HEURISTIC_N:
         raise DomainError(f"heuristic defined for n >= {MIN_HEURISTIC_N}, got {A.n}")
-    conservative = conservative_tolerance(A)
-    dec = truncated_eigs(A, d, conservative, seed=seed)
+    dec = truncated_eigs(A, d, conservative_tolerance(A), seed=seed)
     if rule == "conservative":
         return dec
-    if not dec.converged:
-        raise NoConvergence(DEFAULT_MAX_RESTARTS)
-    norm = dec.spectral_norm_estimate if rule == "spectral" else float(A.n)
-    tol = heuristic_tolerance(A.n, norm)
-    if tol > conservative:
+    report = report_from_solve(A, dec)
+    tol = report.heuristic_spectral if rule == "spectral" else report.heuristic_sqrt_n
+    if tol > report.conservative:
         # resume cannot loosen: a looser tolerance stops no later than this path
         return truncated_eigs(A, d, tol, seed=seed)
     return truncated_eigs(A, d, tol, seed=seed, resume=dec)

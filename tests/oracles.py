@@ -578,11 +578,11 @@ def fresh_sweep_records(config) -> list:
     d = config.d
     records = []
     for r in range(config.replicates):
-        graph_ss, solver_ss, _ = np.random.SeedSequence(config.seed + r).spawn(3)
+        graph_ss, solver_ss = np.random.SeedSequence(config.seed + r).spawn(2)
         A = sample_adjacency(P, graph_ss)
         spectrum = np.linalg.eigvalsh(A.to_dense())
         for tol in config.tolerances:
-            dec = truncated_eigs(A, d, tol, max_restarts=config.max_restarts, seed=solver_ss)
+            dec = truncated_eigs(A, d, tol, seed=solver_ss)
             scaled = None
             if config.scaled:
                 scaled = procrustes_distance(

@@ -396,6 +396,24 @@ class TestConfigFiles:
         ):
             assert getattr(a, field) == getattr(b, field)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("replicates", 2.7), ("d", 2.5), ("dim", 1.5), ("seed", True),
+         ("workers", 1.5), ("sizes", [10.5, 10]), ("replicates", float("inf"))],
+    )
+    def test_integer_key_rejects_fraction_or_boolean(self, key, value):
+        data = {"sizes": "10,10", "b_diag": 0.1, key: value}
+        with pytest.raises(DomainError, match="block size" if key == "sizes" else key):
+            sweep_config_from_dict(data)
+
+    def test_integer_key_takes_whole_number(self):
+        config = sweep_config_from_dict(
+            {"sizes": [10.0, 10], "b_diag": 0.1, "d": 2.0, "replicates": 3.0}
+        )
+        assert config.model.sizes == (10, 10)
+        assert (config.d, config.replicates) == (2, 3)
+        assert all(type(x) is int for x in (config.d, config.replicates))
+
     def test_key_value_without_equals(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("sizes 10,10\n")
@@ -501,7 +519,7 @@ class TestToleranceSweep:
         # stabilized is held to tol * max_degree, the bootstrap denominator
         P = FactoredProbabilityMatrix(sbm_to_latent(spec))
         for rec in sorted(records, key=lambda r: r.replicate):
-            graph_ss = np.random.SeedSequence(config.seed + rec.replicate).spawn(3)[0]
+            graph_ss = np.random.SeedSequence(config.seed + rec.replicate).spawn(2)[0]
             delta = float(sample_adjacency(P, graph_ss).degrees.max())
             assert rec.iterations < DEFAULT_MAX_RESTARTS
             assert rec.residual <= 2.0**-6 * delta * (1 + 1e-9)
@@ -988,6 +1006,13 @@ class TestCli:
                     "sizes = 10,10\nb = 0.1,x\n",
                     "sizes = 10,10\n",
                     "sizes = 10,10\nb_diag = 0.1\nreplicates = x\n",
+                    # JSON numbers that int() would truncate or take
+                    '{"sizes": "10,10", "b_diag": 0.1, "replicates": 2.7}',
+                    '{"sizes": "10,10", "b_diag": 0.1, "d": 2.5}',
+                    '{"sizes": "10,10", "b_diag": 0.1, "dim": 1.5}',
+                    '{"sizes": "10,10", "b_diag": 0.1, "seed": 0.5}',
+                    '{"sizes": "10,10", "b_diag": 0.1, "workers": true}',
+                    '{"sizes": [10.5, 10], "b_diag": 0.1}',
                 )
             ],
         ],
@@ -998,8 +1023,11 @@ class TestCli:
         if config is not None:
             path = tmp_path / "bad.cfg"
             path.write_text(config)
+            # no flag may sit beside --config, so it gets no --out
             flags = ["--config", str(path)]
-        code = cli_main([command, *flags, "--out", str(tmp_path / "o.csv")])
+        else:
+            flags = [*flags, "--out", str(tmp_path / "o.csv")]
+        code = cli_main([command, *flags])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -1008,3 +1036,79 @@ class TestCli:
         code = cli_main(["sample", "--out", str(tmp_path / "x.txt")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--out", "x.csv", "--seed", "5"], "--out, --seed"),
+            (["--seed", "0"], "--seed"),  # a flag at its default is still given
+            (["--scaled", "--b-off", "0"], "--b-off, --scaled"),
+        ],
+    )
+    def test_flag_beside_config_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, extra, named
+    ):
+        from spectol import experiments
+
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("sizes = 50,50\nb_diag = 0.1\nd = 2\nreplicates = 1\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "truncated_eigs", lambda *a, **k: pytest.fail())
+        code = cli_main(["sweep", "--config", str(cfg), *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert captured.err.rstrip().endswith(named)
+        assert captured.out == "" and not (tmp_path / "x.csv").exists()
+
+
+class TestOneBootstrap:
+    """sweep, check and embed read lambda_1 off one d-dimensional solve."""
+
+    def test_sweep_heuristic_is_embeds(self):
+        config = SweepConfig(
+            model=small_sbm(), d=3, tolerances=(0.5, 2.0**-4), replicates=3, seed=2
+        )
+        _, summary = run_tolerance_sweep(config)
+        P = FactoredProbabilityMatrix(sbm_to_latent(config.model))
+        embeds = []
+        for r in range(config.replicates):
+            graph_ss, solver_ss = np.random.SeedSequence(config.seed + r).spawn(2)
+            A = sample_adjacency(P, graph_ss)
+            dec = tolerance.solve_at_heuristic(A, 3, "spectral", seed=solver_ss)
+            embeds.append(dec.tolerance_used)
+        mean = summary["heuristic"]["mean_heuristic_spectral"]
+        assert abs(mean - np.mean(embeds)) <= 1e-15 * mean
+        assert summary["heuristic"]["recommended"] == mean
+
+    @pytest.mark.parametrize("dim", [[], ["--dim", "2"]])
+    def test_check_heuristic_is_embeds(self, tmp_path, dim):
+        out = tmp_path / "report.json"
+        args = ["--sizes", "100,100,100", "--b-diag", "0.06", "--b-off", "0.02", "--seed", "4"]
+        assert cli_main(["check", *args, *dim, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        graph = sample_adjacency(
+            FactoredProbabilityMatrix(sbm_to_latent(block_model("100,100,100", b_diag=0.06, b_off=0.02))),
+            4,
+        )
+        d = int(dim[1]) if dim else 3
+        dec = tolerance.solve_at_heuristic(graph, d, "spectral", seed=4)
+        assert payload["heuristic_spectral"] == dec.tolerance_used
+        assert payload["lambda1_hat"] == truncated_eigs(
+            graph, d, payload["conservative"], seed=4
+        ).spectral_norm_estimate
+
+    def test_no_separate_norm_estimate(self, tmp_path, monkeypatch):
+        import spectol
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a separate lambda_1 solve ran")
+
+        monkeypatch.setattr(spectral_core, "estimate_spectral_norm", refuse)
+        monkeypatch.setattr(spectol, "estimate_spectral_norm", refuse)
+        sbm = ["--sizes", "60,60", "--b-diag", "0.2", "--b-off", "0.05"]
+        assert cli_main(
+            ["sweep", *sbm, "--dim", "2", "--tolerances", "2^-1..2^-3",
+             "--replicates", "2", "--out", str(tmp_path / "s.csv")]
+        ) == 0
+        assert cli_main(["check", *sbm, "--out", str(tmp_path / "c.json")]) == 0

@@ -226,7 +226,7 @@ SWEPT = tuple(2.0**-k for k in range(1, 21)) + (1e-6,)
 class TestResume:
     def test_sweep_replicate(self, three_block_900):
         # replicate 0 of the n = 900 benchmark sweep, seeded as the harness does
-        graph_ss, solver_ss, _ = np.random.SeedSequence(0).spawn(3)
+        graph_ss, solver_ss = np.random.SeedSequence(0).spawn(2)
         A = sample_adjacency(three_block_900, graph_ss)
         chained = assert_chain_matches_fresh(A, 3, SWEPT, seed=solver_ss)
         assert all(dec.converged for dec in chained)
@@ -281,7 +281,6 @@ class TestResume:
         for kwargs in (
             {"A": random_graph(150, 0.15, seed=9)},  # equal graph, other object
             {"d": 4},
-            {"block_size": 25},
             {"max_restarts": 50},
             {"seed": 6},
             {"seed": np.random.SeedSequence(5)},  # not the same seed object
@@ -324,7 +323,7 @@ class TestRowMajorBasis:
         # replicate 0 of the seed-0 n = 900 sweep, repetition 4 of the
         # criterion-8 study, and a 6-vertex path whose basis fills the space
         if case == "sweep replicate":
-            graph_ss, seed, _ = np.random.SeedSequence(0).spawn(3)
+            graph_ss, seed = np.random.SeedSequence(0).spawn(2)
             A, d = sample_adjacency(three_block_900, graph_ss), 3
             tolerances = [2.0**-k for k in range(1, 21)]
         elif case == "clustering study":

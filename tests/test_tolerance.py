@@ -20,6 +20,7 @@ from spectol import (
     ZeroRho,
     bound_envelope,
     conservative_tolerance,
+    estimate_spectral_norm,
     expected_squared_deviation_diagonal,
     heuristic_tolerance,
     sample_adjacency,
@@ -30,7 +31,7 @@ from spectol import (
     truncated_eigs,
 )
 from spectol import tolerance
-from spectol.tolerance import HEURISTIC_RULES
+from spectol.tolerance import HEURISTIC_RULES, report_from_solve
 
 from conftest import assert_same_result
 from oracles import exhaustive_sq_deviation, monte_carlo_sq_deviation
@@ -115,6 +116,34 @@ class TestToleranceReport:
         assert report.conservative <= 1.0 / math.sqrt(report.spectral_norm_estimate)
         assert abs(report.heuristic_sqrt_n - 0.0173858) <= 1e-6
         assert report.heuristic_spectral > report.heuristic_sqrt_n
+
+    @pytest.mark.parametrize("graph", range(6))
+    def test_d1_report_equals_norm_estimate(self, three_block_900, graph):
+        # the report's d = 1 solve gives the figures estimate_spectral_norm
+        # gave it, bit for bit
+        A = (
+            sample_adjacency(three_block_900, seed=graph)
+            if graph < 4
+            else star_with_random_edges(seed=graph)
+        )
+        report = tolerance_report(A, seed=graph)
+        lam1 = estimate_spectral_norm(A, tol=conservative_tolerance(A), seed=graph)
+        assert report.spectral_norm_estimate == lam1
+        assert report.heuristic_spectral == heuristic_tolerance(A.n, lam1)
+
+    def test_report_reads_only_a_converged_conservative_solve(self, three_block_900):
+        A = sample_adjacency(three_block_900, seed=0)
+        conservative = conservative_tolerance(A)
+        with pytest.raises(DomainError):
+            report_from_solve(A, truncated_eigs(A, 3, conservative / 2, seed=0))
+        # this graph and seed need three restarts at the conservative tolerance
+        unconverged = truncated_eigs(A, 3, conservative, max_restarts=1, seed=0)
+        with pytest.raises(NoConvergence, match="within 1 restarts"):
+            report_from_solve(A, unconverged)
+        dec = truncated_eigs(A, 3, conservative, seed=0)
+        report = report_from_solve(A, dec)
+        assert report.spectral_norm_estimate == dec.spectral_norm_estimate
+        assert report.conservative == conservative
 
 
 def star_with_random_edges(seed: int = 0) -> SparseGraph:
