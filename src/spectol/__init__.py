@@ -6,7 +6,6 @@ stopping rule, tolerance heuristics calibrated to sampling noise, subspace
 and clustering metrics, and a reproducible experiment harness with a CLI.
 """
 from .errors import (
-    DegenerateDelta,
     DegenerateGraph,
     DimensionMismatch,
     DomainError,
@@ -34,8 +33,6 @@ from .graph_model import (
     SbmSpec,
     SparseGraph,
     check_assumptions,
-    eigengap_ratio,
-    max_row_sum,
     sample_adjacency,
     sbm_to_latent,
 )

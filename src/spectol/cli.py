@@ -31,7 +31,6 @@ from .graph_model import (
     FactoredProbabilityMatrix,
     SbmSpec,
     check_assumptions,
-    eigengap_ratio,
     sample_adjacency,
     sbm_to_latent,
 )
@@ -56,10 +55,6 @@ def _sbm_from_args(args) -> SbmSpec:
     if not args.sizes:
         raise SpectolError("an SBM needs --sizes")
     return block_model(args.sizes, b=args.b, b_diag=args.b_diag, b_off=args.b_off)
-
-
-def _tolerances(args) -> tuple[float, ...]:
-    return parse_tolerances(args.tolerances) if args.tolerances else DEFAULT_TOLERANCES
 
 
 def _report(output, summary: dict) -> None:
@@ -158,6 +153,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cluster_stability(args) -> int:
+    tolerances = (DEFAULT_TOLERANCES if args.tolerances is None
+                  else parse_tolerances(args.tolerances))
     if args.graph:
         graph = ingest_edge_list(args.graph).graph
     else:
@@ -168,7 +165,7 @@ def _cmd_cluster_stability(args) -> int:
     records, summary = run_clustering_stability(
         graph,
         d,
-        _tolerances(args),
+        tolerances,
         reference_tol=args.reference_tol,
         seed=args.seed,
         repetitions=args.repetitions,
@@ -194,7 +191,7 @@ def _cmd_check(args) -> int:
         "m": graph.m,
         "delta_A": report.delta_A,
         "lambda1_hat": report.spectral_norm_estimate,
-        "gamma": eigengap_ratio(P, d),
+        "gamma": assumptions.gamma,
         "heuristic_spectral": report.heuristic_spectral,
         "heuristic_sqrt_n": report.heuristic_sqrt_n,
         "conservative": report.conservative,

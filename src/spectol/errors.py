@@ -13,10 +13,6 @@ class NotPositiveSemidefinite(SpectolError):
     """A block probability matrix has an eigenvalue below the clamp window."""
 
 
-class DegenerateDelta(SpectolError):
-    """The maximum row sum is zero, so a gap ratio cannot be formed."""
-
-
 class DegenerateGraph(SpectolError):
     """The adjacency matrix is identically zero."""
 

@@ -108,13 +108,16 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        tols = _check_tolerances(self.tolerances)
+        object.__setattr__(self, "tolerances", _check_tolerances(self.tolerances))
+        for key in ("replicates", "seed", "workers"):
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
         _check_runs(self.replicates, "replicate", self.workers)
         if self.heuristic_variant not in ("spectral", "sqrt_n"):
             raise DomainError("heuristic_variant must be 'spectral' or 'sqrt_n'")
-        if self.d != "auto" and (not isinstance(self.d, int) or self.d < 1):
-            raise DomainError("d must be a positive integer or 'auto'")
-        object.__setattr__(self, "tolerances", tols)
+        if self.d != "auto":
+            object.__setattr__(self, "d", _integer(self.d, "dimension"))
+            if self.d < 1:
+                raise DomainError("d must be a positive integer or 'auto'")
 
 
 @dataclass(frozen=True)
@@ -720,10 +723,9 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
         raise DomainError("config needs either edge_list or sizes")
 
     kwargs: dict = {"model": model}
-    d_key = "d" if "d" in data else "dim"
-    d_raw = data.pop("d", data.pop("dim", None))
-    if d_raw is not None:
-        kwargs["d"] = "auto" if str(d_raw).strip() == "auto" else _integer(d_raw, d_key)
+    d = data.pop("d", data.pop("dim", None))
+    if d is not None:
+        kwargs["d"] = d
     if "tolerances" in data:
         raw = data.pop("tolerances")
         kwargs["tolerances"] = (
@@ -733,7 +735,7 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
         )
     for key in ("replicates", "seed", "workers"):
         if key in data:
-            kwargs[key] = _integer(data.pop(key), key)
+            kwargs[key] = data.pop(key)
     for key in ("scaled", "record_timing"):
         if key in data:
             kwargs[key] = as_bool(data.pop(key))

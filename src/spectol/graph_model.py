@@ -5,7 +5,9 @@ with probability equal to the dot product of their vectors.  The probability
 matrix P = X X^T is kept in factored form, so row sums, the nonzero spectrum,
 and samples are all available in O(n d) or O(n d^2) work without ever
 materializing the n x n matrix.  A stochastic block model is the special case
-where the latent vectors take one value per block.
+where the latent vectors take one value per block.  The paper's assumptions
+on P (its rank, the gap ratio gamma(P) and the density delta(P)) are read
+off one thin SVD of the factor by ``check_assumptions``.
 """
 from __future__ import annotations
 
@@ -15,12 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateDelta,
-    DimensionMismatch,
-    NotPositiveSemidefinite,
-    TooLarge,
-)
+from .errors import DimensionMismatch, NotPositiveSemidefinite, TooLarge
 
 # eigenvalues of a block matrix in [-PSD_CLAMP, 0) are treated as exact zeros
 PSD_CLAMP = 1e-10
@@ -51,8 +48,11 @@ class LatentPositions:
             raise DimensionMismatch(
                 f"latent dimension {rows.shape[1]} exceeds vertex count {rows.shape[0]}"
             )
-        for start in range(0, rows.shape[0], _VALIDATE_BLOCK):
-            block = rows[start : start + _VALIDATE_BLOCK] @ rows.T
+        # repeated rows add no new dot products, so the pairs of distinct
+        # rows, each row with itself included, give the same verdict
+        distinct = np.unique(rows, axis=0)
+        for start in range(0, distinct.shape[0], _VALIDATE_BLOCK):
+            block = distinct[start : start + _VALIDATE_BLOCK] @ distinct.T
             if block.min() < -_DOT_RANGE_TOL or block.max() > 1.0 + _DOT_RANGE_TOL:
                 raise DimensionMismatch(
                     "pairwise dot products must lie in [0, 1] to be probabilities"
@@ -306,68 +306,6 @@ def sample_adjacency(P: FactoredProbabilityMatrix, seed) -> SparseGraph:
     return SparseGraph.from_edges(n, endpoints)
 
 
-def max_row_sum(M) -> float:
-    """delta(M): the largest row sum, diagonal included.
-
-    For an adjacency structure this is the maximum degree; for a factored
-    probability matrix it is computed in O(n d).
-    """
-    if isinstance(M, SparseGraph):
-        return float(M.degrees.max()) if M.n else 0.0
-    if isinstance(M, FactoredProbabilityMatrix):
-        return float(M.row_sums().max())
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise DimensionMismatch("max_row_sum expects a matrix")
-    return float(M.sum(axis=1).max())
-
-
-def _leading_eigenvalues(M, count: int) -> np.ndarray:
-    """The ``count`` leading eigenvalues of M by decreasing magnitude.
-
-    Values beyond the available factored rank are exact zeros of P.
-    """
-    if isinstance(M, FactoredProbabilityMatrix):
-        if count > M.n:
-            raise DimensionMismatch("more eigenvalues requested than exist")
-        values, _ = M.eigendecomposition()
-        out = np.zeros(count)
-        take = min(count, values.size)
-        out[:take] = values[:take]
-        return out
-    if isinstance(M, SparseGraph):
-        from .spectral_core import dense_eig_oracle, truncated_eigs
-
-        if count > M.n:
-            raise DimensionMismatch("more eigenvalues requested than exist")
-        if M.n <= 2000:
-            values, _ = dense_eig_oracle(M.to_dense())
-            return values[:count]
-        dec = truncated_eigs(M, count, 1e-8)
-        return np.asarray(dec.values)
-    from .spectral_core import dense_eig_oracle
-
-    values, _ = dense_eig_oracle(M)
-    if count > values.size:
-        raise DimensionMismatch("more eigenvalues requested than exist")
-    return values[:count]
-
-
-def eigengap_ratio(M, d: int) -> float:
-    """gamma(M) = (lambda_d - lambda_{d+1}) / delta(M).
-
-    Eigenvalues are taken in decreasing magnitude order, so for a factored
-    probability matrix of rank d the gap is lambda_d itself.
-    """
-    delta = max_row_sum(M)
-    if delta == 0.0:
-        raise DegenerateDelta("zero maximum row sum")
-    if d < 1:
-        raise DimensionMismatch("d must be at least 1")
-    lam = _leading_eigenvalues(M, d + 1)
-    return float((lam[d - 1] - lam[d]) / delta)
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Raw values and verdicts for the spectral model assumptions."""
@@ -390,14 +328,19 @@ def check_assumptions(
 ) -> AssumptionReport:
     """Report-only checks that P is suitable for a rank-d spectral embedding.
 
-    Checks the numerical rank of P against d, the gap ratio gamma(P) against
-    c0, and the density delta(P) against (log n)^(4+a).  Nothing is raised on
-    failure; degenerate inputs (P = 0) simply fail the checks.
+    The rank of P and its eigenvalues come from one thin SVD of the factor;
+    delta(P) is the largest row sum, diagonal included, and the gap ratio is
+    gamma(P) = (lambda_d - lambda_{d+1}) / delta(P), where eigenvalues past
+    the factor's width are exact zeros.  Checks the rank against d, gamma(P)
+    against c0, and delta(P) against (log n)^(4+a).  Only d < 1 raises;
+    degenerate inputs (P = 0) simply fail the checks.
     """
+    if d < 1:
+        raise DimensionMismatch("d must be at least 1")
     values, _ = P.eigendecomposition()
     lam1 = float(values[0]) if values.size else 0.0
     rank = int(np.count_nonzero(values > RANK_REL_TOL * lam1)) if lam1 > 0 else 0
-    delta = max_row_sum(P)
+    delta = float(P.row_sums().max())
     lam_d = float(values[d - 1]) if d - 1 < values.size else 0.0
     lam_next = float(values[d]) if d < values.size else 0.0
     gamma = (lam_d - lam_next) / delta if delta > 0 else float("nan")

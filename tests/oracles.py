@@ -2,13 +2,14 @@
 
 Everything here is deliberately naive: brute force over the orthogonal
 group, O(n^2) pair counting, exhaustive graph enumeration, a per-line
-edge-list reader, two-lexsort adjacency checks, Lloyd with its distances
-held one point per row, and the Lanczos solver with its basis stored one
-vector per column.  None of it imports the package under test, except its
-exception types and the fresh-solve harness references at the end: they
-rebuild sweep and stability records from the package's own solver and
-metrics with one independent solve per tolerance, the plain pipeline
-that the harness's shared restart path must reproduce.
+edge-list reader, two-lexsort adjacency checks, a latent range check over
+every pair of rows, Lloyd with its distances held one point per row, and
+the Lanczos solver with its basis stored one vector per column.  None of
+it imports the package under test, except its exception types and the
+fresh-solve harness references at the end: they rebuild sweep and
+stability records from the package's own solver and metrics with one
+independent solve per tolerance, the plain pipeline that the harness's
+shared restart path must reproduce.
 """
 from __future__ import annotations
 
@@ -341,6 +342,18 @@ def row_major_kmeans(points, k: int, seed=0, max_iters: int = 100, restarts: int
         if best is None or wcss < best[2]:
             best = (labels, centers, wcss)
     return best
+
+
+def reference_latent_in_range(rows, block: int = 512) -> bool:
+    """Whether every pairwise dot product of ``rows``, diagonal included,
+    lies in [0, 1] up to 1e-9: a frozen copy of the original check, which
+    forms X_i . X_j for all n^2 pairs, 512 rows at a time."""
+    rows = np.asarray(rows, dtype=float)
+    for start in range(0, rows.shape[0], block):
+        products = rows[start : start + block] @ rows.T
+        if products.min() < -1e-9 or products.max() > 1.0 + 1e-9:
+            return False
+    return True
 
 
 def reference_csr_error(n: int, indptr, indices) -> str | None:

@@ -18,6 +18,7 @@ from spectol import (
     FactoredProbabilityMatrix,
     SbmSpec,
     SparseGraph,
+    check_assumptions,
     sample_adjacency,
     sbm_to_latent,
     spectral_core,
@@ -281,6 +282,20 @@ class TestSweepConfigValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(DomainError):
             SweepConfig(model=small_sbm(), workers=0)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("replicates", 2.7), ("d", True), ("d", 1.5), ("seed", 0.5), ("workers", True)],
+    )
+    def test_integer_field_rejects_fraction_or_boolean(self, key, value):
+        # checked where the config is built, not when a later range() fails
+        with pytest.raises(DomainError, match="cannot parse"):
+            SweepConfig(model=small_sbm(), **{key: value})
+
+    def test_integer_fields_stored_as_int(self):
+        config = SweepConfig(model=small_sbm(), d=2.0, replicates=3.0, seed=np.int64(4))
+        assert (config.d, config.replicates, config.seed) == (2, 3, 4)
+        assert all(type(x) is int for x in (config.d, config.replicates, config.seed))
 
 
 class TestToleranceParsing:
@@ -920,6 +935,21 @@ class TestCli:
         assert abs(payload["heuristic_sqrt_n"] - heuristic_tolerance(900, 900)) <= 1e-15
         assert payload["rank_check"] is True
         assert payload["delta_check"] is False
+        P = FactoredProbabilityMatrix(
+            sbm_to_latent(block_model("300,300,300", b_diag=0.05, b_off=0.02))
+        )
+        assert payload["gamma"] == check_assumptions(P, 3, 0.1, 0.5).gamma
+
+    @pytest.mark.parametrize("command", ["sweep", "cluster-stability"])
+    def test_empty_tolerances_is_runtime_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        code = cli_main(
+            [command, "--sizes", "50,50", "--b-diag", "0.1", "--dim", "2",
+             "--tolerances", "", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: cannot parse tolerance ''\n"
+        assert not out.exists()
 
     def test_sweep_row_count_from_flags(self, tmp_path):
         out = tmp_path / "sweep.csv"

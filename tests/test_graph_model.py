@@ -1,4 +1,4 @@
-"""Model construction, sampling, and the degree/eigengap functionals."""
+"""Model construction, sampling, and the model assumption checks."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectol import (
-    DegenerateDelta,
     DimensionMismatch,
     FactoredProbabilityMatrix,
     LatentPositions,
@@ -17,27 +16,17 @@ from spectol import (
     SbmSpec,
     SparseGraph,
     check_assumptions,
-    eigengap_ratio,
-    max_row_sum,
     sample_adjacency,
     sbm_to_latent,
 )
 
-from oracles import reference_csr_error
+from oracles import reference_csr_error, reference_latent_in_range
 
 
 def three_block_spec() -> SbmSpec:
     B = np.full((3, 3), 0.02)
     np.fill_diagonal(B, 0.05)
     return SbmSpec(B, (300, 300, 300))
-
-
-def star_graph(n: int) -> SparseGraph:
-    edges = np.array([[0, i] for i in range(1, n)])
-    return SparseGraph.from_edges(n, edges)
-
-
-K2 = SparseGraph.from_edges(2, np.array([[0, 1]]))
 
 
 class TestLatentPositions:
@@ -61,6 +50,31 @@ class TestLatentPositions:
         X = LatentPositions(np.array([[0.5], [0.5]]))
         with pytest.raises(ValueError):
             X.rows[0, 0] = 0.9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 12), st.integers(500, 1100)),
+        d=st.integers(1, 3),
+        distinct=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_range_verdict_matches_all_pairs_reference(self, n, d, distinct, seed):
+        # a few distinct rows, repeated (past one 512-row block for the
+        # larger n), scaled so that the largest dot
+        # product lands within 1e-8 of 1 + 1e-9 on either side; signs
+        # straddle 0, so some factors also fail the lower bound
+        d = min(d, n)
+        rng = np.random.default_rng(seed)
+        pool = rng.uniform(-0.3, 1.0, size=(distinct, d))
+        top = (pool @ pool.T).max()
+        if top > 0:
+            pool *= np.sqrt((1.0 + 1e-9 + rng.uniform(-1e-8, 1e-8)) / top)
+        rows = pool[rng.integers(0, distinct, size=n)]
+        if reference_latent_in_range(rows):
+            assert np.array_equal(LatentPositions(rows).rows, rows)
+        else:
+            with pytest.raises(DimensionMismatch, match="pairwise dot products"):
+                LatentPositions(rows)
 
 
 class TestSbmToLatent:
@@ -144,37 +158,6 @@ class TestSampleAdjacency:
         assert abs(np.mean(counts) - mu) <= spread
 
 
-class TestMaxRowSum:
-    def test_single_edge(self):
-        assert max_row_sum(K2) == 1.0
-
-    def test_star_center(self):
-        assert max_row_sum(star_graph(5)) == 4.0
-
-    def test_block_model_closed_form(self):
-        P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
-        assert abs(max_row_sum(P) - 27.0) <= 1e-10
-
-    def test_factored_matches_dense(self):
-        P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
-        dense_delta = float(P.dense().sum(axis=1).max())
-        assert abs(max_row_sum(P) - dense_delta) <= 1e-10
-
-
-class TestEigengapRatio:
-    def test_block_model_value(self):
-        P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
-        assert abs(eigengap_ratio(P, 3) - 1.0 / 3.0) <= 1e-12
-
-    def test_full_rank_positive(self):
-        X = LatentPositions(np.array([[0.6, 0.0], [0.0, 0.4], [0.0, 0.4]]))
-        assert eigengap_ratio(FactoredProbabilityMatrix(X), 2) > 0.0
-
-    def test_zero_matrix(self):
-        with pytest.raises(DegenerateDelta):
-            eigengap_ratio(np.zeros((4, 4)), 1)
-
-
 class TestCheckAssumptions:
     def test_three_block_report(self):
         P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
@@ -185,6 +168,23 @@ class TestCheckAssumptions:
         # delta = 27 sits far below (ln 900)^4.5 ~ 5.6e3
         assert 5.5e3 < report.delta_threshold < 5.7e3
         assert not report.delta_check
+
+    def test_delta_is_dense_row_sum_max(self):
+        # 300 * 0.05 within the block plus 2 * 300 * 0.02 across
+        P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
+        delta = check_assumptions(P, 3, c0=0.1, a=0.5).delta
+        assert abs(delta - 27.0) <= 1e-10
+        assert abs(delta - float(P.dense().sum(axis=1).max())) <= 1e-10
+
+    def test_full_rank_gamma_positive(self):
+        X = LatentPositions(np.array([[0.6, 0.0], [0.0, 0.4], [0.0, 0.4]]))
+        report = check_assumptions(FactoredProbabilityMatrix(X), 2, c0=0.1, a=0.5)
+        assert report.rank == 2 and report.gamma > 0.0
+
+    def test_dimension_zero_rejected(self):
+        P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
+        with pytest.raises(DimensionMismatch):
+            check_assumptions(P, 0, c0=0.1, a=0.5)
 
     def test_zero_matrix_fails_everything(self):
         P = FactoredProbabilityMatrix(LatentPositions(np.zeros((20, 1))))
