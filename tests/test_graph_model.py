@@ -158,6 +158,30 @@ class TestSampleAdjacency:
         assert abs(np.mean(counts) - mu) <= spread
 
 
+class TestMaxRowSum:
+    """delta(P), the largest row sum of P, as check_assumptions reports it."""
+
+    def test_block_model_closed_form(self):
+        # 300 * 0.05 within the block plus 2 * 300 * 0.02 across
+        P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
+        delta = check_assumptions(P, 3, c0=0.1, a=0.5).delta
+        assert abs(delta - 27.0) <= 1e-10
+
+    def test_factored_matches_dense(self):
+        P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
+        delta = check_assumptions(P, 3, c0=0.1, a=0.5).delta
+        assert abs(delta - float(P.dense().sum(axis=1).max())) <= 1e-10
+
+
+class TestEigengapRatio:
+    """gamma(P), the eigengap over delta(P), as check_assumptions reports it."""
+
+    def test_block_model_value(self):
+        P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
+        gamma = check_assumptions(P, 3, c0=0.1, a=0.5).gamma
+        assert abs(gamma - 1.0 / 3.0) <= 1e-12
+
+
 class TestCheckAssumptions:
     def test_three_block_report(self):
         P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
@@ -168,13 +192,6 @@ class TestCheckAssumptions:
         # delta = 27 sits far below (ln 900)^4.5 ~ 5.6e3
         assert 5.5e3 < report.delta_threshold < 5.7e3
         assert not report.delta_check
-
-    def test_delta_is_dense_row_sum_max(self):
-        # 300 * 0.05 within the block plus 2 * 300 * 0.02 across
-        P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
-        delta = check_assumptions(P, 3, c0=0.1, a=0.5).delta
-        assert abs(delta - 27.0) <= 1e-10
-        assert abs(delta - float(P.dense().sum(axis=1).max())) <= 1e-10
 
     def test_full_rank_gamma_positive(self):
         X = LatentPositions(np.array([[0.6, 0.0], [0.0, 0.4], [0.0, 0.4]]))
