@@ -6,25 +6,11 @@ stopping rule, tolerance heuristics calibrated to sampling noise, subspace
 and clustering metrics, and a reproducible experiment harness with a CLI.
 """
 from .errors import (
-    DegenerateGraph,
     DimensionMismatch,
     DomainError,
-    EmptyGraph,
-    EmptyRange,
-    EmptySpectrum,
-    KTooLarge,
-    LengthMismatch,
     NoConvergence,
-    NotOrthonormal,
-    NotPositiveSemidefinite,
-    NotSymmetric,
     ParseError,
-    RankDeficient,
-    SingleCluster,
     SpectolError,
-    TooFewValues,
-    TooLarge,
-    ZeroRho,
 )
 from .graph_model import (
     AssumptionReport,

@@ -9,72 +9,19 @@ class DimensionMismatch(SpectolError):
     """Array shapes are incompatible with the requested operation."""
 
 
-class NotPositiveSemidefinite(SpectolError):
-    """A block probability matrix has an eigenvalue below the clamp window."""
-
-
-class DegenerateGraph(SpectolError):
-    """The adjacency matrix is identically zero."""
+class DomainError(SpectolError):
+    """An argument lies outside the domain of the operation it is passed to:
+    a tolerance formula, an edgeless or rank-deficient model, a dense
+    operation above its size guard, or a clustering with too few points,
+    clusters or candidate counts."""
 
 
 class NoConvergence(SpectolError):
     """An iterative solve hit its restart budget before reaching tolerance."""
 
-    def __init__(self, max_iters: int, message: str | None = None):
+    def __init__(self, max_iters: int):
         self.max_iters = max_iters
-        super().__init__(message or f"no convergence within {max_iters} restarts")
-
-
-class NotSymmetric(SpectolError):
-    """A dense matrix handed to the oracle is not symmetric."""
-
-
-class TooLarge(SpectolError):
-    """A dense operation was requested above its size guard."""
-
-
-class EmptySpectrum(SpectolError):
-    """A gap computation received an empty eigenvalue set."""
-
-
-class DomainError(SpectolError):
-    """An argument lies outside the domain of a tolerance formula."""
-
-
-class EmptyGraph(SpectolError):
-    """An edgeless graph where at least one edge is required."""
-
-
-class RankDeficient(SpectolError):
-    """A probability matrix has smaller numerical rank than requested."""
-
-
-class ZeroRho(SpectolError):
-    """The separation parameter must be strictly positive."""
-
-
-class KTooLarge(SpectolError):
-    """More clusters were requested than there are points."""
-
-
-class SingleCluster(SpectolError):
-    """Silhouette widths need at least two clusters."""
-
-
-class EmptyRange(SpectolError):
-    """A candidate cluster-count range is empty."""
-
-
-class LengthMismatch(SpectolError):
-    """Two label vectors differ in length."""
-
-
-class TooFewValues(SpectolError):
-    """A scree needs at least two values to place an elbow."""
-
-
-class NotOrthonormal(SpectolError):
-    """A matrix expected to have orthonormal columns does not."""
+        super().__init__(f"no convergence within {max_iters} restarts")
 
 
 class ParseError(SpectolError):

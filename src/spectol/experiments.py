@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import write_rows
-from .errors import DomainError, EmptyGraph, ParseError
+from .errors import DomainError, ParseError
 from .graph_model import (
     FactoredProbabilityMatrix,
     SbmSpec,
@@ -439,10 +439,10 @@ class IngestResult:
 _BULK_ID_LIMIT = 10**18
 
 
-def _parse_line(lineno: int, line: str, comment_prefix: str, indexing: str):
-    """The id pair of one edge-list line, or None for a blank or comment line."""
+def _parse_line(lineno: int, line: str, indexing: str):
+    """The id pair of one edge-list line, or None for a blank or "#" comment line."""
     text = line.strip()
-    if not text or text.startswith(comment_prefix):
+    if not text or text.startswith("#"):
         return None
     parts = text.split()
     if len(parts) != 2:
@@ -458,16 +458,16 @@ def _parse_line(lineno: int, line: str, comment_prefix: str, indexing: str):
     return u, v
 
 
-def _read_id_pairs(path, comment_prefix: str, indexing: str) -> tuple[np.ndarray, int]:
+def _read_id_pairs(path, indexing: str) -> tuple[np.ndarray, int]:
     """The (k, 2) id pairs of an edge-list file's non-loop edges, in no fixed
     order, and its self-loop count.
 
     A plain line, two runs of ASCII digits and nothing else but spaces and
-    tabs, is parsed with all the others in one numpy call.  Every other
-    non-blank line goes through ``_parse_line`` in line order, as does a
-    plain line that an empty or digit comment prefix may comment out, that
-    holds an id of 19 or more digits, or that holds a 0 under one-based
-    indexing; so each rule and each error is ``_parse_line``'s.
+    tabs, is parsed with all the others in one numpy call; it cannot be a
+    "#" comment.  Every other non-blank line goes through ``_parse_line`` in
+    line order, as does a plain line that holds an id of 19 or more digits
+    or a 0 under one-based indexing; so each rule and each error is
+    ``_parse_line``'s.
     """
     data = Path(path).read_bytes()
     if not data.isascii():
@@ -493,8 +493,6 @@ def _read_id_pairs(path, comment_prefix: str, indexing: str) -> tuple[np.ndarray
     odd = ~(digit | newline | (raw == ord(" ")) | (raw == ord("\t")))
     plain[np.searchsorted(breaks, np.flatnonzero(odd))] = False
     bulk = plain & (tokens == 2)
-    if comment_prefix[:1] in "0123456789":
-        bulk[:] = False
     slow = ~bulk & ~(plain & (tokens == 0))
 
     bulk_lines = np.flatnonzero(bulk)
@@ -523,7 +521,7 @@ def _read_id_pairs(path, comment_prefix: str, indexing: str) -> tuple[np.ndarray
     pairs = []
     for i in np.flatnonzero(slow):
         line = data[starts[i] : ends[i]].decode("utf-8")
-        pair = _parse_line(int(i) + 1, line, comment_prefix, indexing)
+        pair = _parse_line(int(i) + 1, line, indexing)
         if pair is None:
             continue
         if pair[0] == pair[1]:
@@ -535,17 +533,14 @@ def _read_id_pairs(path, comment_prefix: str, indexing: str) -> tuple[np.ndarray
     return ids, self_loops
 
 
-def ingest_edge_list(
-    path, *, comment_prefix: str = "#", indexing: str = "auto"
-) -> IngestResult:
+def ingest_edge_list(path, *, indexing: str = "auto") -> IngestResult:
     """Read a whitespace-separated edge list into a SparseGraph.
 
-    Lines starting with the comment prefix and blank lines are skipped;
-    every other line must hold exactly two integer tokens.  Self loops are
-    dropped (counted and logged), duplicate edges merged.  With "auto"
-    indexing the observed ids are compacted to 0..n-1 and the original ids
-    returned as the map; "zero" and "one" preserve the full id range,
-    keeping isolated vertices.
+    Lines starting with "#" and blank lines are skipped; every other line
+    must hold exactly two integer tokens.  Self loops are dropped (counted
+    and logged), duplicate edges merged.  With "auto" indexing the observed
+    ids are compacted to 0..n-1 and the original ids returned as the map;
+    "zero" and "one" preserve the full id range, keeping isolated vertices.
 
     Every O(m) step is an array operation: plain "u v" lines are parsed in
     bulk (the line rules are ``_parse_line``'s, and a ``ParseError`` names
@@ -554,9 +549,9 @@ def ingest_edge_list(
     """
     if indexing not in ("auto", "zero", "one"):
         raise DomainError("indexing must be 'auto', 'zero', or 'one'")
-    ids, self_loops = _read_id_pairs(path, comment_prefix, indexing)
+    ids, self_loops = _read_id_pairs(path, indexing)
     if not ids.size:
-        raise EmptyGraph(f"no edges in {path}")
+        raise DomainError(f"no edges in {path}")
     if indexing == "auto":
         # np.unique sorts when asked for an inverse; without one, recent
         # numpy takes a hash table, many times slower on int64 ids

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveSemidefinite, TooLarge
+from .errors import DimensionMismatch, DomainError
 
 # eigenvalues of a block matrix in [-PSD_CLAMP, 0) are treated as exact zeros
 PSD_CLAMP = 1e-10
@@ -35,7 +35,9 @@ class LatentPositions:
     """n latent vectors in R^d with all pairwise dot products inside [0, 1].
 
     The range constraint (checked on construction, including the diagonal)
-    is exactly what makes X X^T a valid edge probability matrix.
+    is exactly what makes X X^T a valid edge probability matrix.  A row
+    holding NaN or inf is rejected first: a NaN product passes every
+    comparison.
     """
 
     rows: np.ndarray
@@ -48,6 +50,8 @@ class LatentPositions:
             raise DimensionMismatch(
                 f"latent dimension {rows.shape[1]} exceeds vertex count {rows.shape[0]}"
             )
+        if not np.isfinite(rows).all():
+            raise DimensionMismatch("latent positions must be finite")
         # repeated rows add no new dot products, so the pairs of distinct
         # rows, each row with itself included, give the same verdict
         distinct = np.unique(rows, axis=0)
@@ -144,7 +148,7 @@ class FactoredProbabilityMatrix:
 
     def dense(self) -> np.ndarray:
         if self.n > DENSE_LIMIT:
-            raise TooLarge(f"refusing to materialize P with n={self.n}")
+            raise DomainError(f"refusing to materialize P with n={self.n}")
         return self.latent.rows @ self.latent.rows.T
 
 
@@ -254,7 +258,7 @@ class SparseGraph:
 
     def to_dense(self) -> np.ndarray:
         if self.n > DENSE_LIMIT:
-            raise TooLarge(f"refusing to materialize adjacency with n={self.n}")
+            raise DomainError(f"refusing to materialize adjacency with n={self.n}")
         A = np.zeros((self.n, self.n))
         if self.indices.size:
             A[self._entry_rows, self.indices] = 1.0
@@ -271,7 +275,7 @@ def sbm_to_latent(spec: SbmSpec) -> LatentPositions:
     B = spec.block_probabilities
     w, Q = np.linalg.eigh(B)
     if w.min() < -PSD_CLAMP:
-        raise NotPositiveSemidefinite(
+        raise DomainError(
             f"block matrix has eigenvalue {w.min():.3e} below the clamp window"
         )
     w = np.clip(w, 0.0, None)

@@ -12,18 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    EmptyRange,
-    KTooLarge,
-    LengthMismatch,
-    NotOrthonormal,
-    SingleCluster,
-    TooFewValues,
-)
+from .errors import DimensionMismatch, DomainError
 
 _ORTHONORMAL_TOL = 1e-8
+# Lloyd iterations per k-means run, and seeded runs of which the best is kept
+_LLOYD_ITERS = 100
+_KMEANS_RESTARTS = 10
 # rows of the pairwise distance matrix a silhouette pass holds at once
 _SILHOUETTE_BLOCK = 256
 
@@ -61,7 +55,7 @@ def canonical_angles(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
     d = X.shape[1]
     for name, F in (("first", X), ("second", Y)):
         if np.linalg.norm(F.T @ F - np.eye(d)) > _ORTHONORMAL_TOL:
-            raise NotOrthonormal(f"{name} argument lacks orthonormal columns")
+            raise DomainError(f"{name} argument lacks orthonormal columns")
     cosines = np.clip(np.linalg.svd(Y.T @ X, compute_uv=False), 0.0, 1.0)
     complement = Y - X @ (X.T @ Y)
     sines = np.clip(np.linalg.svd(complement, compute_uv=False), 0.0, 1.0)
@@ -111,7 +105,7 @@ def _sq_dists(rows: np.ndarray, points_t: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     n, k = points.shape[0], centers.shape[0]
     points_t = np.ascontiguousarray(points.T)
     centers = centers.copy()
@@ -119,7 +113,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
     prev_wcss = math.inf
     # cluster-major: row c holds every point's distance to center c
     dists = np.empty((k, n))
-    for _ in range(max_iters):
+    for _ in range(_LLOYD_ITERS):
         _sq_dists(centers, points_t, dists)
         # a running strict minimum keeps the first of tied centers, as argmin
         new_labels = np.zeros(n, dtype=np.intp)
@@ -152,15 +146,9 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
     return labels, centers, prev_wcss
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed=0,
-    *,
-    max_iters: int = 100,
-    restarts: int = 10,
-) -> Clustering:
-    """Lloyd iteration with D^2-weighted seeding, best of seeded restarts.
+def kmeans(points: np.ndarray, k: int, seed=0) -> Clustering:
+    """Lloyd iteration with D^2-weighted seeding, best of 10 seeded restarts
+    of at most 100 iterations each.
 
     Deterministic for a fixed seed; the within-cluster sum of squares is
     checked to be non-increasing across every Lloyd iteration.  Lloyd holds
@@ -173,12 +161,12 @@ def kmeans(
     if k < 1:
         raise DomainError("k must be at least 1")
     if k > n:
-        raise KTooLarge(f"k={k} clusters from {n} points")
+        raise DomainError(f"k={k} clusters from {n} points")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(_KMEANS_RESTARTS):
         init = _plus_plus_init(points, k, rng)
-        labels, centers, wcss = _lloyd(points, init, max_iters)
+        labels, centers, wcss = _lloyd(points, init)
         if best is None or wcss < best[2]:
             best = (labels, centers, wcss)
     labels, centers, wcss = best
@@ -217,9 +205,9 @@ def _silhouette_widths(points, clusterings) -> list[SilhouetteResult]:
     n = points.shape[0]
     for clustering in clusterings:
         if clustering.k < 2:
-            raise SingleCluster("silhouette widths need at least two clusters")
+            raise DomainError("silhouette widths need at least two clusters")
         if clustering.labels.shape != (n,):
-            raise LengthMismatch("one label per point is required")
+            raise DimensionMismatch("one label per point is required")
     one_hots = [np.eye(c.k)[c.labels] for c in clusterings]
     # summed distance from every point to every cluster, per clustering
     sums = [np.empty((n, c.k)) for c in clusterings]
@@ -266,7 +254,7 @@ def choose_k_by_silhouette(
     """
     candidates = sorted(int(k) for k in k_range)
     if not candidates:
-        raise EmptyRange("no candidate cluster counts")
+        raise DomainError("no candidate cluster counts")
     clusterings = [kmeans(points, k, seed) for k in candidates]
     scores = [s.mean for s in _silhouette_widths(points, clusterings)]
     # max keeps the first of tied scores, so the smaller k
@@ -279,9 +267,9 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     a = np.asarray(labels_a).reshape(-1)
     b = np.asarray(labels_b).reshape(-1)
     if a.size != b.size:
-        raise LengthMismatch(f"label vectors of length {a.size} and {b.size}")
+        raise DimensionMismatch(f"label vectors of length {a.size} and {b.size}")
     if a.size == 0:
-        raise LengthMismatch("empty label vectors")
+        raise DimensionMismatch("empty label vectors")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     ka, kb = ai.max() + 1, bi.max() + 1
@@ -313,7 +301,7 @@ def zhu_ghodsi_dimension(scree) -> int:
     x = np.asarray(scree, dtype=float).reshape(-1)
     m = x.size
     if m < 2:
-        raise TooFewValues("a scree needs at least two values")
+        raise DomainError("a scree needs at least two values")
     scale = float(np.abs(x).max()) if m else 0.0
     if np.any(x < -1e-12 * max(1.0, scale)):
         raise DomainError("scree values must be nonnegative")

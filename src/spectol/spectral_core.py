@@ -42,20 +42,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import order_by_magnitude
-from .errors import (
-    DegenerateGraph,
-    DimensionMismatch,
-    DomainError,
-    EmptySpectrum,
-    NoConvergence,
-    NotSymmetric,
-    TooLarge,
-)
+from .errors import DimensionMismatch, DomainError, NoConvergence
 from .graph_model import DENSE_LIMIT, SparseGraph
 
 # relative change over the last block step below which a selected Ritz value
 # counts as settled (the settling gate of the stopping rule)
 _STABILIZE_RTOL = 1e-3
+# restarts a solve makes before it returns its last iterate unconverged,
+# read at each call
 DEFAULT_MAX_RESTARTS = 400
 # Lanczos block width: random start vectors and new directions per block
 # step.  Two directions give both members of a near-tied leading pair their
@@ -229,7 +223,7 @@ class _Restart:
     residual: float | None = None  # exact residual, once a check needed it
 
 
-def _path_key(d, m, max_restarts, seed) -> tuple:
+def _path_key(d, m, seed) -> tuple:
     """Equal for two calls on one graph exactly when they share a trajectory.
 
     Integer seeds compare by value and SeedSequences by identity; any other
@@ -240,7 +234,7 @@ def _path_key(d, m, max_restarts, seed) -> tuple:
         seed = int(seed)
     elif not isinstance(seed, np.random.SeedSequence):
         seed = object()
-    return (d, m, max_restarts, seed)
+    return (d, m, seed)
 
 
 class _RestartPath:
@@ -251,13 +245,13 @@ class _RestartPath:
     reads before it reaches that restart.
     """
 
-    def __init__(self, A, d, m, max_restarts, seed):
+    def __init__(self, A, d, m, seed):
         self.A = A
-        self.key = _path_key(d, m, max_restarts, seed)
+        self.key = _path_key(d, m, seed)
         self.log: list[_Restart] = []
         self.U = self.theta = None
         self.owner = None  # weak reference to the latest result on the path
-        self._steps = _restarts(A, d, m, max_restarts, seed)
+        self._steps = _restarts(A, d, m, DEFAULT_MAX_RESTARTS, seed)
 
     def pull(self) -> bool:
         """Run the trajectory to its next restart; False once the budget is spent."""
@@ -274,7 +268,6 @@ def truncated_eigs(
     d: int,
     tol: float,
     *,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
     seed=0,
     resume: SpectralDecomposition | None = None,
 ) -> SpectralDecomposition:
@@ -289,44 +282,37 @@ def truncated_eigs(
     tol : float
         Relative residual target; the run stops once the spectral norm of
         A U - U S falls below tol times the largest Ritz value magnitude,
-        which never exceeds ||A||.
-    max_restarts : int
-        Restart budget, at least 1.  On exhaustion the best iterate is
-        returned with ``converged`` False rather than raising.
+        which never exceeds ||A||.  After DEFAULT_MAX_RESTARTS restarts
+        the last iterate is returned with ``converged`` False rather than
+        raising.
     seed : int or numpy SeedSequence
         Drives the uniform random starting block, making runs repeatable.
     resume : SpectralDecomposition, optional
         The latest result of an earlier call with the same A (the same
-        object), d, max_restarts and seed, at a tolerance no
-        tighter than tol.  The solve continues from the restart where that
-        one stopped instead of starting over, and returns exactly what a
-        fresh call would: ``iterations``, ``matvecs`` and every other field
-        count the whole solve.  Any other result raises DomainError.
+        object), d and seed, at a tolerance no tighter than tol.  The
+        solve continues from the restart where that one stopped instead of
+        starting over, and returns exactly what a fresh call would:
+        ``iterations``, ``matvecs`` and every other field count the whole
+        solve.  Any other result raises DomainError.
     """
     n = A.n
     if A.m == 0:
-        raise DegenerateGraph("adjacency matrix is identically zero")
+        raise DomainError("adjacency matrix is identically zero")
     if not 1 <= d < n:
         raise DimensionMismatch(f"need 1 <= d < n, got d={d} with n={n}")
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    if max_restarts < 1:
-        raise DomainError("the restart budget must be at least 1")
     # working basis size held between restarts, in basis vectors
     m = min(max(2 * d + 5, 20), n)
 
     if resume is None:
-        path = _RestartPath(A, d, m, max_restarts, seed)
+        path = _RestartPath(A, d, m, seed)
     else:
         path = getattr(resume, "_path", None)
-        if (
-            path is None
-            or path.A is not A
-            or path.key != _path_key(d, m, max_restarts, seed)
-        ):
+        if path is None or path.A is not A or path.key != _path_key(d, m, seed):
             raise DomainError(
-                "resume needs a solve of the same graph with the same d, "
-                "max_restarts and an int or SeedSequence seed"
+                "resume needs a solve of the same graph with the same d "
+                "and an int or SeedSequence seed"
             )
         if tol > resume.tolerance_used:
             raise DomainError("resume cannot loosen the tolerance")
@@ -370,19 +356,17 @@ def truncated_eigs(
     return dec
 
 
-def estimate_spectral_norm(
-    A: SparseGraph, tol: float = 1e-6, *, seed=0, max_restarts: int = DEFAULT_MAX_RESTARTS
-) -> float:
+def estimate_spectral_norm(A: SparseGraph, tol: float = 1e-6, *, seed=0) -> float:
     """Largest eigenvalue magnitude of A, via the d = 1 truncated solve.
 
     Magnitude ties (bipartite-like spectra) resolve to the positive side, so
     the value returned is the spectral norm.  Raises NoConvergence if the
-    restart budget is exhausted; callers may fall back to the maximum degree,
-    which always upper-bounds the spectral norm.
+    solve spends its DEFAULT_MAX_RESTARTS restarts; callers may fall back to
+    the maximum degree, which always upper-bounds the spectral norm.
     """
-    dec = truncated_eigs(A, 1, tol, max_restarts=max_restarts, seed=seed)
+    dec = truncated_eigs(A, 1, tol, seed=seed)
     if not dec.converged:
-        raise NoConvergence(max_restarts)
+        raise NoConvergence(dec.iterations)  # an unconverged solve spent its budget
     return float(np.abs(dec.values[0]))
 
 
@@ -414,13 +398,13 @@ def dense_eig_oracle(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSymmetric("a square matrix is required")
+        raise DimensionMismatch("a square matrix is required")
     n = M.shape[0]
     if n > DENSE_LIMIT:
-        raise TooLarge(f"dense oracle limited to n <= {DENSE_LIMIT}, got {n}")
+        raise DomainError(f"dense oracle limited to n <= {DENSE_LIMIT}, got {n}")
     scale = max(1.0, float(np.abs(M).max())) if M.size else 1.0
     if float(np.abs(M - M.T).max()) > 1e-12 * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
+        raise DomainError("matrix is not symmetric within 1e-12")
     w, V = np.linalg.eigh(0.5 * (M + M.T))
     order = order_by_magnitude(w)
     return w[order], V[:, order]
@@ -437,8 +421,8 @@ def ritz_gap_rho(ritz_values: np.ndarray, all_values: np.ndarray) -> float:
     ritz = np.asarray(ritz_values, dtype=float).reshape(-1)
     full = np.asarray(all_values, dtype=float).reshape(-1)
     if ritz.size == 0:
-        raise EmptySpectrum("no Ritz values supplied")
+        raise DomainError("no Ritz values supplied")
     if full.size <= ritz.size:
-        raise EmptySpectrum("the excluded spectrum is empty")
+        raise DomainError("the excluded spectrum is empty")
     excluded = full[order_by_magnitude(full)][ritz.size :]
     return float(np.abs(ritz[:, None] - excluded[None, :]).min())

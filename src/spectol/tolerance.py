@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyGraph, NoConvergence, RankDeficient, ZeroRho
-from .graph_model import FactoredProbabilityMatrix, SparseGraph
+from .errors import DomainError, NoConvergence
+from .graph_model import RANK_REL_TOL, FactoredProbabilityMatrix, SparseGraph
 from .spectral_core import SpectralDecomposition, truncated_eigs
 
 # smallest vertex count for which log(log(n)) is safely above zero
 MIN_HEURISTIC_N = 16
 HEURISTIC_RULES = ("spectral", "sqrt_n", "conservative")
-_RANK_REL_TOL = 1e-10
 
 
 def heuristic_tolerance(n: int, spectral_norm: float) -> float:
@@ -39,7 +38,7 @@ def heuristic_tolerance(n: int, spectral_norm: float) -> float:
 def conservative_tolerance(A: SparseGraph) -> float:
     """1 / sqrt(max degree): safe before any eigenvalue has been computed."""
     if A.m == 0:
-        raise EmptyGraph("conservative tolerance needs at least one edge")
+        raise DomainError("conservative tolerance needs at least one edge")
     return 1.0 / math.sqrt(float(A.degrees.max()))
 
 
@@ -144,17 +143,18 @@ def sampling_error_constant(P: FactoredProbabilityMatrix, d: int) -> float:
     """C(P): the scale of eigenvector fluctuation caused by edge sampling.
 
     C(P) = sqrt(tr(S^-1 V^T E[(A - P)^2] V S^-1)) over the d leading
-    eigenpairs (S, V) of P.  Raises RankDeficient when the d-th eigenvalue
-    is numerically zero relative to the first.
+    eigenpairs (S, V) of P.  Raises DomainError when the d-th eigenvalue
+    is numerically zero relative to the first: at or below RANK_REL_TOL
+    times it, the threshold ``check_assumptions`` counts the rank by.
     """
     values, vectors = P.eigendecomposition()
     if d < 1 or d > values.size:
-        raise RankDeficient(
+        raise DomainError(
             f"rank-{d} constant requested from a factor with {values.size} columns"
         )
     lam1 = float(values[0])
-    if lam1 <= 0.0 or values[d - 1] <= _RANK_REL_TOL * lam1:
-        raise RankDeficient(f"eigenvalue {d} is numerically zero")
+    if lam1 <= 0.0 or values[d - 1] <= RANK_REL_TOL * lam1:
+        raise DomainError(f"eigenvalue {d} is numerically zero")
     diag = expected_squared_deviation_diagonal(P)
     Vd = vectors[:, :d]
     weighted = (Vd**2 * diag[:, None]).sum(axis=0)
@@ -184,7 +184,7 @@ def bound_envelope(
 ) -> BoundEnvelope:
     """Assemble the bound envelope; rho must be strictly positive."""
     if not rho > 0.0:
-        raise ZeroRho("rho must be strictly positive")
+        raise DomainError("rho must be strictly positive")
     if sampling_constant < 0.0 or tolerance < 0.0 or not spectral_norm > 0.0:
         raise DomainError("envelope terms must be nonnegative with a positive norm")
     lower = sampling_constant / spectral_norm

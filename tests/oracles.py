@@ -395,7 +395,7 @@ def reference_ingest_edge_list(path, *, comment_prefix: str = "#",
     line, ``np.unique`` for id compaction and duplicate merging, and a
     lexsort compressed-row build.  Returns the graph's ``indptr`` and
     ``indices``, the ``vertex_ids`` map and the two cleaning counts."""
-    from spectol.errors import DomainError, EmptyGraph, ParseError
+    from spectol.errors import DomainError, ParseError
 
     if indexing not in ("auto", "zero", "one"):
         raise DomainError("indexing must be 'auto', 'zero', or 'one'")
@@ -423,7 +423,7 @@ def reference_ingest_edge_list(path, *, comment_prefix: str = "#",
             heads.append(u)
             tails.append(v)
     if not heads:
-        raise EmptyGraph(f"no edges in {path}")
+        raise DomainError(f"no edges in {path}")
     u = np.asarray(heads, dtype=np.int64)
     v = np.asarray(tails, dtype=np.int64)
     if indexing == "auto":

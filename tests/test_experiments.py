@@ -25,7 +25,7 @@ from spectol import (
     tolerance,
 )
 from spectol.cli import cli_main
-from spectol.errors import DimensionMismatch, DomainError, EmptyGraph, ParseError
+from spectol.errors import DimensionMismatch, DomainError, ParseError
 from spectol.experiments import (
     DEFAULT_TOLERANCES,
     PILOT_TOL,
@@ -93,9 +93,8 @@ ODD_LINES = (
 
 @st.composite
 def edge_list_files(draw):
-    """An edge-list text, mostly "u v" lines, plus the reader's options."""
+    """An edge-list text, mostly "u v" lines, plus the reader's indexing."""
     indexing = draw(st.sampled_from(["auto", "zero", "one"]))
-    comment_prefix = draw(st.sampled_from(["#", "%", "1"]))
     ident = st.integers(0, 12).map(str) | st.just("007")
     if indexing == "auto":
         # 19 digits, inside int64; the dense id range of "zero" or "one"
@@ -109,7 +108,7 @@ def edge_list_files(draw):
     lines = draw(st.lists(plain | plain | st.sampled_from(ODD_LINES), max_size=25))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + (newline if draw(st.booleans()) else "")
-    return text, comment_prefix, indexing
+    return text, indexing
 
 
 def outcome(read, path, **kwargs):
@@ -123,13 +122,12 @@ class TestIngestEdgeList:
     @settings(max_examples=400, deadline=None)
     @given(case=edge_list_files())
     def test_matches_per_line_reference(self, case):
-        text, comment_prefix, indexing = case
+        text, indexing = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "edges.txt"
             path.write_bytes(text.encode("utf-8"))
-            kwargs = dict(comment_prefix=comment_prefix, indexing=indexing)
-            want, want_exc = outcome(reference_ingest_edge_list, path, **kwargs)
-            got, got_exc = outcome(ingest_edge_list, path, **kwargs)
+            want, want_exc = outcome(reference_ingest_edge_list, path, indexing=indexing)
+            got, got_exc = outcome(ingest_edge_list, path, indexing=indexing)
         if want_exc is not None:
             assert type(got_exc) is type(want_exc)
             assert str(got_exc) == str(want_exc)
@@ -208,7 +206,7 @@ class TestIngestEdgeList:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# only a comment\n")
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(DomainError, match="no edges in"):
             ingest_edge_list(path)
 
     def test_write_then_ingest_round_trip(self, tmp_path):

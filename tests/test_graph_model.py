@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from spectol import (
     DimensionMismatch,
+    DomainError,
     FactoredProbabilityMatrix,
     LatentPositions,
-    NotPositiveSemidefinite,
     SbmSpec,
     SparseGraph,
     check_assumptions,
@@ -45,6 +45,13 @@ class TestLatentPositions:
     def test_negative_dot_product(self):
         with pytest.raises(DimensionMismatch):
             LatentPositions(np.array([[1.0], [-0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row(self, bad):
+        # a NaN product passes every range comparison, so the finiteness
+        # check must come first
+        with pytest.raises(DimensionMismatch, match="latent positions must be finite"):
+            LatentPositions(np.array([[0.5, 0.0], [bad, 0.0], [0.0, 0.5]]))
 
     def test_rows_frozen(self):
         X = LatentPositions(np.array([[0.5], [0.5]]))
@@ -91,7 +98,7 @@ class TestSbmToLatent:
         assert np.abs(X.rows - X.rows[0]).max() == 0.0
 
     def test_indefinite_block_matrix(self):
-        with pytest.raises(NotPositiveSemidefinite):
+        with pytest.raises(DomainError, match="below the clamp window"):
             sbm_to_latent(SbmSpec(np.array([[0.0, 0.5], [0.5, 0.0]]), (1, 1)))
 
     @settings(max_examples=60, deadline=None)

@@ -10,15 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectol import (
-    DegenerateGraph,
     DimensionMismatch,
     DomainError,
-    EmptySpectrum,
     FactoredProbabilityMatrix,
-    NotSymmetric,
+    NoConvergence,
     SbmSpec,
     SparseGraph,
-    TooLarge,
     canonical_angles,
     dense_eig_oracle,
     estimate_spectral_norm,
@@ -26,6 +23,7 @@ from spectol import (
     ritz_gap_rho,
     sample_adjacency,
     sbm_to_latent,
+    spectral_core,
     truncated_eigs,
 )
 from spectol.graph_model import DENSE_LIMIT
@@ -81,6 +79,12 @@ class TestEstimateSpectralNorm:
         lam1 = float(dense_eig_oracle(A.to_dense())[0][0])
         assert abs(estimate_spectral_norm(A, tol=1e-8) - lam1) <= 1e-6 * lam1
 
+    def test_spent_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", 1)
+        with pytest.raises(NoConvergence, match="within 1 restarts") as excinfo:
+            estimate_spectral_norm(random_graph(200, 0.1, seed=11), tol=1e-12)
+        assert excinfo.value.max_iters == 1
+
 
 class TestTruncatedEigs:
     def test_single_edge_pair(self):
@@ -101,7 +105,7 @@ class TestTruncatedEigs:
 
     def test_zero_graph_rejected(self):
         empty = SparseGraph(4, np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        with pytest.raises(DegenerateGraph):
+        with pytest.raises(DomainError, match="adjacency matrix is identically zero"):
             truncated_eigs(empty, 1, 1e-6)
 
     def test_dimension_bounds(self):
@@ -199,9 +203,10 @@ class TestTruncatedEigs:
         _, sin_fro = canonical_angles(dec.vectors, V[:, :d])
         assert sin_fro <= np.sqrt(d) * dec.residual / gap + 1e-10
 
-    def test_budget_exhaustion_returns_flagged_best(self):
+    def test_budget_exhaustion_returns_flagged_best(self, monkeypatch):
+        monkeypatch.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", 1)
         A = random_graph(200, 0.1, seed=11)
-        dec = truncated_eigs(A, 4, 1e-12, max_restarts=1, seed=0)
+        dec = truncated_eigs(A, 4, 1e-12, seed=0)
         assert not dec.converged
         assert dec.iterations == 1
         assert dec.residual > 0.0
@@ -242,25 +247,27 @@ class TestResume:
         tols = tuple(2.0**-k for k in range(1, 13)) + (1e-6,)
         assert_chain_matches_fresh(graph, 3, tols, seed=solver_ss)
 
-    def test_chain_ending_unconverged(self):
+    def test_chain_ending_unconverged(self, monkeypatch):
+        monkeypatch.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", 3)
         A = random_graph(200, 0.1, seed=11)
-        chained = assert_chain_matches_fresh(A, 4, SWEPT, max_restarts=3, seed=0)
+        chained = assert_chain_matches_fresh(A, 4, SWEPT, seed=0)
         assert chained[0].converged and not chained[-1].converged
         assert chained[-1].iterations == 3
 
-    def test_failed_checks_replayed(self):
+    def test_failed_checks_replayed(self, monkeypatch):
         # At the rounding floor the residual estimate from W = A Q can pass
         # while the exact residual fails.  A fresh solve pays d products for
         # every such failed check, so a resumed one must count again the
         # checks its tighter tolerance still makes at logged restarts.  The
         # tolerances sit just above the smallest logged estimates (read
         # from the private path log), so every solve makes such checks.
+        monkeypatch.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", 40)
         A = random_graph(200, 0.1, seed=11)
-        probe = truncated_eigs(A, 4, 1e-18, max_restarts=40, seed=0)
+        probe = truncated_eigs(A, 4, 1e-18, seed=0)
         floor = sorted(s.estimate / s.denom for s in probe._path.log)[:8]
         tols = [f * (1.0 + 1e-9) for f in floor]
         tightest = min(tols)
-        last = assert_chain_matches_fresh(A, 4, tols, max_restarts=40, seed=0)[-1]
+        last = assert_chain_matches_fresh(A, 4, tols, seed=0)[-1]
         # the tightest solve did replay checks that failed before its stop
         assert any(
             s.settled and s.estimate <= tightest * s.denom
@@ -281,7 +288,6 @@ class TestResume:
         for kwargs in (
             {"A": random_graph(150, 0.15, seed=9)},  # equal graph, other object
             {"d": 4},
-            {"max_restarts": 50},
             {"seed": 6},
             {"seed": np.random.SeedSequence(5)},  # not the same seed object
             {"tol": 2.0**-3},  # looser than the result resumed
@@ -311,10 +317,6 @@ class TestResume:
         first = truncated_eigs(A, 3, 1e-4, seed=np.int64(7))
         again = truncated_eigs(A, 3, 1e-4, seed=7, resume=first)
         assert_same_result(again, first)
-
-    def test_restart_budget_validated(self):
-        with pytest.raises(DomainError):
-            truncated_eigs(K5, 2, 1e-6, max_restarts=0)
 
 
 class TestRowMajorBasis:
@@ -399,11 +401,13 @@ class TestDenseEigOracle:
         assert np.linalg.norm(vecs.T @ vecs - np.eye(50)) <= 1e-10
 
     def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(DomainError, match="not symmetric within 1e-12"):
             dense_eig_oracle(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DimensionMismatch, match="a square matrix is required"):
+            dense_eig_oracle(np.zeros((2, 3)))
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(DomainError, match="dense oracle limited to n <= 5000"):
             dense_eig_oracle(np.zeros((5001, 5001)))
 
 
@@ -416,9 +420,9 @@ class TestRitzGapRho:
         assert ritz_gap_rho(np.array([3.0]), np.array([5.0, 3.0])) == 0.0
 
     def test_empty_inputs(self):
-        with pytest.raises(EmptySpectrum):
+        with pytest.raises(DomainError, match="no Ritz values supplied"):
             ritz_gap_rho(np.array([]), np.array([1.0, 2.0]))
-        with pytest.raises(EmptySpectrum):
+        with pytest.raises(DomainError, match="the excluded spectrum is empty"):
             ritz_gap_rho(np.array([1.0]), np.array([1.0]))
 
     def test_block_model_run_in_unit_band(self):

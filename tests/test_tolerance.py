@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from spectol import (
     DomainError,
-    EmptyGraph,
     FactoredProbabilityMatrix,
     LatentPositions,
     NoConvergence,
-    RankDeficient,
     SbmSpec,
     SparseGraph,
-    ZeroRho,
     bound_envelope,
     conservative_tolerance,
     estimate_spectral_norm,
@@ -30,7 +27,7 @@ from spectol import (
     tolerance_report,
     truncated_eigs,
 )
-from spectol import tolerance
+from spectol import check_assumptions, spectral_core, tolerance
 from spectol.tolerance import HEURISTIC_RULES, report_from_solve
 
 from conftest import assert_same_result
@@ -99,7 +96,7 @@ class TestConservativeTolerance:
         from spectol import conservative_tolerance
 
         edgeless = SparseGraph(3, np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(DomainError, match="conservative tolerance needs"):
             conservative_tolerance(edgeless)
 
 
@@ -131,13 +128,17 @@ class TestToleranceReport:
         assert report.spectral_norm_estimate == lam1
         assert report.heuristic_spectral == heuristic_tolerance(A.n, lam1)
 
-    def test_report_reads_only_a_converged_conservative_solve(self, three_block_900):
+    def test_report_reads_only_a_converged_conservative_solve(
+        self, monkeypatch, three_block_900
+    ):
         A = sample_adjacency(three_block_900, seed=0)
         conservative = conservative_tolerance(A)
         with pytest.raises(DomainError):
             report_from_solve(A, truncated_eigs(A, 3, conservative / 2, seed=0))
         # this graph and seed need three restarts at the conservative tolerance
-        unconverged = truncated_eigs(A, 3, conservative, max_restarts=1, seed=0)
+        with monkeypatch.context() as budget:
+            budget.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", 1)
+            unconverged = truncated_eigs(A, 3, conservative, seed=0)
         with pytest.raises(NoConvergence, match="within 1 restarts"):
             report_from_solve(A, unconverged)
         dec = truncated_eigs(A, 3, conservative, seed=0)
@@ -195,10 +196,7 @@ class TestSolveAtHeuristic:
     def test_unconverged_bootstrap_raises(self, monkeypatch, three_block_900):
         # this graph and seed need three restarts at the conservative tolerance
         A = sample_adjacency(three_block_900, seed=0)
-        solve = tolerance.truncated_eigs
-        monkeypatch.setattr(
-            tolerance, "truncated_eigs", lambda *a, **k: solve(*a, max_restarts=1, **k)
-        )
+        monkeypatch.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", 1)
         with pytest.raises(NoConvergence):
             solve_at_heuristic(A, 3, "spectral", seed=0)
         assert not solve_at_heuristic(A, 3, "conservative", seed=0).converged
@@ -261,8 +259,20 @@ class TestSamplingErrorConstant:
 
     def test_rank_deficient_rejected(self):
         rows = np.full((4, 2), 0.4)
-        with pytest.raises(RankDeficient):
+        with pytest.raises(DomainError, match="eigenvalue 2 is numerically zero"):
             sampling_error_constant(FactoredProbabilityMatrix(LatentPositions(rows)), 2)
+
+    def test_rank_threshold_shared_with_check_assumptions(self):
+        # orthogonal columns give lambda_1 = n / 4 and lambda_2 = n e^2, so
+        # lambda_2 / lambda_1 = 4 e^2 = 1e-9: below the rank threshold
+        e = math.sqrt(2.5e-10)
+        rows = np.array([[0.5, e], [0.5, -e], [0.5, e], [0.5, -e]])
+        P = FactoredProbabilityMatrix(LatentPositions(rows))
+        values, _ = P.eigendecomposition()
+        assert values[1] / values[0] == pytest.approx(1e-9, rel=1e-6)
+        assert check_assumptions(P, 2, 0.1, 0.5).rank == 1
+        with pytest.raises(DomainError, match="eigenvalue 2 is numerically zero"):
+            sampling_error_constant(P, 2)
 
 
 class TestBoundEnvelope:
@@ -278,5 +288,5 @@ class TestBoundEnvelope:
         assert ratios[-1] <= 1e-8
 
     def test_zero_rho_rejected(self):
-        with pytest.raises(ZeroRho):
+        with pytest.raises(DomainError, match="rho must be strictly positive"):
             bound_envelope(1.0, 0.0, 0.1, 100.0)
