@@ -64,8 +64,8 @@ _INT_COLUMNS = {"replicate", "repetition", "iterations", "matvecs", "k_chosen"}
 DIMENSION_SELECTION_METHOD = "profile_likelihood_equal_variance"
 # relative residual of the rank-20 pilot behind d = "auto"
 PILOT_TOL = 1e-2
-# largest n whose sweep records rho, from the dense spectrum of each graph
-RHO_ORACLE_LIMIT = 1500
+# relative residual of the extremes solve each sweep replicate reads rho off
+RHO_TOL = 1e-10
 
 
 def _check_tolerances(tolerances, name: str = "tolerances") -> tuple[float, ...]:
@@ -128,6 +128,12 @@ class SweepRecord:
     of the replicate's chain up to and including it, a looser conservative
     link too, since each tolerance resumes the looser one's solve.  It is
     0.0 unless the config sets ``record_timing``.
+
+    ``rho`` is the distance from the cell's Ritz values to the excluded
+    spectrum, read off the replicate's extremes solve (``_rho_extremes``).
+    It is NaN when that solve did not bracket the excluded spectrum or a
+    Ritz value of the cell lies inside the bracket; the summary counts
+    those cells as ``rho_nan_cells``.
     """
 
     tol_exponent: float
@@ -166,6 +172,31 @@ def _pilot_dimension(graph: SparseGraph, seed) -> int:
     dec = truncated_eigs(graph, rank, PILOT_TOL, seed=seed)
     scree = np.sort(np.abs(dec.values))[::-1]
     return zhu_ghodsi_dimension(scree)
+
+
+def _rho_extremes(A: SparseGraph, d: int, seed) -> np.ndarray | None:
+    """The d + k leading Ritz values of A whose last k bracket its excluded
+    spectrum, or None.
+
+    The excluded spectrum is every eigenvalue but the d leading ones by
+    magnitude.  Its k largest in magnitude are the last k of a d + k solve;
+    once they hold both signs, every other excluded eigenvalue, smaller in
+    magnitude than each of them, lies between their smallest mu_- and their
+    largest mu_+.  So a Ritz value outside [mu_-, mu_+] is nearest to mu_-
+    or mu_+, and ``ritz_gap_rho`` over these d + k values is exact.  k
+    starts at 3 and doubles until both signs show.  None when a solve did
+    not converge or d + k would reach n.
+    """
+    k = 3
+    while d + k < A.n:
+        found = truncated_eigs(A, d + k, RHO_TOL, seed=seed)
+        if not found.converged:
+            return None
+        excluded = found.values[d:]
+        if excluded.min() < 0.0 < excluded.max():
+            return found.values
+        k *= 2
+    return None
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -221,9 +252,15 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     path: each solve resumes where the looser one stopped (``resume=``) and
     returns what a fresh solve would.  The graph's conservative tolerance
     joins the path (recorded only if configured), and the summary's
-    heuristics are read off its solve, as ``embed`` reads them.  Returns the
-    records (replicate-major order) and a summary dict; writes CSV and
-    summary JSON when the config names an output path.
+    heuristics are read off its solve, as ``embed`` reads them.
+
+    Every tolerance of a replicate reads rho off one extremes solve of its
+    graph at ``RHO_TOL`` with the replicate's solver seed
+    (``_rho_extremes``), so rho is defined at every n and never needs the
+    dense spectrum.  A cell whose rho that solve cannot settle exactly gets
+    NaN, never a guess, and the summary's ``rho_nan_cells`` counts them.
+    Returns the records (replicate-major order) and a summary dict; writes
+    CSV and summary JSON when the config names an output path.
     """
     P = sigma = V = fixed_graph = None
     if isinstance(config.model, SbmSpec):
@@ -246,10 +283,7 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     def one_replicate(r: int):
         graph_ss, solver_ss = np.random.SeedSequence(config.seed + r).spawn(2)
         A = fixed_graph if fixed_graph is not None else sample_adjacency(P, graph_ss)
-        # rho needs the spectrum only, so no eigenvectors are formed
-        dense_values = (
-            np.linalg.eigvalsh(A.to_dense()) if A.n <= RHO_ORACLE_LIMIT else None
-        )
+        extremes = _rho_extremes(A, d, solver_ss)
         conservative = conservative_tolerance(A)
         records = []
         dec = None
@@ -269,8 +303,11 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
                     left = dec.vectors * np.sqrt(np.abs(dec.values))
                     right = V[:, :d] * np.sqrt(sigma[:d])
                     scaled_err = procrustes_distance(left, right)[0]
-            if dense_values is not None:
-                rho = ritz_gap_rho(dec.values, dense_values)
+            if extremes is not None:
+                excluded = extremes[d:]
+                outside = (dec.values < excluded.min()) | (dec.values > excluded.max())
+                if outside.all():
+                    rho = ritz_gap_rho(dec.values, extremes)
             records.append(
                 SweepRecord(
                     tol_exponent=-math.log2(tol),
@@ -312,6 +349,7 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
             **means,
             "recommended": means[f"mean_heuristic_{config.heuristic_variant}"],
         },
+        "rho_nan_cells": sum(math.isnan(rec.rho) for rec in records),
         "per_tolerance": per_tolerance,
     }
     if config.output:

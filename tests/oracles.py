@@ -575,7 +575,9 @@ def column_major_solve(A, d, tol, *, seed, max_restarts: int = 400) -> dict:
 
 def fresh_sweep_records(config) -> list:
     """The records of ``run_tolerance_sweep(config)`` for a block model with
-    a fixed d, from one fresh solve per (replicate, tolerance)."""
+    a fixed d, from one fresh solve per (replicate, tolerance).  ``rho`` is
+    taken against the dense spectrum of the replicate's graph, which the
+    sweep's extremes solve matches to rounding, not bit for bit."""
     from spectol import (
         FactoredProbabilityMatrix,
         procrustes_distance,
@@ -613,6 +615,36 @@ def fresh_sweep_records(config) -> list:
                 procrustes_error_scaled=scaled,
             ))
     return records
+
+
+def dense_sweep_rhos(config) -> list[float]:
+    """The rho of every cell of ``run_tolerance_sweep(config)`` with a fixed
+    d, in record order, against ``np.linalg.eigvalsh`` of the replicate's
+    graph.  The cell's Ritz values come from the replicate's restart path."""
+    from spectol import (
+        FactoredProbabilityMatrix,
+        SbmSpec,
+        ritz_gap_rho,
+        sample_adjacency,
+        sbm_to_latent,
+        truncated_eigs,
+    )
+    from spectol.experiments import ingest_edge_list
+
+    if isinstance(config.model, SbmSpec):
+        P = FactoredProbabilityMatrix(sbm_to_latent(config.model))
+    else:
+        fixed = ingest_edge_list(config.model).graph
+    rhos = []
+    for r in range(config.replicates):
+        graph_ss, solver_ss = np.random.SeedSequence(config.seed + r).spawn(2)
+        A = sample_adjacency(P, graph_ss) if isinstance(config.model, SbmSpec) else fixed
+        spectrum = np.linalg.eigvalsh(A.to_dense())
+        dec = None
+        for tol in config.tolerances:
+            dec = truncated_eigs(A, config.d, tol, seed=solver_ss, resume=dec)
+            rhos.append(ritz_gap_rho(dec.values, spectrum))
+    return rhos
 
 
 def fresh_stability_records(graph, d, tolerances, reference_tol, seed, repetitions,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from spectol import (
     SbmSpec,
     SparseGraph,
     check_assumptions,
+    experiments,
     sample_adjacency,
     sbm_to_latent,
     spectral_core,
@@ -50,6 +52,7 @@ from spectol.tolerance import HEURISTIC_RULES, heuristic_tolerance
 
 from conftest import three_block_spec
 from oracles import (
+    dense_sweep_rhos,
     fresh_stability_records,
     fresh_sweep_records,
     reference_ingest_edge_list,
@@ -67,6 +70,23 @@ def nan_safe(records) -> list:
     from dataclasses import astuple
 
     return [tuple("nan" if v != v else v for v in astuple(r)) for r in records]
+
+
+# relative distance allowed between a sweep's rho and the dense spectrum's
+RHO_RTOL = 1e-12
+
+
+def without_rho(records) -> list:
+    return [dataclasses.replace(rec, rho=0.0) for rec in records]
+
+
+def assert_rho_matches(got, dense) -> None:
+    """Every rho is finite and within RHO_RTOL of its dense value."""
+    got, dense = np.asarray(got), np.asarray(dense)
+    assert got.shape == dense.shape
+    assert np.all(np.abs(got - dense) <= RHO_RTOL * dense), np.max(
+        np.abs(got - dense) / dense
+    )
 
 
 # lines the bulk parser leaves to the per-line rules: comments, blanks,
@@ -480,12 +500,16 @@ class TestToleranceSweep:
 
     def test_records_match_fresh_solves(self):
         # the sweep resumes one restart path per replicate; every record
-        # must equal a fresh solve at its tolerance
+        # must equal a fresh solve at its tolerance.  rho comes from the
+        # replicate's extremes solve, the fresh records' from the dense
+        # spectrum, so the two agree to rounding
         config = SweepConfig(
             model=three_block_spec(), d=3, replicates=3, seed=0, scaled=True
         )
         records, _ = run_tolerance_sweep(config)
-        assert nan_safe(records) == nan_safe(fresh_sweep_records(config))
+        fresh = fresh_sweep_records(config)
+        assert nan_safe(without_rho(records)) == nan_safe(without_rho(fresh))
+        assert_rho_matches([rec.rho for rec in records], [rec.rho for rec in fresh])
 
     def test_elapsed_ms_is_cumulative(self):
         # a tolerance's time is what a solve to it costs, the chain so far
@@ -578,6 +602,103 @@ class TestToleranceSweep:
             )
             assert flat_at >= summary["heuristic"]["mean_heuristic_spectral"]
             assert flat_at >= summary["heuristic"]["mean_heuristic_sqrt_n"]
+
+
+class TestSweepRho:
+    """rho from one extremes solve per replicate, against np.linalg.eigvalsh."""
+
+    def test_every_benchmark_cell_matches_dense(self, benchmark_sweep):
+        run = benchmark_sweep.serial_a
+        config = SweepConfig(
+            model=three_block_spec(), d=3, replicates=benchmark_sweep.replicates, seed=0
+        )
+        assert_rho_matches([rec.rho for rec in run.records], dense_sweep_rhos(config))
+        assert run.summary["rho_nan_cells"] == 0
+
+    def test_defined_above_the_old_dense_limit(self):
+        # n = 2,700: the sweep wrote NaN above n = 1,500 before
+        config = SweepConfig(
+            model=block_model("900,900,900", b_diag=0.05, b_off=0.02),
+            d=3,
+            tolerances=(2.0**-1, 2.0**-2, 2.0**-3),
+            replicates=1,
+        )
+        records, summary = run_tolerance_sweep(config)
+        assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(config))
+        assert summary["rho_nan_cells"] == 0
+
+    def test_one_signed_extremes_double_k(self, monkeypatch):
+        # replicate 7 of the seed-0 benchmark sweep: the three values past
+        # d in a d + 3 solve are all of one sign, so a d + 6 solve follows
+        config = SweepConfig(
+            model=three_block_spec(), d=3, tolerances=(2.0**-1, 2.0**-10), replicates=1, seed=7
+        )
+        graph_ss, solver_ss = np.random.SeedSequence(7).spawn(2)
+        A = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(config.model)), graph_ss)
+        excluded = truncated_eigs(A, 6, experiments.RHO_TOL, seed=solver_ss).values[3:]
+        assert np.all(excluded > 0) or np.all(excluded < 0)
+
+        widths = []
+        solve = experiments.truncated_eigs
+
+        def spy(A, d, tol, **kw):
+            if tol == experiments.RHO_TOL:
+                widths.append(d)
+            return solve(A, d, tol, **kw)
+
+        monkeypatch.setattr(experiments, "truncated_eigs", spy)
+        records, summary = run_tolerance_sweep(config)
+        assert widths == [6, 9]
+        assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(config))
+        assert summary["rho_nan_cells"] == 0
+
+    def test_ritz_value_inside_the_excluded_range_is_nan(self, tmp_path):
+        # d = 3 on a one-block graph asks for two bulk eigenvalues, and a
+        # solve at 1/2 stops with a Ritz value not yet past the bulk's edge
+        P = FactoredProbabilityMatrix(sbm_to_latent(block_model("500", b_diag=0.05)))
+        A = sample_adjacency(P, 2)
+        path = tmp_path / "er.txt"
+        write_edge_list(path, A)
+        config = SweepConfig(model=str(path), d=3, tolerances=(0.5, 1e-8), replicates=2)
+        records, summary = run_tolerance_sweep(config)
+        spectrum = np.linalg.eigvalsh(A.to_dense())
+        excluded = spectrum[np.argsort(-np.abs(spectrum), kind="stable")][3:]
+        dense = dense_sweep_rhos(config)
+        inside = []
+        for rec, want in zip(records, dense):
+            _, solver_ss = np.random.SeedSequence(rec.replicate).spawn(2)
+            values = truncated_eigs(A, 3, 2.0**-rec.tol_exponent, seed=solver_ss).values
+            inside.append(bool(np.any((values >= excluded.min()) & (values <= excluded.max()))))
+            if inside[-1]:
+                assert math.isnan(rec.rho)
+            else:
+                # these gaps lie inside the bulk, hundreds of times smaller
+                # than ||A||, and both spectra round at the scale of ||A||
+                assert abs(rec.rho - want) <= RHO_RTOL * np.abs(spectrum).max()
+        assert inside == [True, False, True, False]
+        assert summary["rho_nan_cells"] == 2
+
+    def test_d_plus_3_reaching_n_is_nan(self, tmp_path):
+        # n = 20 and d = 17, so no extremes solve can run
+        path = tmp_path / "cycle.txt"
+        path.write_text("".join(f"{i} {(i + 1) % 20}\n" for i in range(20)))
+        config = SweepConfig(model=str(path), d=17, tolerances=(0.5, 0.25), replicates=2)
+        records, summary = run_tolerance_sweep(config)
+        assert all(math.isnan(rec.rho) for rec in records)
+        assert summary["rho_nan_cells"] == 4
+
+    def test_unconverged_extremes_solve_is_nan(self, monkeypatch):
+        solve = experiments.truncated_eigs
+
+        def unconverged(A, d, tol, **kw):
+            dec = solve(A, d, tol, **kw)
+            return dataclasses.replace(dec, converged=False) if tol == experiments.RHO_TOL else dec
+
+        monkeypatch.setattr(experiments, "truncated_eigs", unconverged)
+        config = SweepConfig(model=small_sbm(), d=3, tolerances=(0.5, 0.25), replicates=2)
+        records, summary = run_tolerance_sweep(config)
+        assert all(math.isnan(rec.rho) for rec in records)
+        assert summary["rho_nan_cells"] == 4
 
 
 class TestClusteringStability:
