@@ -257,7 +257,10 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     Every tolerance of a replicate reads rho off one extremes solve of its
     graph at ``RHO_TOL`` with the replicate's solver seed
     (``_rho_extremes``), so rho is defined at every n and never needs the
-    dense spectrum.  A cell whose rho that solve cannot settle exactly gets
+    dense spectrum; an edge-list model's one graph gets one extremes solve,
+    with replicate 0's solver seed.  Under ``d="auto"`` the pilot runs on
+    replicate 0's graph with its graph seed, and replicate 0 reuses that
+    graph.  A cell whose rho that solve cannot settle exactly gets
     NaN, never a guess, and the summary's ``rho_nan_cells`` counts them.
     Returns the records (replicate-major order) and a summary dict; writes
     CSV and summary JSON when the config names an output path.
@@ -269,21 +272,29 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     else:
         fixed_graph = ingest_edge_list(config.model).graph
 
+    # replicate 0's graph and solver streams; the pilot draws from the first
+    graph0_ss, solver0_ss = np.random.SeedSequence(config.seed).spawn(2)
+    graph0 = fixed_graph
     if config.d == "auto":
-        pilot_ss = np.random.SeedSequence(config.seed).spawn(1)[0]
-        pilot_graph = (
-            fixed_graph if fixed_graph is not None else sample_adjacency(P, pilot_ss)
-        )
-        d = _pilot_dimension(pilot_graph, pilot_ss)
+        if graph0 is None:
+            graph0 = sample_adjacency(P, graph0_ss)
+        d = _pilot_dimension(graph0, graph0_ss)
         selection = DIMENSION_SELECTION_METHOD
     else:
         d = int(config.d)
         selection = "fixed"
+    # a fixed graph has one excluded spectrum: one extremes solve serves all
+    fixed_extremes = None
+    if fixed_graph is not None:
+        fixed_extremes = _rho_extremes(fixed_graph, d, solver0_ss)
 
     def one_replicate(r: int):
         graph_ss, solver_ss = np.random.SeedSequence(config.seed + r).spawn(2)
-        A = fixed_graph if fixed_graph is not None else sample_adjacency(P, graph_ss)
-        extremes = _rho_extremes(A, d, solver_ss)
+        if fixed_graph is not None:
+            A, extremes = fixed_graph, fixed_extremes
+        else:
+            A = graph0 if r == 0 and graph0 is not None else sample_adjacency(P, graph_ss)
+            extremes = _rho_extremes(A, d, solver_ss)
         conservative = conservative_tolerance(A)
         records = []
         dec = None

@@ -28,6 +28,8 @@ RANK_REL_TOL = 1e-8
 # largest n for which dense materialization and dense eigensolves are allowed
 DENSE_LIMIT = 5000
 _VALIDATE_BLOCK = 512
+# uniforms sample_adjacency draws per call: bounds a row block's temporaries
+_PAIRS_PER_DRAW = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -287,26 +289,36 @@ def sbm_to_latent(spec: SbmSpec) -> LatentPositions:
 def sample_adjacency(P: FactoredProbabilityMatrix, seed) -> SparseGraph:
     """Draw one graph: each pair i < j is an edge with probability X_i . X_j.
 
-    The diagonal is never sampled (the graph is hollow).  Uniform variates are
-    consumed row by row over the upper triangle, so the draw is a pure
-    function of the seed regardless of internal blocking.
+    The diagonal is never sampled (the graph is hollow).  One uniform is
+    consumed per pair, row by row over the upper triangle: pair (i, j) is an
+    edge when its uniform falls below ``X[i + 1 :] @ X[i]`` at j, clipped to
+    [0, 1].  The uniforms of a block of consecutive rows, at most
+    ``_PAIRS_PER_DRAW`` pairs but always one whole row, come from one draw;
+    PCG64 yields the same doubles however a draw is split, so the graph is a
+    pure function of the seed, whatever the blocking.
     """
     X = P.latent.rows
     n = P.n
     rng = np.random.default_rng(seed)
-    heads: list[np.ndarray] = []
-    tails: list[np.ndarray] = []
-    for i in range(n - 1):
-        p = np.clip(X[i + 1 :] @ X[i], 0.0, 1.0)
-        u = rng.random(n - 1 - i)
-        hit = np.nonzero(u < p)[0]
-        if hit.size:
-            heads.append(np.full(hit.size, i, dtype=np.int64))
-            tails.append(hit.astype(np.int64) + i + 1)
-    if heads:
-        endpoints = np.column_stack([np.concatenate(heads), np.concatenate(tails)])
-    else:
-        endpoints = np.empty((0, 2), dtype=np.int64)
+    # starts[i]: pairs in the rows before row i, which holds n - 1 - i pairs
+    starts = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1), out=starts[1:])
+    heads = [np.empty(0, dtype=np.int64)]
+    tails = [np.empty(0, dtype=np.int64)]
+    i = 0
+    while i < n - 1:
+        stop = int(np.searchsorted(starts, starts[i] + _PAIRS_PER_DRAW, side="right"))
+        stop = max(stop - 1, i + 1)
+        p = np.concatenate([X[k + 1 :] @ X[k] for k in range(i, stop)])
+        np.clip(p, 0.0, 1.0, out=p)
+        hit = np.flatnonzero(rng.random(p.size) < p)
+        # map each hit back to its row, then to its column past the diagonal
+        offsets = starts[i:stop] - starts[i]
+        rows = np.searchsorted(offsets, hit, side="right") - 1
+        heads.append(rows + i)
+        tails.append(hit - offsets[rows] + rows + i + 1)
+        i = stop
+    endpoints = np.column_stack([np.concatenate(heads), np.concatenate(tails)])
     return SparseGraph.from_edges(n, endpoints)
 
 

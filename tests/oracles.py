@@ -3,8 +3,9 @@
 Everything here is deliberately naive: brute force over the orthogonal
 group, O(n^2) pair counting, exhaustive graph enumeration, a per-line
 edge-list reader, two-lexsort adjacency checks, a latent range check over
-every pair of rows, Lloyd with its distances held one point per row, and
-the Lanczos solver with its basis stored one vector per column.  None of
+every pair of rows, a sampler that draws one row of uniforms per call,
+Lloyd with its distances held one point per row, and the Lanczos solver
+with its basis stored one vector per column.  None of
 it imports the package under test, except its exception types and the
 fresh-solve harness references at the end: they rebuild sweep and
 stability records from the package's own solver and metrics with one
@@ -354,6 +355,27 @@ def reference_latent_in_range(rows, block: int = 512) -> bool:
         if products.min() < -1e-9 or products.max() > 1.0 + 1e-9:
             return False
     return True
+
+
+def reference_sample_adjacency(rows, seed) -> np.ndarray:
+    """The (m, 2) edge endpoints i < j that the original sampler drew from
+    latent positions ``rows`` and ``seed``: a frozen copy of its loop, which
+    draws one row's uniforms per call and compares them with that row's
+    clipped products X[i + 1 :] @ X[i]."""
+    X = np.asarray(rows, dtype=float)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    heads, tails = [], []
+    for i in range(n - 1):
+        p = np.clip(X[i + 1 :] @ X[i], 0.0, 1.0)
+        u = rng.random(n - 1 - i)
+        hit = np.nonzero(u < p)[0]
+        if hit.size:
+            heads.append(np.full(hit.size, i, dtype=np.int64))
+            tails.append(hit.astype(np.int64) + i + 1)
+    if not heads:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.column_stack([np.concatenate(heads), np.concatenate(tails)])
 
 
 def reference_csr_error(n: int, indptr, indices) -> str | None:

@@ -481,6 +481,32 @@ class TestToleranceSweep:
             assert math.isnan(a.procrustes_error)
             assert a.residual == b.residual and a.rho == b.rho
 
+    def test_auto_dimension_draws_each_graph_once(self, monkeypatch, tmp_path):
+        # the pilot's graph seed is replicate 0's, so replicate 0 reuses the
+        # pilot's graph, and the replicates write what a fixed-d sweep writes
+        seeds = []
+        sample = experiments.sample_adjacency
+
+        def spy(P, seed):
+            seeds.append(seed)
+            return sample(P, seed)
+
+        monkeypatch.setattr(experiments, "sample_adjacency", spy)
+        auto = SweepConfig(
+            model=small_sbm(), d="auto", tolerances=(2.0**-1, 2.0**-4), replicates=3,
+            output=str(tmp_path / "auto.csv"),
+        )
+        _, summary = run_tolerance_sweep(auto)
+        assert len(seeds) == auto.replicates
+        fixed = dataclasses.replace(
+            auto, d=summary["dimension"], output=str(tmp_path / "fixed.csv")
+        )
+        _, fixed_summary = run_tolerance_sweep(fixed)
+        assert (tmp_path / "auto.csv").read_bytes() == (tmp_path / "fixed.csv").read_bytes()
+        assert summary.pop("dimension_selection") == experiments.DIMENSION_SELECTION_METHOD
+        assert fixed_summary.pop("dimension_selection") == "fixed"
+        assert summary == fixed_summary
+
     def test_identical_configs_are_byte_identical(self, benchmark_sweep):
         assert (
             benchmark_sweep.serial_a.path.read_bytes()
@@ -649,6 +675,29 @@ class TestSweepRho:
         monkeypatch.setattr(experiments, "truncated_eigs", spy)
         records, summary = run_tolerance_sweep(config)
         assert widths == [6, 9]
+        assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(config))
+        assert summary["rho_nan_cells"] == 0
+
+    def test_edge_list_runs_one_extremes_solve(self, monkeypatch, tmp_path):
+        # the replicates of an edge-list sweep differ only in their start
+        # block; the graph's one extremes solve runs with replicate 0's seed
+        A = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm())), 5)
+        path = tmp_path / "sbm.txt"
+        write_edge_list(path, A)
+        config = SweepConfig(
+            model=str(path), d=3, tolerances=(2.0**-2, 2.0**-6, 2.0**-10), replicates=3
+        )
+        widths = []
+        solve = experiments.truncated_eigs
+
+        def spy(A, d, tol, **kw):
+            if tol == experiments.RHO_TOL:
+                widths.append(d)
+            return solve(A, d, tol, **kw)
+
+        monkeypatch.setattr(experiments, "truncated_eigs", spy)
+        records, summary = run_tolerance_sweep(config)
+        assert widths == [6]
         assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(config))
         assert summary["rho_nan_cells"] == 0
 

@@ -16,11 +16,16 @@ from spectol import (
     SbmSpec,
     SparseGraph,
     check_assumptions,
+    graph_model,
     sample_adjacency,
     sbm_to_latent,
 )
 
-from oracles import reference_csr_error, reference_latent_in_range
+from oracles import (
+    reference_csr_error,
+    reference_latent_in_range,
+    reference_sample_adjacency,
+)
 
 
 def three_block_spec() -> SbmSpec:
@@ -163,6 +168,64 @@ class TestSampleAdjacency:
         counts = [sample_adjacency(P, seed=s).m for s in range(replicates)]
         spread = 4.0 * math.sqrt(var / replicates)
         assert abs(np.mean(counts) - mu) <= spread
+
+
+def assert_same_draw(rows, seed) -> None:
+    """sample_adjacency draws the original per-row sampler's graph."""
+    got = sample_adjacency(FactoredProbabilityMatrix(LatentPositions(rows)), seed)
+    want = SparseGraph.from_edges(len(rows), reference_sample_adjacency(rows, seed))
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+
+def random_latent(n: int, seed: int) -> np.ndarray:
+    """n rank-2 rows (rank 1 when n = 1) whose dot products lie in [0, 0.98]."""
+    return np.random.default_rng(seed).uniform(0.0, 0.7, size=(n, min(2, n)))
+
+
+class TestSamplerStream:
+    """Row-block draws consume the per-row sampler's uniforms, edge for edge."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 900])
+    def test_matches_per_row_reference(self, n):
+        for seed in range(3):
+            assert_same_draw(random_latent(n, seed), seed)
+
+    def test_matches_on_the_benchmark_model(self):
+        rows = sbm_to_latent(three_block_spec()).rows
+        assert_same_draw(rows, np.random.SeedSequence(0).spawn(2)[0])
+
+    @pytest.mark.parametrize("pairs", [1, 7, 48])
+    def test_blocks_ending_mid_triangle(self, monkeypatch, pairs):
+        # n = 50, so 48 is n - 2: row 0 holds 49 pairs, more than any of
+        # these blocks, and every block but the last ends mid-triangle
+        monkeypatch.setattr(graph_model, "_PAIRS_PER_DRAW", pairs)
+        for seed in range(3):
+            assert_same_draw(random_latent(50, seed), seed)
+
+    def test_products_rounding_outside_the_unit_interval(self):
+        # 1 + 4e-10 within the first 100 rows, -4e-10 between them and the
+        # next 100, both inside the latent check's 1e-9 slack: the first
+        # block is complete and no edge crosses
+        rows = np.repeat([[1.0 + 2e-10, 0.0], [-4e-10, 0.6]], 100, axis=0)
+        assert rows[0] @ rows[1] > 1.0 and rows[0] @ rows[100] < 0.0
+        for seed in range(3):
+            assert_same_draw(rows, seed)
+            A = sample_adjacency(FactoredProbabilityMatrix(LatentPositions(rows)), seed)
+            assert np.array_equal(A.degrees[:100], np.full(100, 99))
+            assert A.indices[: A.indptr[100]].max() < 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 80),
+        latent_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        pairs=st.sampled_from([1, 2, 7, 64, 1 << 16]),
+    )
+    def test_random_rank_two_positions(self, n, latent_seed, seed, pairs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_model, "_PAIRS_PER_DRAW", pairs)
+            assert_same_draw(random_latent(n, latent_seed), seed)
 
 
 class TestMaxRowSum:
