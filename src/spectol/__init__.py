@@ -31,9 +31,7 @@ from .spectral_core import (
     truncated_eigs,
 )
 from .tolerance import (
-    BoundEnvelope,
     ToleranceReport,
-    bound_envelope,
     conservative_tolerance,
     expected_squared_deviation_diagonal,
     heuristic_tolerance,
@@ -63,7 +61,6 @@ from .experiments import (
     run_tolerance_sweep,
     write_edge_list,
     write_records_csv,
-    read_sweep_csv,
 )
 from .cli import cli_main
 

@@ -128,8 +128,8 @@ def _cmd_embed(args) -> int:
 
 
 # the config key each sweep flag sets, where the two names differ
-_SWEEP_KEYS = {"graph": "edge_list", "dim": "d", "variant": "heuristic_variant",
-               "timing": "record_timing", "out": "output"}
+_SWEEP_KEYS = {"graph": "edge_list", "dim": "d", "timing": "record_timing",
+               "out": "output"}
 
 
 def _cmd_sweep(args) -> int:
@@ -185,7 +185,7 @@ def _cmd_check(args) -> int:
     # lambda_1 comes from the d-dimensional solve embed starts from
     solve = solve_at_heuristic(graph, d, "conservative", seed=args.seed)
     report = report_from_solve(graph, solve)
-    assumptions = check_assumptions(P, d, args.c0, args.a)
+    assumptions = check_assumptions(P, d)
     payload = {
         "n": graph.n,
         "m": graph.m,
@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerances", help="e.g. 2^-1..2^-20 or 0.5,0.25,1e-6")
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--variant", choices=("spectral", "sqrt_n"))
     p.add_argument("--workers", type=int)
     switch = {"action": "store_true", "default": None}
     p.add_argument("--scaled", **switch, help="also compare scaled embeddings")
@@ -277,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dim", type=_dimension, default="auto",
         help="embedding dimension (default: block count)",
     )
-    p.add_argument("--c0", type=float, default=0.1, help="gap ratio threshold")
-    p.add_argument("--a", type=float, default=0.5, help="density exponent margin")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="JSON output path (default: stdout)")
     p.set_defaults(func=_cmd_check)

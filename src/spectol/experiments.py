@@ -101,7 +101,6 @@ class SweepConfig:
     tolerances: tuple[float, ...] = DEFAULT_TOLERANCES
     replicates: int = 20
     seed: int = 0
-    heuristic_variant: str = "spectral"
     output: str | None = None
     scaled: bool = False
     record_timing: bool = False
@@ -112,8 +111,10 @@ class SweepConfig:
         for key in ("replicates", "seed", "workers"):
             object.__setattr__(self, key, _integer(getattr(self, key), key))
         _check_runs(self.replicates, "replicate", self.workers)
-        if self.heuristic_variant not in ("spectral", "sqrt_n"):
-            raise DomainError("heuristic_variant must be 'spectral' or 'sqrt_n'")
+        for key in ("scaled", "record_timing"):
+            value = getattr(self, key)
+            if not isinstance(value, bool):
+                raise DomainError(f"{key} must be True or False, got {value!r}")
         if self.d != "auto":
             object.__setattr__(self, "d", _integer(self.d, "dimension"))
             if self.d < 1:
@@ -235,9 +236,9 @@ def summary_path(output) -> Path:
     return Path(output).with_suffix(".summary.json")
 
 
-def write_run(output, records, summary: dict, *, scaled: bool = False) -> None:
+def write_run(output, records, summary: dict) -> None:
     """Write records as CSV to ``output`` and the summary to ``summary_path``."""
-    write_records_csv(output, records, scaled=scaled)
+    write_records_csv(output, records)
     summary_path(output).write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"
     )
@@ -356,15 +357,15 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
         "dimension_selection": selection,
         "replicates": config.replicates,
         "heuristic": {
-            "variant": config.heuristic_variant,
+            "variant": "spectral",
             **means,
-            "recommended": means[f"mean_heuristic_{config.heuristic_variant}"],
+            "recommended": means["mean_heuristic_spectral"],
         },
         "rho_nan_cells": sum(math.isnan(rec.rho) for rec in records),
         "per_tolerance": per_tolerance,
     }
     if config.output:
-        write_run(config.output, records, summary, scaled=config.scaled)
+        write_run(config.output, records, summary)
     return records, summary
 
 
@@ -394,8 +395,9 @@ def run_clustering_stability(
     stopped (``resume=``), with the results of fresh solves.  The inputs
     are checked before the first solve, a bad one being a ``DomainError``:
     the tolerances and ``reference_tol`` as ``SweepConfig`` checks its
-    tolerances, ``repetitions`` and ``workers`` as its ``replicates`` and
-    ``workers``, and every candidate count in ``k_range`` must lie in [2, n].
+    tolerances, ``repetitions``, ``workers`` and ``seed`` as its
+    ``replicates``, ``workers`` and ``seed``, and every candidate count in
+    ``k_range`` must be an integer in [2, n].
 
     A solve stops only at a restart, so consecutive tolerances often return
     the same embedding bit for bit.  k-means is deterministic for a fixed
@@ -405,8 +407,11 @@ def run_clustering_stability(
     """
     tols = _check_tolerances(tolerances)
     _check_tolerances((reference_tol,), "reference_tol")
+    repetitions = _integer(repetitions, "repetitions")
+    workers = _integer(workers, "workers")
+    seed = _integer(seed, "seed")
     _check_runs(repetitions, "repetition", workers)
-    k_range = tuple(int(k) for k in k_range)
+    k_range = tuple(_integer(k, "cluster count") for k in k_range)
     if not k_range or not all(2 <= k <= graph.n for k in k_range):
         raise DomainError(f"cluster counts must lie in [2, {graph.n}], got {k_range}")
 
@@ -649,12 +654,16 @@ def _format_value(column: str, value) -> str:
     return format(float(value), ".17g")
 
 
-def write_records_csv(path, records, *, scaled: bool = False) -> None:
-    """Fixed-schema CSV with floats at 17 significant digits."""
+def write_records_csv(path, records) -> None:
+    """Fixed-schema CSV with floats at 17 significant digits.  The first
+    record picks the columns: the stability ones, or the sweep ones plus
+    ``procrustes_error_scaled`` when it carries one; no record, the sweep's."""
     if records and isinstance(records[0], StabilityRecord):
         columns = STABILITY_COLUMNS
+    elif records and records[0].procrustes_error_scaled is not None:
+        columns = SWEEP_COLUMNS + ("procrustes_error_scaled",)
     else:
-        columns = SWEEP_COLUMNS + (("procrustes_error_scaled",) if scaled else ())
+        columns = SWEEP_COLUMNS
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -662,18 +671,6 @@ def write_records_csv(path, records, *, scaled: bool = False) -> None:
             writer.writerow(
                 [_format_value(col, getattr(rec, col)) for col in columns]
             )
-
-
-def read_sweep_csv(path) -> list[SweepRecord]:
-    """Parse a sweep CSV back into records; floats round-trip bit-exactly."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        convert = [int if col in _INT_COLUMNS else float for col in header]
-        return [
-            SweepRecord(**{col: f(x) for col, f, x in zip(header, convert, row)})
-            for row in reader
-        ]
 
 
 def _parse_tolerance_token(token: str) -> float:
@@ -783,9 +780,8 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
     for key in ("scaled", "record_timing"):
         if key in data:
             kwargs[key] = as_bool(data.pop(key))
-    for key in ("heuristic_variant", "output"):
-        if key in data:
-            kwargs[key] = str(data.pop(key))
+    if "output" in data:
+        kwargs["output"] = str(data.pop("output"))
     if data:
         raise DomainError(f"unknown config keys: {sorted(data)}")
     return SweepConfig(**kwargs)

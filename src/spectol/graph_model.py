@@ -25,6 +25,9 @@ PSD_CLAMP = 1e-10
 _DOT_RANGE_TOL = 1e-9
 # eigenvalues at or below this fraction of the leading one count as rank zero
 RANK_REL_TOL = 1e-8
+# check_assumptions' thresholds: gamma(P) > c0 and delta(P) > (log n)^(4 + a)
+GAMMA_MIN = 0.1
+DENSITY_MARGIN = 0.5
 # largest n for which dense materialization and dense eigensolves are allowed
 DENSE_LIMIT = 5000
 _VALIDATE_BLOCK = 512
@@ -335,21 +338,18 @@ class AssumptionReport:
     delta: float
     delta_threshold: float
     delta_check: bool
-    c0: float
-    a: float
 
 
-def check_assumptions(
-    P: FactoredProbabilityMatrix, d: int, c0: float, a: float
-) -> AssumptionReport:
+def check_assumptions(P: FactoredProbabilityMatrix, d: int) -> AssumptionReport:
     """Report-only checks that P is suitable for a rank-d spectral embedding.
 
     The rank of P and its eigenvalues come from one thin SVD of the factor;
     delta(P) is the largest row sum, diagonal included, and the gap ratio is
     gamma(P) = (lambda_d - lambda_{d+1}) / delta(P), where eigenvalues past
     the factor's width are exact zeros.  Checks the rank against d, gamma(P)
-    against c0, and delta(P) against (log n)^(4+a).  Only d < 1 raises;
-    degenerate inputs (P = 0) simply fail the checks.
+    against c0 = GAMMA_MIN, and delta(P) against (log n)^(4+a) with
+    a = DENSITY_MARGIN.  Only d < 1 raises; degenerate inputs (P = 0)
+    simply fail the checks.
     """
     if d < 1:
         raise DimensionMismatch("d must be at least 1")
@@ -360,17 +360,15 @@ def check_assumptions(
     lam_d = float(values[d - 1]) if d - 1 < values.size else 0.0
     lam_next = float(values[d]) if d < values.size else 0.0
     gamma = (lam_d - lam_next) / delta if delta > 0 else float("nan")
-    threshold = math.log(P.n) ** (4.0 + a) if P.n > 1 else float("inf")
+    threshold = math.log(P.n) ** (4.0 + DENSITY_MARGIN) if P.n > 1 else float("inf")
     return AssumptionReport(
         n=P.n,
         d=d,
         rank=rank,
         rank_matches=rank == d,
         gamma=gamma,
-        gamma_check=delta > 0 and gamma > c0,
+        gamma_check=delta > 0 and gamma > GAMMA_MIN,
         delta=delta,
         delta_threshold=threshold,
         delta_check=delta > threshold,
-        c0=c0,
-        a=a,
     )

@@ -97,11 +97,12 @@ def solve_at_heuristic(
     heuristics off it.  A heuristic tighter than the conservative tolerance
     (always for ``sqrt_n``, and for ``spectral`` whenever lambda_1 (ln ln n)^2
     exceeds the max degree) resumes the same restart path; a looser one, as
-    on hub-dominated graphs, gets a fresh solve.  ``conservative`` stops
-    after the first solve.  Either way the result equals
-    ``truncated_eigs(A, d, result.tolerance_used, seed=seed)``, whose
-    ``matvecs`` leave out the fresh branch's first solve and any residual
-    check the conservative solve made where the heuristic makes none.
+    on hub-dominated graphs, returns the conservative solve, which already
+    meets it, so ``tolerance_used`` is the conservative tolerance there.
+    ``conservative`` stops after the first solve.  Either way the result
+    equals ``truncated_eigs(A, d, result.tolerance_used, seed=seed)``, whose
+    ``matvecs`` leave out any residual check the conservative solve made
+    where the heuristic makes none.
 
     ``seed`` must be an int or a SeedSequence, as ``resume=`` requires.
     Raises DomainError for an unknown rule or n < MIN_HEURISTIC_N before any
@@ -118,8 +119,7 @@ def solve_at_heuristic(
     report = report_from_solve(A, dec)
     tol = report.heuristic_spectral if rule == "spectral" else report.heuristic_sqrt_n
     if tol > report.conservative:
-        # resume cannot loosen: a looser tolerance stops no later than this path
-        return truncated_eigs(A, d, tol, seed=seed)
+        return dec  # resume cannot loosen, and this solve meets tol already
     return truncated_eigs(A, d, tol, seed=seed, resume=dec)
 
 
@@ -159,43 +159,3 @@ def sampling_error_constant(P: FactoredProbabilityMatrix, d: int) -> float:
     Vd = vectors[:, :d]
     weighted = (Vd**2 * diag[:, None]).sum(axis=0)
     return float(np.sqrt((weighted / values[:d] ** 2).sum()))
-
-
-@dataclass(frozen=True)
-class BoundEnvelope:
-    """The two sides of the error bound for one run.
-
-    ``lower_term`` is the sampling floor C(P) / ||A||; ``algorithmic_term``
-    is the solver's contribution tol / rho.  Their ratio diagnoses which
-    source dominates: below 1 the tolerance is already inside the noise.
-    """
-
-    sampling_constant: float
-    rho: float
-    tolerance: float
-    spectral_norm: float
-    lower_term: float
-    algorithmic_term: float
-    ratio: float
-
-
-def bound_envelope(
-    sampling_constant: float, rho: float, tolerance: float, spectral_norm: float
-) -> BoundEnvelope:
-    """Assemble the bound envelope; rho must be strictly positive."""
-    if not rho > 0.0:
-        raise DomainError("rho must be strictly positive")
-    if sampling_constant < 0.0 or tolerance < 0.0 or not spectral_norm > 0.0:
-        raise DomainError("envelope terms must be nonnegative with a positive norm")
-    lower = sampling_constant / spectral_norm
-    algo = tolerance / rho
-    ratio = algo / lower if lower > 0 else float("inf")
-    return BoundEnvelope(
-        sampling_constant=sampling_constant,
-        rho=rho,
-        tolerance=tolerance,
-        spectral_norm=spectral_norm,
-        lower_term=lower,
-        algorithmic_term=algo,
-        ratio=ratio,
-    )

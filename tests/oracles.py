@@ -4,16 +4,18 @@ Everything here is deliberately naive: brute force over the orthogonal
 group, O(n^2) pair counting, exhaustive graph enumeration, a per-line
 edge-list reader, two-lexsort adjacency checks, a latent range check over
 every pair of rows, a sampler that draws one row of uniforms per call,
-Lloyd with its distances held one point per row, and the Lanczos solver
-with its basis stored one vector per column.  None of
-it imports the package under test, except its exception types and the
-fresh-solve harness references at the end: they rebuild sweep and
+Lloyd with its distances held one point per row, the Lanczos solver
+with its basis stored one vector per column, and a sweep CSV reader that
+takes each row as a dict.  None of it imports the package under test,
+except its exception types, the sweep record type the reader builds, and
+the fresh-solve harness references at the end: they rebuild sweep and
 stability records from the package's own solver and metrics with one
 independent solve per tolerance, the plain pipeline that the harness's
 shared restart path must reproduce.
 """
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -593,6 +595,22 @@ def column_major_solve(A, d, tol, *, seed, max_restarts: int = 400) -> dict:
         "vectors": U,
         "converged": converged,
     }
+
+
+def reference_read_sweep_csv(path) -> list:
+    """The records of a sweep CSV, one ``csv.DictReader`` row each.
+
+    The counts are read with int() and every other column with float(),
+    which gives back a 17-significant-digit value bit for bit, NaN too."""
+    from spectol.experiments import SweepRecord
+
+    counts = {"replicate", "iterations", "matvecs"}
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            SweepRecord(**{col: (int if col in counts else float)(text)
+                           for col, text in row.items()})
+            for row in csv.DictReader(fh)
+        ]
 
 
 def fresh_sweep_records(config) -> list:

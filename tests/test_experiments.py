@@ -34,11 +34,11 @@ from spectol.experiments import (
     STABILITY_COLUMNS,
     SWEEP_COLUMNS,
     SweepConfig,
+    SweepRecord,
     block_model,
     ingest_edge_list,
     load_sweep_config,
     parse_tolerances,
-    read_sweep_csv,
     run_clustering_stability,
     run_tolerance_sweep,
     sweep_config_from_dict,
@@ -56,6 +56,7 @@ from oracles import (
     fresh_stability_records,
     fresh_sweep_records,
     reference_ingest_edge_list,
+    reference_read_sweep_csv,
 )
 
 
@@ -290,8 +291,14 @@ class TestSweepConfigValidation:
             SweepConfig(model=small_sbm(), replicates=0)
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(DomainError):
-            SweepConfig(model=small_sbm(), heuristic_variant="median")
+        # the summary's heuristic is always the spectral one: no field or
+        # config key chooses another
+        with pytest.raises(TypeError):
+            SweepConfig(model=small_sbm(), heuristic_variant="sqrt_n")
+        with pytest.raises(DomainError, match="unknown config keys"):
+            sweep_config_from_dict(
+                {"sizes": "10,10", "b_diag": 0.1, "heuristic_variant": "spectral"}
+            )
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(DomainError):
@@ -314,6 +321,16 @@ class TestSweepConfigValidation:
         config = SweepConfig(model=small_sbm(), d=2.0, replicates=3.0, seed=np.int64(4))
         assert (config.d, config.replicates, config.seed) == (2, 3, 4)
         assert all(type(x) is int for x in (config.d, config.replicates, config.seed))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("scaled", "no"), ("record_timing", "false"), ("scaled", 1),
+         ("record_timing", None)],
+    )
+    def test_switch_field_rejects_non_bool(self, key, value):
+        # a truthy string must not switch the scaled column or timing on
+        with pytest.raises(DomainError, match=key):
+            SweepConfig(model=small_sbm(), **{key: value})
 
 
 class TestToleranceParsing:
@@ -421,7 +438,6 @@ class TestConfigFiles:
             "tolerances",
             "replicates",
             "seed",
-            "heuristic_variant",
             "output",
             "scaled",
             "record_timing",
@@ -462,7 +478,7 @@ class TestToleranceSweep:
         assert len(rows) == 1 + 20 * 20
 
     def test_csv_round_trip_bit_exact(self, benchmark_sweep):
-        back = read_sweep_csv(benchmark_sweep.serial_a.path)
+        back = reference_read_sweep_csv(benchmark_sweep.serial_a.path)
         assert back == list(benchmark_sweep.serial_a.records)
 
     def test_round_trip_preserves_nan(self, tmp_path):
@@ -476,7 +492,7 @@ class TestToleranceSweep:
         assert all(math.isnan(rec.procrustes_error) for rec in records)
         out = tmp_path / "tiny.csv"
         write_records_csv(out, records)
-        back = read_sweep_csv(out)
+        back = reference_read_sweep_csv(out)
         for a, b in zip(back, records):
             assert math.isnan(a.procrustes_error)
             assert a.residual == b.residual and a.rho == b.rho
@@ -602,8 +618,27 @@ class TestToleranceSweep:
         with open(out, newline="") as fh:
             header = next(csv.reader(fh))
         assert header[-1] == "procrustes_error_scaled"
-        back = read_sweep_csv(out)
+        back = reference_read_sweep_csv(out)
         assert back == list(records)
+
+    @pytest.mark.parametrize("case", ["scaled", "unscaled", "empty"])
+    def test_writer_takes_schema_from_records(self, tmp_path, case):
+        # the scaled column follows the records; no record writes the header
+        record = SweepRecord(
+            tol_exponent=1.0, replicate=0, iterations=2, matvecs=10,
+            procrustes_error=0.5, residual=0.25, rho=0.125, elapsed_ms=0.0,
+        )
+        records, columns = {
+            "scaled": ([dataclasses.replace(record, procrustes_error_scaled=0.75)],
+                       SWEEP_COLUMNS + ("procrustes_error_scaled",)),
+            "unscaled": ([record], SWEEP_COLUMNS),
+            "empty": ([], SWEEP_COLUMNS),
+        }[case]
+        out = tmp_path / "records.csv"
+        write_records_csv(out, records)
+        with open(out, newline="") as fh:
+            assert next(csv.reader(fh)) == list(columns)
+        assert reference_read_sweep_csv(out) == records
 
     def test_flattening_point_beats_heuristic_across_scalings(self):
         # the same model inflated or deflated by a constant factor keeps
@@ -805,6 +840,10 @@ class TestClusteringStability:
             pytest.param({"workers": 0}, id="workers0"),
             pytest.param({"workers": -3}, id="workers-3"),
             pytest.param({"repetitions": 0}, id="repetitions0"),
+            pytest.param({"k_range": (2.7, 3.9)}, id="k_range_fraction"),
+            pytest.param({"repetitions": 1.5}, id="repetitions_fraction"),
+            pytest.param({"workers": 1.5}, id="workers_fraction"),
+            pytest.param({"seed": 0.5}, id="seed_fraction"),
         ],
     )
     def test_bad_k_range_rejected_before_any_solve(self, monkeypatch, bad):
@@ -1027,6 +1066,17 @@ class TestCli:
         assert code == 2
         assert "argument --dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("sweep", "--variant"), ("check", "--c0"), ("check", "--a")],
+    )
+    def test_removed_option_is_usage_error(self, tmp_path, capsys, command, flag):
+        # the sweep's heuristic variant and check's thresholds are constants
+        code = cli_main([command, "--sizes", "10,10", "--b-diag", "0.5", flag, "0.1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k_range", ["x", "", "1,2", "0,2", "2,,3", "2.5", "2;3"])
     def test_bad_k_range_is_usage_error(self, tmp_path, capsys, k_range):
         graph_path = tmp_path / "k5.txt"
@@ -1106,7 +1156,7 @@ class TestCli:
         P = FactoredProbabilityMatrix(
             sbm_to_latent(block_model("300,300,300", b_diag=0.05, b_off=0.02))
         )
-        assert payload["gamma"] == check_assumptions(P, 3, 0.1, 0.5).gamma
+        assert payload["gamma"] == check_assumptions(P, 3).gamma
 
     @pytest.mark.parametrize("command", ["sweep", "cluster-stability"])
     def test_empty_tolerances_is_runtime_error(self, tmp_path, capsys, command):

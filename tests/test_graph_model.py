@@ -234,12 +234,12 @@ class TestMaxRowSum:
     def test_block_model_closed_form(self):
         # 300 * 0.05 within the block plus 2 * 300 * 0.02 across
         P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
-        delta = check_assumptions(P, 3, c0=0.1, a=0.5).delta
+        delta = check_assumptions(P, 3).delta
         assert abs(delta - 27.0) <= 1e-10
 
     def test_factored_matches_dense(self):
         P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
-        delta = check_assumptions(P, 3, c0=0.1, a=0.5).delta
+        delta = check_assumptions(P, 3).delta
         assert abs(delta - float(P.dense().sum(axis=1).max())) <= 1e-10
 
 
@@ -248,14 +248,14 @@ class TestEigengapRatio:
 
     def test_block_model_value(self):
         P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
-        gamma = check_assumptions(P, 3, c0=0.1, a=0.5).gamma
+        gamma = check_assumptions(P, 3).gamma
         assert abs(gamma - 1.0 / 3.0) <= 1e-12
 
 
 class TestCheckAssumptions:
     def test_three_block_report(self):
         P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
-        report = check_assumptions(P, 3, c0=0.1, a=0.5)
+        report = check_assumptions(P, 3)
         assert report.rank == 3 and report.rank_matches
         assert report.gamma_check
         assert abs(report.gamma - 1.0 / 3.0) <= 1e-12
@@ -263,19 +263,25 @@ class TestCheckAssumptions:
         assert 5.5e3 < report.delta_threshold < 5.7e3
         assert not report.delta_check
 
+    def test_thresholds_are_fixed(self):
+        # c0 = 0.1 and a = 0.5, the thresholds `spectol check` reports against
+        assert (graph_model.GAMMA_MIN, graph_model.DENSITY_MARGIN) == (0.1, 0.5)
+        P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
+        assert check_assumptions(P, 3).delta_threshold == math.log(900) ** 4.5
+
     def test_full_rank_gamma_positive(self):
         X = LatentPositions(np.array([[0.6, 0.0], [0.0, 0.4], [0.0, 0.4]]))
-        report = check_assumptions(FactoredProbabilityMatrix(X), 2, c0=0.1, a=0.5)
+        report = check_assumptions(FactoredProbabilityMatrix(X), 2)
         assert report.rank == 2 and report.gamma > 0.0
 
     def test_dimension_zero_rejected(self):
         P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
         with pytest.raises(DimensionMismatch):
-            check_assumptions(P, 0, c0=0.1, a=0.5)
+            check_assumptions(P, 0)
 
     def test_zero_matrix_fails_everything(self):
         P = FactoredProbabilityMatrix(LatentPositions(np.zeros((20, 1))))
-        report = check_assumptions(P, 1, c0=0.1, a=0.5)
+        report = check_assumptions(P, 1)
         assert report.rank == 0
         assert not report.gamma_check and not report.delta_check
 
@@ -283,7 +289,7 @@ class TestCheckAssumptions:
         # delta = 0.9 n beats (ln n)^4.5 only past n ~ 5e4
         for n, expected in ((2000, False), (60000, True)):
             X = LatentPositions(np.full((n, 1), math.sqrt(0.9)))
-            report = check_assumptions(FactoredProbabilityMatrix(X), 1, c0=0.1, a=0.5)
+            report = check_assumptions(FactoredProbabilityMatrix(X), 1)
             assert report.rank == 1
             assert abs(report.delta - 0.9 * n) <= 1e-8 * n
             assert report.delta_check is expected
