@@ -14,7 +14,8 @@ import math
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,25 +43,6 @@ from .tolerance import conservative_tolerance, report_from_solve
 log = logging.getLogger(__name__)
 
 DEFAULT_TOLERANCES = tuple(2.0**-k for k in range(1, 21))
-SWEEP_COLUMNS = (
-    "tol_exponent",
-    "replicate",
-    "iterations",
-    "matvecs",
-    "procrustes_error",
-    "residual",
-    "rho",
-    "elapsed_ms",
-)
-STABILITY_COLUMNS = (
-    "tol_exponent",
-    "repetition",
-    "k_chosen",
-    "ari_vs_reference",
-    "ari_vs_coarser",
-    "mean_silhouette",
-)
-_INT_COLUMNS = {"replicate", "repetition", "iterations", "matvecs", "k_chosen"}
 DIMENSION_SELECTION_METHOD = "profile_likelihood_equal_variance"
 # relative residual of the rank-20 pilot behind d = "auto"
 PILOT_TOL = 1e-2
@@ -76,6 +58,12 @@ def _check_tolerances(tolerances, name: str = "tolerances") -> tuple[float, ...]
     if any(b >= a for a, b in zip(tols, tols[1:])):
         raise DomainError(f"{name} must be strictly decreasing")
     return tols
+
+
+def _fields_typed(cls, annotation: str) -> tuple[str, ...]:
+    """The fields of dataclass ``cls`` annotated exactly ``annotation``
+    (annotations are strings in this module)."""
+    return tuple(f.name for f in fields(cls) if f.type == annotation)
 
 
 def _check_runs(count: int, noun: str, workers: int) -> None:
@@ -108,10 +96,10 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tolerances", _check_tolerances(self.tolerances))
-        for key in ("replicates", "seed", "workers"):
+        for key in _fields_typed(SweepConfig, "int"):
             object.__setattr__(self, key, _integer(getattr(self, key), key))
         _check_runs(self.replicates, "replicate", self.workers)
-        for key in ("scaled", "record_timing"):
+        for key in _fields_typed(SweepConfig, "bool"):
             value = getattr(self, key)
             if not isinstance(value, bool):
                 raise DomainError(f"{key} must be True or False, got {value!r}")
@@ -255,47 +243,44 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     joins the path (recorded only if configured), and the summary's
     heuristics are read off its solve, as ``embed`` reads them.
 
+    Replicate r's graph is drawn from its graph seed: a sample of the block
+    model, or an edge-list model's one graph.  Replicate 0's graph is drawn
+    first; under ``d="auto"`` the pilot runs on it with its graph seed.
     Every tolerance of a replicate reads rho off one extremes solve of its
-    graph at ``RHO_TOL`` with the replicate's solver seed
-    (``_rho_extremes``), so rho is defined at every n and never needs the
-    dense spectrum; an edge-list model's one graph gets one extremes solve,
-    with replicate 0's solver seed.  Under ``d="auto"`` the pilot runs on
-    replicate 0's graph with its graph seed, and replicate 0 reuses that
-    graph.  A cell whose rho that solve cannot settle exactly gets
-    NaN, never a guess, and the summary's ``rho_nan_cells`` counts them.
+    graph at ``RHO_TOL`` (``_rho_extremes``), so rho is defined at every n
+    and never needs the dense spectrum.  There is one extremes solve per
+    distinct graph, with the solver seed of the first replicate to draw it:
+    an edge-list model's one graph gets replicate 0's.  A cell whose rho
+    that solve cannot settle exactly gets NaN, never a guess, and the
+    summary's ``rho_nan_cells`` counts them.
     Returns the records (replicate-major order) and a summary dict; writes
     CSV and summary JSON when the config names an output path.
     """
-    P = sigma = V = fixed_graph = None
+    sigma = V = None
     if isinstance(config.model, SbmSpec):
         P = FactoredProbabilityMatrix(sbm_to_latent(config.model))
         sigma, V = P.eigendecomposition()
+        draw = partial(sample_adjacency, P)
     else:
-        fixed_graph = ingest_edge_list(config.model).graph
+        graph = ingest_edge_list(config.model).graph
+
+        def draw(graph_ss):
+            return graph
 
     # replicate 0's graph and solver streams; the pilot draws from the first
     graph0_ss, solver0_ss = np.random.SeedSequence(config.seed).spawn(2)
-    graph0 = fixed_graph
+    graph0 = draw(graph0_ss)
     if config.d == "auto":
-        if graph0 is None:
-            graph0 = sample_adjacency(P, graph0_ss)
         d = _pilot_dimension(graph0, graph0_ss)
         selection = DIMENSION_SELECTION_METHOD
     else:
-        d = int(config.d)
-        selection = "fixed"
-    # a fixed graph has one excluded spectrum: one extremes solve serves all
-    fixed_extremes = None
-    if fixed_graph is not None:
-        fixed_extremes = _rho_extremes(fixed_graph, d, solver0_ss)
+        d, selection = config.d, "fixed"
+    extremes0 = _rho_extremes(graph0, d, solver0_ss)
 
     def one_replicate(r: int):
         graph_ss, solver_ss = np.random.SeedSequence(config.seed + r).spawn(2)
-        if fixed_graph is not None:
-            A, extremes = fixed_graph, fixed_extremes
-        else:
-            A = graph0 if r == 0 and graph0 is not None else sample_adjacency(P, graph_ss)
-            extremes = _rho_extremes(A, d, solver_ss)
+        A = graph0 if r == 0 else draw(graph_ss)
+        extremes = extremes0 if A is graph0 else _rho_extremes(A, d, solver_ss)
         conservative = conservative_tolerance(A)
         records = []
         dec = None
@@ -648,29 +633,25 @@ def write_edge_list(path, graph: SparseGraph, *, header: dict | None = None) -> 
         write_rows(fh, "%d %d\n", np.column_stack([src[mask], graph.indices[mask]]))
 
 
-def _format_value(column: str, value) -> str:
-    if column in _INT_COLUMNS:
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def write_records_csv(path, records) -> None:
-    """Fixed-schema CSV with floats at 17 significant digits.  The first
-    record picks the columns: the stability ones, or the sweep ones plus
-    ``procrustes_error_scaled`` when it carries one; no record, the sweep's."""
-    if records and isinstance(records[0], StabilityRecord):
-        columns = STABILITY_COLUMNS
-    elif records and records[0].procrustes_error_scaled is not None:
-        columns = SWEEP_COLUMNS + ("procrustes_error_scaled",)
-    else:
-        columns = SWEEP_COLUMNS
+    """Fixed-schema CSV: one column per field of the first record that is
+    not None, in field order; ``int`` fields as integers, the others as
+    floats at 17 significant digits.  No record writes the sweep header."""
+    kind = type(records[0]) if records else SweepRecord
+    columns = [
+        f.name for f in fields(kind)
+        if (getattr(records[0], f.name) if records else f.default) is not None
+    ]
+    ints = _fields_typed(kind, "int")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for rec in records:
-            writer.writerow(
-                [_format_value(col, getattr(rec, col)) for col in columns]
-            )
+            writer.writerow([
+                str(int(getattr(rec, col))) if col in ints
+                else format(float(getattr(rec, col)), ".17g")
+                for col in columns
+            ])
 
 
 def _parse_tolerance_token(token: str) -> float:
@@ -774,10 +755,10 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
             if isinstance(raw, str)
             else tuple(_parse(float, t, "tolerance") for t in _items(raw, ","))
         )
-    for key in ("replicates", "seed", "workers"):
+    for key in _fields_typed(SweepConfig, "int"):
         if key in data:
             kwargs[key] = data.pop(key)
-    for key in ("scaled", "record_timing"):
+    for key in _fields_typed(SweepConfig, "bool"):
         if key in data:
             kwargs[key] = as_bool(data.pop(key))
     if "output" in data:

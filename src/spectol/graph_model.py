@@ -117,10 +117,6 @@ class SbmSpec:
     def n(self) -> int:
         return sum(self.sizes)
 
-    def block_assignment(self) -> np.ndarray:
-        """Block index of every vertex, blocks laid out consecutively."""
-        return np.repeat(np.arange(self.k), self.sizes)
-
 
 @dataclass(frozen=True)
 class FactoredProbabilityMatrix:
@@ -234,13 +230,6 @@ class SparseGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    @cached_property
-    def _entry_rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-
     @cached_property
     def _row_starts(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertices with neighbors and where their neighbor lists start."""
@@ -265,8 +254,7 @@ class SparseGraph:
         if self.n > DENSE_LIMIT:
             raise DomainError(f"refusing to materialize adjacency with n={self.n}")
         A = np.zeros((self.n, self.n))
-        if self.indices.size:
-            A[self._entry_rows, self.indices] = 1.0
+        A[np.repeat(np.arange(self.n), self.degrees), self.indices] = 1.0
         return A
 
 
@@ -329,8 +317,6 @@ def sample_adjacency(P: FactoredProbabilityMatrix, seed) -> SparseGraph:
 class AssumptionReport:
     """Raw values and verdicts for the spectral model assumptions."""
 
-    n: int
-    d: int
     rank: int
     rank_matches: bool
     gamma: float
@@ -362,8 +348,6 @@ def check_assumptions(P: FactoredProbabilityMatrix, d: int) -> AssumptionReport:
     gamma = (lam_d - lam_next) / delta if delta > 0 else float("nan")
     threshold = math.log(P.n) ** (4.0 + DENSITY_MARGIN) if P.n > 1 else float("inf")
     return AssumptionReport(
-        n=P.n,
-        d=d,
         rank=rank,
         rank_matches=rank == d,
         gamma=gamma,

@@ -43,13 +43,14 @@ import numpy as np
 
 from ._util import order_by_magnitude
 from .errors import DimensionMismatch, DomainError, NoConvergence
-from .graph_model import DENSE_LIMIT, SparseGraph
+from .graph_model import DENSE_LIMIT, RANK_REL_TOL, SparseGraph
 
 # relative change over the last block step below which a selected Ritz value
-# counts as settled (the settling gate of the stopping rule)
+# counts as settled (the settling gate of the stopping rule); a value below
+# RANK_REL_TOL times the largest is measured against that floor instead
 _STABILIZE_RTOL = 1e-3
 # restarts a solve makes before it returns its last iterate unconverged,
-# read at each call
+# read when a solve starts
 DEFAULT_MAX_RESTARTS = 400
 # Lanczos block width: random start vectors and new directions per block
 # step.  Two directions give both members of a near-tied leading pair their
@@ -72,7 +73,6 @@ class SpectralDecomposition:
     and so times ||A||.
     """
 
-    d: int
     values: np.ndarray
     vectors: np.ndarray
     residual: float
@@ -87,7 +87,7 @@ class SpectralDecomposition:
 
     def __post_init__(self) -> None:
         gram = self.vectors.T @ self.vectors
-        if np.linalg.norm(gram - np.eye(self.d)) > 1e-8:
+        if np.linalg.norm(gram - np.eye(self.values.size)) > 1e-8:
             raise DimensionMismatch("Ritz vectors are not orthonormal")
         if self.converged:
             limit = self.tolerance_used * self.spectral_norm_estimate
@@ -106,19 +106,20 @@ def _orthogonalize(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return t
 
 
-def _expand_basis(A, Q, W, j, m, b, rng):
+def _expand_basis(A, Q, W, j, m, rng):
     """Grow the block Lanczos basis to m rows; returns (new_size, matvecs_used).
 
-    Row j extends the Krylov block of row j - b: it is A times that row,
-    reorthogonalized against everything retained, so b consecutive rows
-    form one block step.  On breakdown (an invariant subspace was hit) a
-    random direction is injected; if even that lies in the span the basis
-    has filled the whole space and expansion stops early.
+    Row j extends the Krylov block of row j - _BLOCK: it is A times that
+    row, reorthogonalized against everything retained, so _BLOCK
+    consecutive rows form one block step.  On breakdown (an invariant
+    subspace was hit) a random direction is injected; if even that lies in
+    the span the basis has filled the whole space and expansion stops
+    early.
     """
     n = Q.shape[1]
     start = j
     while j < m:
-        source = W[max(j - b, 0)]
+        source = W[max(j - _BLOCK, 0)]
         t = _orthogonalize(source, Q[:j])
         beta = np.linalg.norm(t)
         if beta <= 1e-12 * max(1.0, np.linalg.norm(source)):
@@ -132,7 +133,7 @@ def _expand_basis(A, Q, W, j, m, b, rng):
     return j, j - start
 
 
-def _restarts(A, d, m, max_restarts, seed):
+def _restarts(A, d, m, seed):
     """The thick-restart trajectory of one start block, one restart at a time.
 
     Yields (state, U, theta) after each restart's Ritz extraction: ``state``
@@ -140,8 +141,9 @@ def _restarts(A, d, m, max_restarts, seed):
     The tolerance appears nowhere here, so one trajectory serves every
     tolerance; the caller picks the restart to stop at.
     """
+    max_restarts = DEFAULT_MAX_RESTARTS
     n = A.n
-    b = min(_BLOCK, m)
+    b = _BLOCK  # m >= d + 1 >= 2, so a whole block always fits
     keep = max(d, min(d + 5, m - b))
 
     rng = np.random.default_rng(seed)
@@ -156,17 +158,17 @@ def _restarts(A, d, m, max_restarts, seed):
     j = b
 
     for iteration in range(1, max_restarts + 1):
-        j, used = _expand_basis(A, Q, W, j, m, b, rng)
+        j, used = _expand_basis(A, Q, W, j, m, rng)
         matvecs += used
         H = Q[:j] @ W[:j].T
         H = 0.5 * (H + H.T)
         all_theta, all_Y = np.linalg.eigh(H)
         order = order_by_magnitude(all_theta)
-        take = order[: min(d, j)]
+        take = order[:d]
         theta = all_theta[take]
         Yd = all_Y[:, take]
         # |theta_1| <= ||A||, so passing against it passes against ||A||
-        denom = float(np.abs(all_theta[order[0]]))
+        denom = float(abs(theta[0]))
 
         # settling gate: a small residual alone can accept an iterate sitting
         # near the wrong invariant subspace, with a leading direction the
@@ -174,7 +176,9 @@ def _restarts(A, d, m, max_restarts, seed):
         # iterates betray themselves through leading Ritz values that still
         # move as the basis grows, so termination also requires every
         # selected value to have settled over the last block step (a single
-        # row is only part of a block step)
+        # row is only part of a block step).  A value near zero is measured
+        # against RANK_REL_TOL * |theta_1|: rounding moves it by far more
+        # than 1e-3 of itself, and a tie at zero never settles otherwise
         settled = False
         if j > d:
             p = max(j - b, d)
@@ -183,7 +187,7 @@ def _restarts(A, d, m, max_restarts, seed):
             settled = bool(
                 np.all(
                     np.abs(theta - prev)
-                    <= _STABILIZE_RTOL * np.maximum(np.abs(theta), 1e-300)
+                    <= _STABILIZE_RTOL * np.maximum(np.abs(theta), RANK_REL_TOL * denom)
                 )
             )
 
@@ -201,9 +205,9 @@ def _restarts(A, d, m, max_restarts, seed):
         # thick restart: grow the next block (A times the last b rows) into
         # the spare rows, then compress the basis to the leading Ritz
         # vectors followed by that block
-        nxt, used = _expand_basis(A, Q, W, j, j + b, b, rng)
+        nxt, used = _expand_basis(A, Q, W, j, j + b, rng)
         matvecs += used
-        hold = order[: min(keep, j)]
+        hold = order[:keep]
         held = hold.size
         fresh = min(nxt - j, m - held)
         for M in (Q, W):
@@ -251,7 +255,7 @@ class _RestartPath:
         self.log: list[_Restart] = []
         self.U = self.theta = None
         self.owner = None  # weak reference to the latest result on the path
-        self._steps = _restarts(A, d, m, DEFAULT_MAX_RESTARTS, seed)
+        self._steps = _restarts(A, d, m, seed)
 
     def pull(self) -> bool:
         """Run the trajectory to its next restart; False once the budget is spent."""
@@ -339,7 +343,6 @@ def truncated_eigs(
     if not converged and state.residual is None:
         state.residual = residual_norm(A, path.U, path.theta)
     dec = SpectralDecomposition(
-        d=d,
         values=path.theta.copy(),
         vectors=path.U.copy(order="C"),
         residual=state.residual,

@@ -46,7 +46,6 @@ def conservative_tolerance(A: SparseGraph) -> float:
 class ToleranceReport:
     """All tolerance recommendations for one graph."""
 
-    n: int
     spectral_norm_estimate: float
     delta_A: float
     heuristic_spectral: float
@@ -70,7 +69,6 @@ def report_from_solve(A: SparseGraph, dec: SpectralDecomposition) -> ToleranceRe
         raise NoConvergence(dec.iterations)  # an unconverged solve spent its budget
     lam1 = dec.spectral_norm_estimate
     return ToleranceReport(
-        n=A.n,
         spectral_norm_estimate=lam1,
         delta_A=float(A.degrees.max()),
         heuristic_spectral=heuristic_tolerance(A.n, lam1),

@@ -31,8 +31,6 @@ from spectol.errors import DimensionMismatch, DomainError, ParseError
 from spectol.experiments import (
     DEFAULT_TOLERANCES,
     PILOT_TOL,
-    STABILITY_COLUMNS,
-    SWEEP_COLUMNS,
     SweepConfig,
     SweepRecord,
     block_model,
@@ -75,6 +73,37 @@ def nan_safe(records) -> list:
 
 # relative distance allowed between a sweep's rho and the dense spectrum's
 RHO_RTOL = 1e-12
+
+# the CSV headers, written out: a new record field must change these first
+SWEEP_HEADER = [
+    "tol_exponent", "replicate", "iterations", "matvecs", "procrustes_error",
+    "residual", "rho", "elapsed_ms",
+]
+STABILITY_HEADER = [
+    "tol_exponent", "repetition", "k_chosen", "ari_vs_reference",
+    "ari_vs_coarser", "mean_silhouette",
+]
+
+
+def assert_integer_columns(rows, header, columns) -> None:
+    """The count columns of a CSV hold plain integers, never "2.0"."""
+    for col in columns:
+        i = header.index(col)
+        assert all(re.fullmatch(r"\d+", row[i]) for row in rows[1:]), col
+
+
+def spy_extremes_solves(monkeypatch) -> list:
+    """The graph of every extremes solve (``_rho_extremes`` call) the sweep
+    runs from now on, in call order."""
+    graphs = []
+    extremes = experiments._rho_extremes
+
+    def spy(A, d, seed):
+        graphs.append(A)
+        return extremes(A, d, seed)
+
+    monkeypatch.setattr(experiments, "_rho_extremes", spy)
+    return graphs
 
 
 def without_rho(records) -> list:
@@ -474,8 +503,9 @@ class TestToleranceSweep:
     def test_row_count_and_schema(self, benchmark_sweep):
         with open(benchmark_sweep.serial_a.path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(SWEEP_COLUMNS)
+        assert rows[0] == SWEEP_HEADER
         assert len(rows) == 1 + 20 * 20
+        assert_integer_columns(rows, SWEEP_HEADER, ("replicate", "iterations", "matvecs"))
 
     def test_csv_round_trip_bit_exact(self, benchmark_sweep):
         back = reference_read_sweep_csv(benchmark_sweep.serial_a.path)
@@ -630,14 +660,14 @@ class TestToleranceSweep:
         )
         records, columns = {
             "scaled": ([dataclasses.replace(record, procrustes_error_scaled=0.75)],
-                       SWEEP_COLUMNS + ("procrustes_error_scaled",)),
-            "unscaled": ([record], SWEEP_COLUMNS),
-            "empty": ([], SWEEP_COLUMNS),
+                       SWEEP_HEADER + ["procrustes_error_scaled"]),
+            "unscaled": ([record], SWEEP_HEADER),
+            "empty": ([], SWEEP_HEADER),
         }[case]
         out = tmp_path / "records.csv"
         write_records_csv(out, records)
         with open(out, newline="") as fh:
-            assert next(csv.reader(fh)) == list(columns)
+            assert next(csv.reader(fh)) == columns
         assert reference_read_sweep_csv(out) == records
 
     def test_flattening_point_beats_heuristic_across_scalings(self):
@@ -713,28 +743,35 @@ class TestSweepRho:
         assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(config))
         assert summary["rho_nan_cells"] == 0
 
-    def test_edge_list_runs_one_extremes_solve(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("d", [3, "auto"])
+    def test_edge_list_runs_one_extremes_solve(self, monkeypatch, tmp_path, d, workers):
         # the replicates of an edge-list sweep differ only in their start
         # block; the graph's one extremes solve runs with replicate 0's seed
         A = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm())), 5)
         path = tmp_path / "sbm.txt"
         write_edge_list(path, A)
         config = SweepConfig(
-            model=str(path), d=3, tolerances=(2.0**-2, 2.0**-6, 2.0**-10), replicates=3
+            model=str(path), d=d, tolerances=(2.0**-2, 2.0**-6, 2.0**-10), replicates=3,
+            workers=workers,
         )
-        widths = []
-        solve = experiments.truncated_eigs
-
-        def spy(A, d, tol, **kw):
-            if tol == experiments.RHO_TOL:
-                widths.append(d)
-            return solve(A, d, tol, **kw)
-
-        monkeypatch.setattr(experiments, "truncated_eigs", spy)
+        graphs = spy_extremes_solves(monkeypatch)
         records, summary = run_tolerance_sweep(config)
-        assert widths == [6]
-        assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(config))
+        assert len(graphs) == 1
+        fixed = dataclasses.replace(config, d=summary["dimension"])
+        assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(fixed))
         assert summary["rho_nan_cells"] == 0
+
+    @pytest.mark.parametrize("d", [3, "auto"])
+    def test_block_model_runs_one_extremes_solve_per_replicate(self, monkeypatch, d):
+        # each replicate draws its own graph, so each gets one extremes solve
+        config = SweepConfig(model=small_sbm(), d=d, tolerances=(0.5, 0.25), replicates=4)
+        graphs = spy_extremes_solves(monkeypatch)
+        records, summary = run_tolerance_sweep(config)
+        assert len(graphs) == config.replicates
+        assert len({id(A) for A in graphs}) == config.replicates
+        fixed = dataclasses.replace(config, d=summary["dimension"])
+        assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(fixed))
 
     def test_ritz_value_inside_the_excluded_range_is_nan(self, tmp_path):
         # d = 3 on a one-block graph asks for two bulk eigenvalues, and a
@@ -927,8 +964,9 @@ class TestClusteringStability:
         write_records_csv(out, records)
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(STABILITY_COLUMNS)
+        assert rows[0] == STABILITY_HEADER
         assert len(rows) == 1 + 2 * 2
+        assert_integer_columns(rows, STABILITY_HEADER, ("repetition", "k_chosen"))
 
 
 class TestPilotDimension:

@@ -203,6 +203,22 @@ class TestTruncatedEigs:
         _, sin_fro = canonical_angles(dec.vectors, V[:, :d])
         assert sin_fro <= np.sqrt(d) * dec.residual / gap + 1e-10
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("seed", ["int", "sweep solver stream"])
+    def test_ritz_value_at_zero_settles(self, seed, tol):
+        # the 20-cycle at d = n - 1: its 19th eigenvalue by magnitude is 0,
+        # tied with the 20th, and rounding moves a zero Ritz value by far
+        # more than 1e-3 of itself.  The tie makes the subspace non-unique,
+        # so the values are checked, not the vectors.
+        n = 20
+        cycle = SparseGraph.from_edges(n, np.array([(i, (i + 1) % n) for i in range(n)]))
+        seed = 0 if seed == "int" else np.random.SeedSequence(0).spawn(2)[1]
+        dec = truncated_eigs(cycle, n - 1, tol, seed=seed)
+        assert dec.converged
+        assert dec.iterations < 10
+        want, _ = dense_eig_oracle(cycle.to_dense())
+        assert np.abs(np.sort(dec.values) - np.sort(want[: n - 1])).max() <= 1e-12
+
     def test_budget_exhaustion_returns_flagged_best(self, monkeypatch):
         monkeypatch.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", 1)
         A = random_graph(200, 0.1, seed=11)
