@@ -15,25 +15,20 @@ from ._util import write_rows
 from .errors import SpectolError
 from .experiments import (
     DEFAULT_TOLERANCES,
-    block_model,
+    graph_source,
     ingest_edge_list,
     load_sweep_config,
+    model_from_keys,
     parse_tolerances,
+    resolve_dimension,
     run_clustering_stability,
     run_tolerance_sweep,
     summary_path,
     sweep_config_from_dict,
     write_edge_list,
     write_run,
-    _pilot_dimension,
 )
-from .graph_model import (
-    FactoredProbabilityMatrix,
-    SbmSpec,
-    check_assumptions,
-    sample_adjacency,
-    sbm_to_latent,
-)
+from .graph_model import check_assumptions
 from .spectral_core import truncated_eigs
 from .tolerance import HEURISTIC_RULES, report_from_solve, solve_at_heuristic
 
@@ -44,17 +39,18 @@ def _add_sbm_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--b-diag", type=float, help="within-block edge probability")
     parser.add_argument(
-        "--b-off", type=float, default=0.0, help="between-block edge probability"
+        "--b-off", type=float, help="between-block edge probability (default 0)"
     )
     parser.add_argument(
         "--b", help="full block matrix, rows separated by ';', e.g. 0.05,0.02;0.02,0.05"
     )
 
 
-def _sbm_from_args(args) -> SbmSpec:
-    if not args.sizes:
-        raise SpectolError("an SBM needs --sizes")
-    return block_model(args.sizes, b=args.b, b_diag=args.b_diag, b_off=args.b_off)
+def _model(args):
+    """The model the flags name: --graph's edge list or the block model flags."""
+    keys = dict(vars(args))
+    keys["edge_list"] = keys.pop("graph", None)
+    return model_from_keys(keys)
 
 
 def _report(output, summary: dict) -> None:
@@ -86,16 +82,9 @@ def _k_range(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in parts)
 
 
-def _resolve_dim(args, graph) -> int:
-    if args.dim == "auto":
-        return _pilot_dimension(graph, args.seed)
-    return args.dim
-
-
 def _cmd_sample(args) -> int:
-    spec = _sbm_from_args(args)
-    P = FactoredProbabilityMatrix(sbm_to_latent(spec))
-    graph = sample_adjacency(P, args.seed)
+    _, draw = graph_source(_model(args))
+    graph = draw(args.seed)
     write_edge_list(
         args.out, graph, header={"n": graph.n, "m": graph.m, "seed": args.seed}
     )
@@ -105,11 +94,12 @@ def _cmd_sample(args) -> int:
 
 def _cmd_embed(args) -> int:
     graph = ingest_edge_list(args.graph).graph
-    d = _resolve_dim(args, graph)
+    d = resolve_dimension(args.dim, graph, args.seed)
     if args.tol is not None:
         dec = truncated_eigs(graph, d, args.tol, seed=args.seed)
     else:
-        dec = solve_at_heuristic(graph, d, args.tol_heuristic, seed=args.seed)
+        rule = args.tol_heuristic or "spectral"
+        dec = solve_at_heuristic(graph, d, rule, seed=args.seed)
     values_path = Path(str(args.out) + ".values.csv")
     vectors_path = Path(str(args.out) + ".vectors.csv")
     with open(values_path, "w", encoding="utf-8") as fh:
@@ -142,11 +132,9 @@ def _cmd_sweep(args) -> int:
         return 2
     if args.config:
         config = load_sweep_config(args.config)
-    elif args.graph or args.sizes:
+    else:
         data = {_SWEEP_KEYS.get(key, key): value for key, value in given.items()}
         config = sweep_config_from_dict(data)
-    else:
-        raise SpectolError("an SBM needs --sizes")
     _, summary = run_tolerance_sweep(config)
     _report(config.output, summary)
     return 0
@@ -155,13 +143,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_cluster_stability(args) -> int:
     tolerances = (DEFAULT_TOLERANCES if args.tolerances is None
                   else parse_tolerances(args.tolerances))
-    if args.graph:
-        graph = ingest_edge_list(args.graph).graph
-    else:
-        spec = _sbm_from_args(args)
-        P = FactoredProbabilityMatrix(sbm_to_latent(spec))
-        graph = sample_adjacency(P, args.seed)
-    d = _resolve_dim(args, graph)
+    _, draw = graph_source(_model(args))
+    graph = draw(args.seed)
+    d = resolve_dimension(args.dim, graph, args.seed)
     records, summary = run_clustering_stability(
         graph,
         d,
@@ -178,10 +162,10 @@ def _cmd_cluster_stability(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec = _sbm_from_args(args)
-    P = FactoredProbabilityMatrix(sbm_to_latent(spec))
+    spec = _model(args)
+    P, draw = graph_source(spec)
     d = spec.k if args.dim == "auto" else args.dim
-    graph = sample_adjacency(P, args.seed)
+    graph = draw(args.seed)
     # lambda_1 comes from the d-dimensional solve embed starts from
     solve = solve_at_heuristic(graph, d, "conservative", seed=args.seed)
     report = report_from_solve(graph, solve)
@@ -227,12 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dim", type=_dimension, default="auto", help="embedding dimension or 'auto'"
     )
-    p.add_argument("--tol", type=float, help="explicit stopping tolerance")
-    p.add_argument(
+    tol = p.add_mutually_exclusive_group()
+    tol.add_argument("--tol", type=float, help="explicit stopping tolerance")
+    # no default: argparse's exclusion check passes a value that is the
+    # default object itself, as an interned "spectral" would be
+    tol.add_argument(
         "--tol-heuristic",
         choices=HEURISTIC_RULES,
-        default="spectral",
-        help="tolerance rule used when --tol is absent",
+        help="tolerance rule used when --tol is absent (default spectral)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix for values/vectors")
@@ -253,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scaled", **switch, help="also compare scaled embeddings")
     p.add_argument("--timing", **switch, help="record wall-clock times")
     p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=_cmd_sweep, b_off=None)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("cluster-stability", help="embed-then-cluster stability study")
     _add_sbm_arguments(p)

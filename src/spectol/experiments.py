@@ -148,19 +148,32 @@ class StabilityRecord:
     mean_silhouette: float
 
 
-def _pilot_dimension(graph: SparseGraph, seed) -> int:
-    """Profile-likelihood elbow of a pilot decomposition's magnitude scree.
+def resolve_dimension(d, graph: SparseGraph, seed) -> int:
+    """``d``, or for "auto" the profile-likelihood elbow of a pilot
+    decomposition's magnitude scree, solved from ``seed``.
 
     The elbow reads only the sorted magnitudes, and a Ritz value's error is
     of the order of its residual squared over the gap, so the pilot stops at
     a loose tolerance.
     """
+    if d != "auto":
+        return d
     rank = min(20, graph.n - 2)
     if rank < 2:
         return 1
     dec = truncated_eigs(graph, rank, PILOT_TOL, seed=seed)
     scree = np.sort(np.abs(dec.values))[::-1]
     return zhu_ghodsi_dimension(scree)
+
+
+def graph_source(model: SbmSpec | str):
+    """``(P, draw)`` for a model: ``draw(seed)`` samples a block model's P,
+    or returns an edge list's one graph, read once here, whose P is None."""
+    if isinstance(model, SbmSpec):
+        P = FactoredProbabilityMatrix(sbm_to_latent(model))
+        return P, partial(sample_adjacency, P)
+    graph = ingest_edge_list(model).graph
+    return None, lambda seed: graph
 
 
 def _rho_extremes(A: SparseGraph, d: int, seed) -> np.ndarray | None:
@@ -256,25 +269,13 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     Returns the records (replicate-major order) and a summary dict; writes
     CSV and summary JSON when the config names an output path.
     """
-    sigma = V = None
-    if isinstance(config.model, SbmSpec):
-        P = FactoredProbabilityMatrix(sbm_to_latent(config.model))
-        sigma, V = P.eigendecomposition()
-        draw = partial(sample_adjacency, P)
-    else:
-        graph = ingest_edge_list(config.model).graph
-
-        def draw(graph_ss):
-            return graph
-
+    P, draw = graph_source(config.model)
+    sigma, V = P.eigendecomposition() if P is not None else (None, None)
     # replicate 0's graph and solver streams; the pilot draws from the first
     graph0_ss, solver0_ss = np.random.SeedSequence(config.seed).spawn(2)
     graph0 = draw(graph0_ss)
-    if config.d == "auto":
-        d = _pilot_dimension(graph0, graph0_ss)
-        selection = DIMENSION_SELECTION_METHOD
-    else:
-        d, selection = config.d, "fixed"
+    d = resolve_dimension(config.d, graph0, graph0_ss)
+    selection = DIMENSION_SELECTION_METHOD if config.d == "auto" else "fixed"
     extremes0 = _rho_extremes(graph0, d, solver0_ss)
 
     def one_replicate(r: int):
@@ -579,7 +580,8 @@ def ingest_edge_list(path, *, indexing: str = "auto") -> IngestResult:
     must hold exactly two integer tokens.  Self loops are dropped (counted
     and logged), duplicate edges merged.  With "auto" indexing the observed
     ids are compacted to 0..n-1 and the original ids returned as the map;
-    "zero" and "one" preserve the full id range, keeping isolated vertices.
+    "zero" and "one" keep the ids, so the vertices run up to the largest id:
+    isolated vertices below it are kept, those above it lost.
 
     Every O(m) step is an array operation: plain "u v" lines are parsed in
     bulk (the line rules are ``_parse_line``'s, and a ``ParseError`` names
@@ -698,29 +700,49 @@ def _items(value, sep: str) -> list:
     return [field for field in str(value).split(sep) if field.strip()]
 
 
-def block_model(sizes, *, b=None, b_diag=None, b_off=0.0) -> SbmSpec:
+def block_model(sizes, *, b=None, b_diag=None, b_off=None) -> SbmSpec:
     """The block model of ``sizes`` with the full block matrix ``b``, or with
-    ``b_diag`` within blocks and ``b_off`` between them.
+    ``b_diag`` within blocks and ``b_off`` (0 when None) between them.
 
     Every argument may be a string, as flags and key=value files give them
     ("300,300", "0.05,0.02;0.02,0.05": rows split at ';', entries at ','),
-    or numbers and lists, as JSON gives them.  A token that is not a number
-    is a ``DomainError`` naming it; ``SbmSpec`` checks shapes and ranges.
+    or numbers and lists, as JSON gives them.  A token that is not a number,
+    or ``b`` beside ``b_diag`` or ``b_off``, is a ``DomainError``; ``SbmSpec``
+    checks shapes and ranges.
     """
     sizes = tuple(_integer(s, "block size") for s in _items(sizes, ","))
     if b is not None:
+        if b_diag is not None or b_off is not None:
+            raise DomainError("a block model takes b or b_diag/b_off, not both")
         B = [
             [_parse(float, x, "block probability") for x in _items(row, ",")]
             for row in _items(b, ";")
         ]
     elif b_diag is not None:
         diag = _parse(float, b_diag, "b_diag")
-        off = _parse(float, b_off, "b_off")
+        off = 0.0 if b_off is None else _parse(float, b_off, "b_off")
         k = len(sizes)
         B = np.full((k, k), off) + np.eye(k) * (diag - off)
     else:
         raise DomainError("a block model needs b or b_diag")
     return SbmSpec(block_probabilities=B, sizes=sizes)
+
+
+def model_from_keys(data: dict) -> SbmSpec | str:
+    """Pop ``edge_list`` and the ``block_model`` keys from ``data``, None
+    meaning absent, and return the edge-list path or the block model.  An
+    edge list beside a block model key, or neither an edge list nor
+    ``sizes``, is a ``DomainError``."""
+    edge_list = data.pop("edge_list", None)
+    keys = {key: data.pop(key, None) for key in ("sizes", "b", "b_diag", "b_off")}
+    given = ", ".join(key for key, value in keys.items() if value is not None)
+    if edge_list is not None and given:
+        raise DomainError(f"an edge list takes no block model keys, got {given}")
+    if edge_list is not None:
+        return str(edge_list)
+    if keys["sizes"] is None:
+        raise DomainError("a model needs an edge list or block sizes")
+    return block_model(**keys)
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
@@ -735,16 +757,7 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
             return False
         raise DomainError(f"cannot parse boolean {x!r}")
 
-    model_keys = {key: data.pop(key) for key in ("b", "b_diag", "b_off") if key in data}
-    if "edge_list" in data:
-        model: SbmSpec | str = str(data.pop("edge_list"))
-        data.pop("sizes", None)
-    elif "sizes" in data:
-        model = block_model(data.pop("sizes"), **model_keys)
-    else:
-        raise DomainError("config needs either edge_list or sizes")
-
-    kwargs: dict = {"model": model}
+    kwargs: dict = {"model": model_from_keys(data)}
     d = data.pop("d", data.pop("dim", None))
     if d is not None:
         kwargs["d"] = d

@@ -340,7 +340,7 @@ def check_assumptions(P: FactoredProbabilityMatrix, d: int) -> AssumptionReport:
     if d < 1:
         raise DimensionMismatch("d must be at least 1")
     values, _ = P.eigendecomposition()
-    lam1 = float(values[0]) if values.size else 0.0
+    lam1 = float(values[0])
     rank = int(np.count_nonzero(values > RANK_REL_TOL * lam1)) if lam1 > 0 else 0
     delta = float(P.row_sums().max())
     lam_d = float(values[d - 1]) if d - 1 < values.size else 0.0

@@ -302,7 +302,7 @@ def zhu_ghodsi_dimension(scree) -> int:
     m = x.size
     if m < 2:
         raise DomainError("a scree needs at least two values")
-    scale = float(np.abs(x).max()) if m else 0.0
+    scale = float(np.abs(x).max())
     if np.any(x < -1e-12 * max(1.0, scale)):
         raise DomainError("scree values must be nonnegative")
     if np.any(np.diff(x) > 1e-12 * max(1.0, scale)):

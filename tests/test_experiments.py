@@ -36,13 +36,14 @@ from spectol.experiments import (
     block_model,
     ingest_edge_list,
     load_sweep_config,
+    model_from_keys,
     parse_tolerances,
+    resolve_dimension,
     run_clustering_stability,
     run_tolerance_sweep,
     sweep_config_from_dict,
     write_edge_list,
     write_records_csv,
-    _pilot_dimension,
 )
 from spectol.metrics import zhu_ghodsi_dimension
 from spectol.spectral_core import DEFAULT_MAX_RESTARTS, truncated_eigs
@@ -430,6 +431,36 @@ class TestConfigFiles:
     def test_bad_block_model_rejected(self, sizes, matrix, error):
         with pytest.raises(error):
             block_model(sizes, **matrix)
+
+    @pytest.mark.parametrize(
+        "keys, match",
+        [
+            ({"edge_list": "g.txt", "sizes": "10,10"}, "got sizes$"),
+            ({"edge_list": "g.txt", "b_off": 0.02}, "got b_off$"),
+            ({"sizes": "10,10", "b": "0.1,0.02;0.02,0.1", "b_diag": 0.1}, "not both"),
+            ({"sizes": "10,10", "b": "0.1,0.02;0.02,0.1", "b_off": 0.02}, "not both"),
+            ({"b_diag": 0.1, "d": 2}, "needs an edge list or block sizes"),
+        ],
+    )
+    def test_contradictory_or_missing_model_rejected(self, keys, match):
+        # an edge list silently dropped its block keys, and b its b_diag/b_off
+        with pytest.raises(DomainError, match=match):
+            model_from_keys(dict(keys))
+        with pytest.raises(DomainError, match=match):
+            sweep_config_from_dict(keys)
+
+    def test_model_keys_popped_and_none_absent(self):
+        data = {"edge_list": "g.txt", "sizes": None, "b_off": None, "d": 2}
+        assert model_from_keys(data) == "g.txt"
+        assert data == {"d": 2}
+
+    @pytest.mark.parametrize("sizes", ["500", "500,500"])
+    def test_b_off_defaults_to_zero(self, sizes):
+        B = block_model(sizes, b_diag=0.05).block_probabilities
+        assert np.array_equal(B, 0.05 * np.eye(len(sizes.split(","))))
+        assert np.array_equal(
+            B, block_model(sizes, b_diag=0.05, b_off=0.0).block_probabilities
+        )
 
     def test_json_and_key_value_files_agree(self, tmp_path):
         json_path = tmp_path / "sweep.json"
@@ -990,7 +1021,7 @@ class TestPilotDimension:
         tight = truncated_eigs(A, 20, 1e-4, seed=seed)
         tight_elbow = zhu_ghodsi_dimension(np.sort(np.abs(tight.values))[::-1])
         assert PILOT_TOL > 1e-4
-        assert _pilot_dimension(A, seed) == tight_elbow == elbow
+        assert resolve_dimension("auto", A, seed) == tight_elbow == elbow
 
 
 def k5_edge_list(path) -> None:
@@ -1317,6 +1348,43 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("sweep", ["--graph", "GRAPH", "--sizes", "10,10"],
+             "an edge list takes no block model keys, got sizes"),
+            ("cluster-stability", ["--graph", "GRAPH", "--b-diag", "0.1"],
+             "an edge list takes no block model keys, got b_diag"),
+            ("sample", ["--sizes", "10,10", "--b", "0.1,0.02;0.02,0.1", "--b-diag", "0.9"],
+             "a block model takes b or b_diag/b_off, not both"),
+            ("check", ["--sizes", "10,10", "--b", "0.1,0.02;0.02,0.1", "--b-off", "0.02"],
+             "a block model takes b or b_diag/b_off, not both"),
+        ],
+    )
+    def test_contradictory_model_is_runtime_error(
+        self, tmp_path, capsys, monkeypatch, command, flags, message
+    ):
+        # each ran a model other than the one named, and exited 0
+        graph_path = tmp_path / "k5.txt"
+        k5_edge_list(graph_path)
+        flags = [str(graph_path) if flag == "GRAPH" else flag for flag in flags]
+        monkeypatch.setattr(experiments, "truncated_eigs", lambda *a, **k: pytest.fail())
+        out = tmp_path / "o.csv"
+        assert cli_main([command, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rule", HEURISTIC_RULES)
+    def test_tol_beside_tol_heuristic_is_usage_error(self, tmp_path, capsys, rule):
+        # the rule was silently dropped for --tol, also for the default rule
+        graph_path = tmp_path / "k5.txt"
+        k5_edge_list(graph_path)
+        code = cli_main(["embed", "--graph", str(graph_path), "--dim", "2", "--tol",
+                         "0.25", "--tol-heuristic", rule, "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "e.values.csv").exists()
 
     def test_missing_model_is_runtime_error(self, tmp_path, capsys):
         code = cli_main(["sample", "--out", str(tmp_path / "x.txt")])
