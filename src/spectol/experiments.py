@@ -37,7 +37,7 @@ from .metrics import (
     silhouette_width,
     zhu_ghodsi_dimension,
 )
-from .spectral_core import ritz_gap_rho, truncated_eigs
+from .spectral_core import excluded_extremes, ritz_gap_rho, truncated_eigs
 from .tolerance import conservative_tolerance, report_from_solve
 
 log = logging.getLogger(__name__)
@@ -46,8 +46,6 @@ DEFAULT_TOLERANCES = tuple(2.0**-k for k in range(1, 21))
 DIMENSION_SELECTION_METHOD = "profile_likelihood_equal_variance"
 # relative residual of the rank-20 pilot behind d = "auto"
 PILOT_TOL = 1e-2
-# relative residual of the extremes solve each sweep replicate reads rho off
-RHO_TOL = 1e-10
 
 
 def _check_tolerances(tolerances, name: str = "tolerances") -> tuple[float, ...]:
@@ -119,10 +117,11 @@ class SweepRecord:
     0.0 unless the config sets ``record_timing``.
 
     ``rho`` is the distance from the cell's Ritz values to the excluded
-    spectrum, read off the replicate's extremes solve (``_rho_extremes``).
-    It is NaN when that solve did not bracket the excluded spectrum or a
-    Ritz value of the cell lies inside the bracket; the summary counts
-    those cells as ``rho_nan_cells``.
+    spectrum, read off the replicate's extremes run (``excluded_extremes``),
+    which stops once the extremes mu_+ and mu_- of the values past d are
+    exact to rounding.  It is NaN when that run did not bracket the
+    excluded spectrum or a Ritz value of the cell lies inside the bracket;
+    the summary counts those cells as ``rho_nan_cells``.
     """
 
     tol_exponent: float
@@ -174,31 +173,6 @@ def graph_source(model: SbmSpec | str):
         return P, partial(sample_adjacency, P)
     graph = ingest_edge_list(model).graph
     return None, lambda seed: graph
-
-
-def _rho_extremes(A: SparseGraph, d: int, seed) -> np.ndarray | None:
-    """The d + k leading Ritz values of A whose last k bracket its excluded
-    spectrum, or None.
-
-    The excluded spectrum is every eigenvalue but the d leading ones by
-    magnitude.  Its k largest in magnitude are the last k of a d + k solve;
-    once they hold both signs, every other excluded eigenvalue, smaller in
-    magnitude than each of them, lies between their smallest mu_- and their
-    largest mu_+.  So a Ritz value outside [mu_-, mu_+] is nearest to mu_-
-    or mu_+, and ``ritz_gap_rho`` over these d + k values is exact.  k
-    starts at 3 and doubles until both signs show.  None when a solve did
-    not converge or d + k would reach n.
-    """
-    k = 3
-    while d + k < A.n:
-        found = truncated_eigs(A, d + k, RHO_TOL, seed=seed)
-        if not found.converged:
-            return None
-        excluded = found.values[d:]
-        if excluded.min() < 0.0 < excluded.max():
-            return found.values
-        k *= 2
-    return None
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -259,13 +233,15 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     Replicate r's graph is drawn from its graph seed: a sample of the block
     model, or an edge-list model's one graph.  Replicate 0's graph is drawn
     first; under ``d="auto"`` the pilot runs on it with its graph seed.
-    Every tolerance of a replicate reads rho off one extremes solve of its
-    graph at ``RHO_TOL`` (``_rho_extremes``), so rho is defined at every n
-    and never needs the dense spectrum.  There is one extremes solve per
-    distinct graph, with the solver seed of the first replicate to draw it:
-    an edge-list model's one graph gets replicate 0's.  A cell whose rho
-    that solve cannot settle exactly gets NaN, never a guess, and the
-    summary's ``rho_nan_cells`` counts them.
+    Every tolerance of a replicate reads rho off one extremes run of its
+    graph (``excluded_extremes``), so rho is defined at every n and never
+    needs the dense spectrum.  The run stops on the two values rho reads,
+    mu_+ and mu_-, once residual^2 / gap puts each within 1e-14 of its
+    magnitude, not on the residual of every pair.  There is one extremes
+    run per distinct graph, with the solver seed of the first replicate to
+    draw it: an edge-list model's one graph gets replicate 0's.  A cell
+    whose rho that run cannot settle exactly gets NaN, never a guess, and
+    the summary's ``rho_nan_cells`` counts them.
     Returns the records (replicate-major order) and a summary dict; writes
     CSV and summary JSON when the config names an output path.
     """
@@ -276,12 +252,12 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     graph0 = draw(graph0_ss)
     d = resolve_dimension(config.d, graph0, graph0_ss)
     selection = DIMENSION_SELECTION_METHOD if config.d == "auto" else "fixed"
-    extremes0 = _rho_extremes(graph0, d, solver0_ss)
+    extremes0 = excluded_extremes(graph0, d, solver0_ss)
 
     def one_replicate(r: int):
         graph_ss, solver_ss = np.random.SeedSequence(config.seed + r).spawn(2)
         A = graph0 if r == 0 else draw(graph_ss)
-        extremes = extremes0 if A is graph0 else _rho_extremes(A, d, solver_ss)
+        extremes = extremes0 if A is graph0 else excluded_extremes(A, d, solver_ss)
         conservative = conservative_tolerance(A)
         records = []
         dec = None
@@ -758,6 +734,8 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
         raise DomainError(f"cannot parse boolean {x!r}")
 
     kwargs: dict = {"model": model_from_keys(data)}
+    if "d" in data and "dim" in data:
+        raise DomainError("a config takes d or dim, not both")
     d = data.pop("d", data.pop("dim", None))
     if d is not None:
         kwargs["d"] = d
@@ -781,12 +759,23 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
     return SweepConfig(**kwargs)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is a ``DomainError``."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise DomainError(f"repeated config key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_sweep_config(path) -> SweepConfig:
-    """Load a sweep config from JSON or flat key=value text."""
+    """Load a sweep config from JSON or flat key=value text.  A key given
+    twice is an error, never a silent last-one-wins."""
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, exc.msg) from None
         return sweep_config_from_dict(data)
@@ -798,5 +787,8 @@ def load_sweep_config(path) -> SweepConfig:
         if "=" not in stripped:
             raise ParseError(lineno, "expected key=value")
         key, _, value = stripped.partition("=")
-        data[key.strip()] = value.strip()
+        key = key.strip()
+        if key in data:
+            raise ParseError(lineno, f"repeated config key {key!r}")
+        data[key] = value.strip()
     return sweep_config_from_dict(data)

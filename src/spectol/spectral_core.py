@@ -32,6 +32,10 @@ the stopping rule read at each restart, and a later call at a tighter
 tolerance can resume it (``resume=``): it replays the log to count the
 exact checks a fresh solve would make, then pulls new restarts, and returns
 exactly the fresh solve's result.
+
+``excluded_extremes`` runs the same trajectory with a single start vector
+for the extremes of the spectrum past the d leading eigenvalues.  It stops
+on the two values it reports, not on the residual of every pair.
 """
 from __future__ import annotations
 
@@ -58,6 +62,11 @@ DEFAULT_MAX_RESTARTS = 400
 # clusters, but at the same basis size it reaches a lower polynomial degree
 # per restart and costs more matrix-vector products per solve.
 _BLOCK = 2
+# a Ritz value counts as exact once residual^2 / gap, the bound on its
+# distance to an eigenvalue (Parlett 1998), is below this fraction of it
+_EXTREMES_RTOL = 1e-14
+# working basis size of an extremes run, in basis vectors
+_EXTREMES_BASIS = 30
 
 
 @dataclass(frozen=True)
@@ -106,20 +115,19 @@ def _orthogonalize(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return t
 
 
-def _expand_basis(A, Q, W, j, m, rng):
+def _expand_basis(A, Q, W, j, m, b, rng):
     """Grow the block Lanczos basis to m rows; returns (new_size, matvecs_used).
 
-    Row j extends the Krylov block of row j - _BLOCK: it is A times that
-    row, reorthogonalized against everything retained, so _BLOCK
-    consecutive rows form one block step.  On breakdown (an invariant
-    subspace was hit) a random direction is injected; if even that lies in
-    the span the basis has filled the whole space and expansion stops
-    early.
+    Row j extends the Krylov block of row j - b: it is A times that row,
+    reorthogonalized against everything retained, so b consecutive rows
+    form one block step.  On breakdown (an invariant subspace was hit) a
+    random direction is injected; if even that lies in the span the basis
+    has filled the whole space and expansion stops early.
     """
     n = Q.shape[1]
     start = j
     while j < m:
-        source = W[max(j - _BLOCK, 0)]
+        source = W[max(j - b, 0)]
         t = _orthogonalize(source, Q[:j])
         beta = np.linalg.norm(t)
         if beta <= 1e-12 * max(1.0, np.linalg.norm(source)):
@@ -133,17 +141,20 @@ def _expand_basis(A, Q, W, j, m, rng):
     return j, j - start
 
 
-def _restarts(A, d, m, seed):
-    """The thick-restart trajectory of one start block, one restart at a time.
+def _restarts(A, d, m, seed, b=_BLOCK):
+    """The thick-restart trajectory of one start block of width b, one
+    restart at a time.
 
-    Yields (state, U, theta) after each restart's Ritz extraction: ``state``
-    holds what the stopping rule reads, (U, theta) the d selected Ritz pairs.
-    The tolerance appears nowhere here, so one trajectory serves every
-    tolerance; the caller picks the restart to stop at.
+    Yields (state, U, theta, G, ritz) after each restart's Ritz extraction:
+    ``state`` holds what the stopping rule reads, (U, theta) the d selected
+    Ritz pairs, the rows of G their residuals A u - theta u formed from
+    W = A Q, and ``ritz`` every Ritz value of the basis.  The tolerance
+    appears nowhere here, so one trajectory serves every tolerance; the
+    caller picks the restart to stop at.  m >= d + 1 >= b, so a whole
+    block always fits.
     """
     max_restarts = DEFAULT_MAX_RESTARTS
     n = A.n
-    b = _BLOCK  # m >= d + 1 >= 2, so a whole block always fits
     keep = max(d, min(d + 5, m - b))
 
     rng = np.random.default_rng(seed)
@@ -158,7 +169,7 @@ def _restarts(A, d, m, seed):
     j = b
 
     for iteration in range(1, max_restarts + 1):
-        j, used = _expand_basis(A, Q, W, j, m, rng)
+        j, used = _expand_basis(A, Q, W, j, m, b, rng)
         matvecs += used
         H = Q[:j] @ W[:j].T
         H = 0.5 * (H + H.T)
@@ -199,13 +210,13 @@ def _restarts(A, d, m, seed):
         est = float(np.sqrt(max(0.0, np.linalg.eigvalsh(G @ G.T)[-1])))
         # U = Ut.T is n x d with contiguous columns: residual_norm reads
         # them as rows without a copy
-        yield _Restart(matvecs, settled, est, denom), Ut.T, theta
+        yield _Restart(matvecs, settled, est, denom), Ut.T, theta, G, all_theta
         if iteration == max_restarts:
             return
         # thick restart: grow the next block (A times the last b rows) into
         # the spare rows, then compress the basis to the leading Ritz
         # vectors followed by that block
-        nxt, used = _expand_basis(A, Q, W, j, j + b, rng)
+        nxt, used = _expand_basis(A, Q, W, j, j + b, b, rng)
         matvecs += used
         hold = order[:keep]
         held = hold.size
@@ -262,7 +273,7 @@ class _RestartPath:
         step = next(self._steps, None)
         if step is None:
             return False
-        state, self.U, self.theta = step
+        state, self.U, self.theta, _, _ = step
         self.log.append(state)
         return True
 
@@ -357,6 +368,60 @@ def truncated_eigs(
     )
     path.owner = weakref.ref(dec)
     return dec
+
+
+def excluded_extremes(A: SparseGraph, d: int, seed=0) -> np.ndarray | None:
+    """The d + k leading Ritz values of A whose last k bracket its excluded
+    spectrum, or None.
+
+    The excluded spectrum is every eigenvalue but the d leading ones by
+    magnitude.  Its k largest in magnitude are the last k of the d + k
+    leading values; once they hold both signs, every other excluded
+    eigenvalue, smaller in magnitude than each of them, lies between their
+    smallest mu_- and their largest mu_+.  So a Ritz value outside
+    [mu_-, mu_+] is nearest to mu_- or mu_+, and ``ritz_gap_rho`` over these
+    d + k values is exact.
+
+    Only mu_+ and mu_- are read, so the run stops on them alone.  It follows
+    the restart trajectory of one start vector from ``seed``, which buys a
+    higher polynomial degree per product than a block.  It stops at the
+    first settled restart where, for both mu_+ and mu_-, residual^2 / gap is
+    at most _EXTREMES_RTOL times |mu|, the gap being the distance to the
+    nearest other Ritz value.  The residuals are read off the trajectory
+    and confirmed exactly (two products) before the run stops.  When the
+    last k values then hold one sign, k doubles from 3 and a wider run
+    starts.  None when a run spends DEFAULT_MAX_RESTARTS restarts or d + k
+    would reach n.
+    """
+
+    def exact(values, residuals, ritz):
+        # the second smallest distance skips the value's own Ritz value
+        gaps = [np.partition(np.abs(ritz - v), 1)[1] for v in values]
+        return all(
+            r * r <= _EXTREMES_RTOL * abs(v) * g
+            for v, r, g in zip(values, residuals, gaps)
+        )
+
+    k = 3
+    while d + k < A.n:
+        m = min(max(2 * (d + k) + 5, _EXTREMES_BASIS), A.n)
+        for state, U, theta, G, ritz in _restarts(A, d + k, m, seed, b=1):
+            excluded = theta[d:]
+            pairs = d + np.array([excluded.argmax(), excluded.argmin()])
+            mu = theta[pairs]
+            if not (state.settled and exact(mu, np.linalg.norm(G[pairs], axis=1), ritz)):
+                continue
+            rows = U.T  # contiguous, one Ritz vector per row
+            if not exact(mu, [np.linalg.norm(A.matvec(rows[i]) - theta[i] * rows[i])
+                              for i in pairs], ritz):
+                continue
+            if excluded.min() < 0.0 < excluded.max():
+                return theta
+            break
+        else:
+            return None
+        k *= 2
+    return None
 
 
 def estimate_spectral_norm(A: SparseGraph, tol: float = 1e-6, *, seed=0) -> float:

@@ -4,6 +4,7 @@ Everything here is deliberately naive: brute force over the orthogonal
 group, O(n^2) pair counting, exhaustive graph enumeration, a per-line
 edge-list reader, two-lexsort adjacency checks, a latent range check over
 every pair of rows, a sampler that draws one row of uniforms per call,
+an O(n + m) block model edge sampler for graphs above the dense limit,
 Lloyd with its distances held one point per row, the Lanczos solver
 with its basis stored one vector per column, and a sweep CSV reader that
 takes each row as a dict.  None of it imports the package under test,
@@ -378,6 +379,30 @@ def reference_sample_adjacency(rows, seed) -> np.ndarray:
     if not heads:
         return np.empty((0, 2), dtype=np.int64)
     return np.column_stack([np.concatenate(heads), np.concatenate(tails)])
+
+
+def sample_block_edges(sizes, B, seed) -> np.ndarray:
+    """The (m, 2) distinct edges u < v of one block model draw, in O(n + m).
+
+    Each block pair draws its edge count from a binomial over its vertex
+    pairs, then that many distinct pairs uniformly by rank.  Within a block
+    the rank of u < v is v(v - 1)/2 + u, unranked through a float square
+    root that can land one off either way."""
+    rng = np.random.default_rng(seed)
+    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    parts = []
+    for a, b in itertools.combinations_with_replacement(range(len(sizes)), 2):
+        total = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+        rank = rng.choice(total, size=rng.binomial(total, B[a][b]), replace=False)
+        if a == b:
+            v = np.floor((1.0 + np.sqrt(1.0 + 8.0 * rank)) / 2.0).astype(np.int64)
+            v -= v * (v - 1) // 2 > rank
+            v += v * (v + 1) // 2 <= rank
+            u = rank - v * (v - 1) // 2
+        else:
+            u, v = np.divmod(rank, sizes[b])
+        parts.append(np.column_stack([u + starts[a], v + starts[b]]))
+    return np.concatenate(parts)
 
 
 def reference_csr_error(n: int, indptr, indices) -> str | None:

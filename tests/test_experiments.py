@@ -21,6 +21,7 @@ from spectol import (
     SparseGraph,
     check_assumptions,
     experiments,
+    ritz_gap_rho,
     sample_adjacency,
     sbm_to_latent,
     spectral_core,
@@ -45,6 +46,7 @@ from spectol.experiments import (
     write_edge_list,
     write_records_csv,
 )
+from spectol.graph_model import DENSE_LIMIT
 from spectol.metrics import zhu_ghodsi_dimension
 from spectol.spectral_core import DEFAULT_MAX_RESTARTS, truncated_eigs
 from spectol.tolerance import HEURISTIC_RULES, heuristic_tolerance
@@ -56,6 +58,7 @@ from oracles import (
     fresh_sweep_records,
     reference_ingest_edge_list,
     reference_read_sweep_csv,
+    sample_block_edges,
 )
 
 
@@ -94,16 +97,16 @@ def assert_integer_columns(rows, header, columns) -> None:
 
 
 def spy_extremes_solves(monkeypatch) -> list:
-    """The graph of every extremes solve (``_rho_extremes`` call) the sweep
-    runs from now on, in call order."""
+    """The graph of every extremes run (``excluded_extremes`` call) the
+    sweep runs from now on, in call order."""
     graphs = []
-    extremes = experiments._rho_extremes
+    extremes = experiments.excluded_extremes
 
     def spy(A, d, seed):
         graphs.append(A)
         return extremes(A, d, seed)
 
-    monkeypatch.setattr(experiments, "_rho_extremes", spy)
+    monkeypatch.setattr(experiments, "excluded_extremes", spy)
     return graphs
 
 
@@ -529,6 +532,26 @@ class TestConfigFiles:
         with pytest.raises(ParseError):
             load_sweep_config(path)
 
+    @pytest.mark.parametrize("keys", [{"d": 2, "dim": 3}, {"d": 2, "dim": 2}])
+    def test_d_beside_dim_rejected(self, keys):
+        # dim was silently dropped for d
+        with pytest.raises(DomainError, match="d or dim"):
+            sweep_config_from_dict({"sizes": "10,10", "b_diag": 0.1, **keys})
+
+    def test_key_value_repeated_key_names_its_line(self, tmp_path):
+        # the last b_diag won, without a word
+        path = tmp_path / "twice.cfg"
+        path.write_text("sizes = 10,10\nb_diag = 0.1\n# a comment\nb_diag = 0.5\n")
+        with pytest.raises(ParseError, match="b_diag") as info:
+            load_sweep_config(path)
+        assert info.value.line_number == 4
+
+    def test_json_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"sizes": "10,10", "b_diag": 0.1, "b_diag": 0.5}')
+        with pytest.raises(DomainError, match="repeated config key"):
+            load_sweep_config(path)
+
 
 class TestToleranceSweep:
     def test_row_count_and_schema(self, benchmark_sweep):
@@ -749,26 +772,75 @@ class TestSweepRho:
         assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(config))
         assert summary["rho_nan_cells"] == 0
 
+    def test_near_tied_leading_cluster_matches_dense(self):
+        # three of the four leading eigenvalues nearly tie, where a single
+        # start vector is slowest to split a cluster
+        config = SweepConfig(
+            model=block_model("300,300,300,300", b_diag=0.05, b_off=0.02),
+            d=4,
+            tolerances=tuple(2.0**-k for k in range(1, 13)),
+            replicates=10,
+        )
+        records, summary = run_tolerance_sweep(config)
+        assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(config))
+        assert summary["rho_nan_cells"] == 0
+
+    def test_matches_eigsh_above_the_dense_limit(self, tmp_path):
+        # n = 20,000, four times the dense limit: scipy's eigsh is the oracle
+        sparse = pytest.importorskip("scipy.sparse")
+        eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
+        B = np.full((4, 4), 0.0008) + np.eye(4) * 0.0032
+        path = tmp_path / "sbm20k.txt"
+        np.savetxt(path, sample_block_edges([5000] * 4, B, 0), fmt="%d")
+        config = SweepConfig(
+            model=str(path), d=4, tolerances=(2.0**-2, 2.0**-6, 2.0**-10), replicates=1
+        )
+        records, summary = run_tolerance_sweep(config)
+        A = ingest_edge_list(path).graph
+        assert A.n > DENSE_LIMIT
+        M = sparse.csr_matrix((np.ones(A.indices.size), A.indices, A.indptr), shape=(A.n, A.n))
+        oracle = eigsh(M, k=7, which="LM", v0=np.ones(A.n), return_eigenvectors=False)
+        oracle = oracle[np.argsort(-np.abs(oracle))]
+        # the three largest excluded values hold both signs, so they
+        # bracket the rest and rho over these seven is exact
+        assert oracle[4:].min() < 0.0 < oracle[4:].max()
+        _, solver_ss = np.random.SeedSequence(0).spawn(2)
+        want, dec = [], None
+        for tol in config.tolerances:
+            dec = truncated_eigs(A, 4, tol, seed=solver_ss, resume=dec)
+            want.append(ritz_gap_rho(dec.values, oracle))
+        assert_rho_matches([rec.rho for rec in records], want)
+        assert summary["rho_nan_cells"] == 0
+
     def test_one_signed_extremes_double_k(self, monkeypatch):
         # replicate 7 of the seed-0 benchmark sweep: the three values past
-        # d in a d + 3 solve are all of one sign, so a d + 6 solve follows
+        # d in a d + 3 run are all of one sign, so a d + 6 run follows
         config = SweepConfig(
             model=three_block_spec(), d=3, tolerances=(2.0**-1, 2.0**-10), replicates=1, seed=7
         )
-        graph_ss, solver_ss = np.random.SeedSequence(7).spawn(2)
+        graph_ss, _ = np.random.SeedSequence(7).spawn(2)
         A = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(config.model)), graph_ss)
-        excluded = truncated_eigs(A, 6, experiments.RHO_TOL, seed=solver_ss).values[3:]
+        spectrum = np.linalg.eigvalsh(A.to_dense())
+        excluded = spectrum[np.argsort(-np.abs(spectrum))][3:6]
         assert np.all(excluded > 0) or np.all(excluded < 0)
 
+        # the widths of the trajectories each extremes run follows
         widths = []
-        solve = experiments.truncated_eigs
+        extremes = experiments.excluded_extremes
+        trajectory = spectral_core._restarts
 
-        def spy(A, d, tol, **kw):
-            if tol == experiments.RHO_TOL:
-                widths.append(d)
-            return solve(A, d, tol, **kw)
+        def spy(A, d, seed):
+            def restarts(A, width, m, seed, **kw):
+                widths.append(width)
+                return trajectory(A, width, m, seed, **kw)
 
-        monkeypatch.setattr(experiments, "truncated_eigs", spy)
+            monkeypatch.setattr(spectral_core, "_restarts", restarts)
+            try:
+                return extremes(A, d, seed)
+            finally:
+                monkeypatch.setattr(spectral_core, "_restarts", trajectory)
+
+        monkeypatch.setattr(experiments, "excluded_extremes", spy)
         records, summary = run_tolerance_sweep(config)
         assert widths == [6, 9]
         assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(config))
@@ -840,13 +912,8 @@ class TestSweepRho:
         assert summary["rho_nan_cells"] == 4
 
     def test_unconverged_extremes_solve_is_nan(self, monkeypatch):
-        solve = experiments.truncated_eigs
-
-        def unconverged(A, d, tol, **kw):
-            dec = solve(A, d, tol, **kw)
-            return dataclasses.replace(dec, converged=False) if tol == experiments.RHO_TOL else dec
-
-        monkeypatch.setattr(experiments, "truncated_eigs", unconverged)
+        # an extremes run that spent its budget returns None
+        monkeypatch.setattr(experiments, "excluded_extremes", lambda A, d, seed: None)
         config = SweepConfig(model=small_sbm(), d=3, tolerances=(0.5, 0.25), replicates=2)
         records, summary = run_tolerance_sweep(config)
         assert all(math.isnan(rec.rho) for rec in records)
