@@ -72,6 +72,17 @@ def _dimension(text: str):
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def _k_range(text: str) -> tuple[int, ...]:
     """argparse type of --k-range: comma-separated integers >= 2."""
     parts = [part.strip() for part in text.split(",")]
@@ -202,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample an SBM graph to an edge-list file")
     _add_sbm_arguments(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="edge-list output path")
     p.set_defaults(func=_cmd_sample)
 
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=HEURISTIC_RULES,
         help="tolerance rule used when --tol is absent (default spectral)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output prefix for values/vectors")
     p.set_defaults(func=_cmd_embed)
 
@@ -233,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_dimension)
     p.add_argument("--tolerances", help="e.g. 2^-1..2^-20 or 0.5,0.25,1e-6")
     p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--workers", type=int)
     switch = {"action": "store_true", "default": None}
     p.add_argument("--scaled", **switch, help="also compare scaled embeddings")
@@ -252,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k-range", type=_k_range, default=(2, 3, 4, 5, 6),
         help="candidate cluster counts, e.g. 2,3,4",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_cluster_stability)
 
@@ -262,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dim", type=_dimension, default="auto",
         help="embedding dimension (default: block count)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="JSON output path (default: stdout)")
     p.set_defaults(func=_cmd_check)
 

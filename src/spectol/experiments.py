@@ -64,11 +64,13 @@ def _fields_typed(cls, annotation: str) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.type == annotation)
 
 
-def _check_runs(count: int, noun: str, workers: int) -> None:
+def _check_runs(count: int, noun: str, workers: int, seed: int) -> None:
     if count < 1:
         raise DomainError(f"at least one {noun} is required")
     if workers < 1:
         raise DomainError("workers must be at least 1")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class SweepConfig:
         object.__setattr__(self, "tolerances", _check_tolerances(self.tolerances))
         for key in _fields_typed(SweepConfig, "int"):
             object.__setattr__(self, key, _integer(getattr(self, key), key))
-        _check_runs(self.replicates, "replicate", self.workers)
+        _check_runs(self.replicates, "replicate", self.workers, self.seed)
         for key in _fields_typed(SweepConfig, "bool"):
             value = getattr(self, key)
             if not isinstance(value, bool):
@@ -372,7 +374,7 @@ def run_clustering_stability(
     repetitions = _integer(repetitions, "repetitions")
     workers = _integer(workers, "workers")
     seed = _integer(seed, "seed")
-    _check_runs(repetitions, "repetition", workers)
+    _check_runs(repetitions, "repetition", workers, seed)
     k_range = tuple(_integer(k, "cluster count") for k in k_range)
     if not k_range or not all(2 <= k <= graph.n for k in k_range):
         raise DomainError(f"cluster counts must lie in [2, {graph.n}], got {k_range}")
@@ -453,9 +455,11 @@ class IngestResult:
 # a bulk-parsed id at or above this may be int64 parsing's saturated value
 # of a longer token; its line is read again by _parse_line
 _BULK_ID_LIMIT = 10**18
+# vertex ids are int64s, so every id lies below this
+_ID_LIMIT = 2**63
 
 
-def _parse_line(lineno: int, line: str, indexing: str):
+def _parse_line(lineno: int, line: str):
     """The id pair of one edge-list line, or None for a blank or "#" comment line."""
     text = line.strip()
     if not text or text.startswith("#"):
@@ -469,21 +473,20 @@ def _parse_line(lineno: int, line: str, indexing: str):
         raise ParseError(lineno, f"non-integer token in {parts!r}") from None
     if u < 0 or v < 0:
         raise ParseError(lineno, "negative vertex id")
-    if indexing == "one" and 0 in (u, v):
-        raise ParseError(lineno, "one-based ids start at 1")
+    if u >= _ID_LIMIT or v >= _ID_LIMIT:
+        raise ParseError(lineno, "vertex id at or above 2^63")
     return u, v
 
 
-def _read_id_pairs(path, indexing: str) -> tuple[np.ndarray, int]:
+def _read_id_pairs(path) -> tuple[np.ndarray, int]:
     """The (k, 2) id pairs of an edge-list file's non-loop edges, in no fixed
     order, and its self-loop count.
 
     A plain line, two runs of ASCII digits and nothing else but spaces and
     tabs, is parsed with all the others in one numpy call; it cannot be a
     "#" comment.  Every other non-blank line goes through ``_parse_line`` in
-    line order, as does a plain line that holds an id of 19 or more digits
-    or a 0 under one-based indexing; so each rule and each error is
-    ``_parse_line``'s.
+    line order, as does a plain line that holds an id of 19 or more digits;
+    so each rule and each error is ``_parse_line``'s.
     """
     data = Path(path).read_bytes()
     if not data.isascii():
@@ -521,8 +524,6 @@ def _read_id_pairs(path, indexing: str) -> tuple[np.ndarray, int]:
         if ids.shape[0] != bulk_lines.size:
             raise RuntimeError("bulk edge-list parse out of step with its line scan")
         suspect = ids >= _BULK_ID_LIMIT
-        if indexing == "one":
-            suspect |= ids == 0
         requeue = suspect[:, 0] | suspect[:, 1]
         if requeue.any():
             slow[bulk_lines[requeue]] = True
@@ -537,7 +538,7 @@ def _read_id_pairs(path, indexing: str) -> tuple[np.ndarray, int]:
     pairs = []
     for i in np.flatnonzero(slow):
         line = data[starts[i] : ends[i]].decode("utf-8")
-        pair = _parse_line(int(i) + 1, line, indexing)
+        pair = _parse_line(int(i) + 1, line)
         if pair is None:
             continue
         if pair[0] == pair[1]:
@@ -549,39 +550,28 @@ def _read_id_pairs(path, indexing: str) -> tuple[np.ndarray, int]:
     return ids, self_loops
 
 
-def ingest_edge_list(path, *, indexing: str = "auto") -> IngestResult:
+def ingest_edge_list(path) -> IngestResult:
     """Read a whitespace-separated edge list into a SparseGraph.
 
     Lines starting with "#" and blank lines are skipped; every other line
-    must hold exactly two integer tokens.  Self loops are dropped (counted
-    and logged), duplicate edges merged.  With "auto" indexing the observed
-    ids are compacted to 0..n-1 and the original ids returned as the map;
-    "zero" and "one" keep the ids, so the vertices run up to the largest id:
-    isolated vertices below it are kept, those above it lost.
+    must hold exactly two integer ids in [0, 2^63).  Self loops are dropped
+    (counted and logged), duplicate edges merged.  The observed ids are
+    compacted to 0..n-1 in increasing order and returned as the map
+    ``vertex_ids``, so a vertex no edge names is not a vertex of the graph.
 
     Every O(m) step is an array operation: plain "u v" lines are parsed in
     bulk (the line rules are ``_parse_line``'s, and a ``ParseError`` names
     the first bad line), and id compaction and duplicate merging each take
     one sort and a neighbour-difference mask.
     """
-    if indexing not in ("auto", "zero", "one"):
-        raise DomainError("indexing must be 'auto', 'zero', or 'one'")
-    ids, self_loops = _read_id_pairs(path, indexing)
+    ids, self_loops = _read_id_pairs(path)
     if not ids.size:
         raise DomainError(f"no edges in {path}")
-    if indexing == "auto":
-        # np.unique sorts when asked for an inverse; without one, recent
-        # numpy takes a hash table, many times slower on int64 ids
-        vertex_ids, inverse = np.unique(ids.ravel(), return_inverse=True)
-        ids = inverse.reshape(-1, 2)
-        n = vertex_ids.size
-    elif indexing == "zero":
-        n = int(ids.max()) + 1
-        vertex_ids = np.arange(n, dtype=np.int64)
-    else:
-        ids = ids - 1
-        n = int(ids.max()) + 1
-        vertex_ids = np.arange(1, n + 1, dtype=np.int64)
+    # np.unique sorts when asked for an inverse; without one, recent numpy
+    # takes a hash table, many times slower on int64 ids
+    vertex_ids, inverse = np.unique(ids.ravel(), return_inverse=True)
+    ids = inverse.reshape(-1, 2)
+    n = vertex_ids.size
     u, v = ids[:, 0], ids[:, 1]
     codes = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
     codes.sort()  # and a neighbour mask, not np.unique's hash table

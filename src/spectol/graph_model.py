@@ -128,10 +128,6 @@ class FactoredProbabilityMatrix:
     def n(self) -> int:
         return self.latent.n
 
-    @property
-    def d(self) -> int:
-        return self.latent.d
-
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero spectrum of P via a thin SVD of the factor.
 

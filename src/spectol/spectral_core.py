@@ -39,8 +39,8 @@ on the two values it reports, not on the residual of every pair.
 """
 from __future__ import annotations
 
+import math
 import numbers
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,10 +76,10 @@ class SpectralDecomposition:
     ``values`` are the d Ritz values in decreasing magnitude order (magnitude
     ties resolved positive first), ``vectors`` the matching orthonormal Ritz
     vectors.  ``residual`` is the exact spectral norm of A U - U S at
-    termination and ``spectral_norm_estimate`` the denominator the stopping
-    rule used, the largest Ritz value magnitude, which never exceeds ||A||.
-    So ``converged`` implies residual <= tolerance_used times that estimate,
-    and so times ||A||.
+    termination.  The stopping rule measures it against |values[0]|, the
+    largest Ritz value magnitude, which never exceeds ||A||.  So
+    ``converged`` implies residual <= tolerance_used times |values[0]|, and
+    so times ||A||.
     """
 
     values: np.ndarray
@@ -89,8 +89,6 @@ class SpectralDecomposition:
     matvecs: int
     converged: bool
     tolerance_used: float
-    spectral_norm_estimate: float
-    krylov_dim: int
     # the suspended restart path a later call can resume (``resume=``)
     _path: _RestartPath | None = field(default=None, compare=False, repr=False)
 
@@ -99,7 +97,7 @@ class SpectralDecomposition:
         if np.linalg.norm(gram - np.eye(self.values.size)) > 1e-8:
             raise DimensionMismatch("Ritz vectors are not orthonormal")
         if self.converged:
-            limit = self.tolerance_used * self.spectral_norm_estimate
+            limit = self.tolerance_used * abs(self.values[0])
             if self.residual > limit * (1.0 + 1e-12):
                 raise DimensionMismatch("converged result violates its own criterion")
 
@@ -265,7 +263,7 @@ class _RestartPath:
         self.key = _path_key(d, m, seed)
         self.log: list[_Restart] = []
         self.U = self.theta = None
-        self.owner = None  # weak reference to the latest result on the path
+        self.tol = math.inf  # the tightest tolerance solved on the path
         self._steps = _restarts(A, d, m, seed)
 
     def pull(self) -> bool:
@@ -303,12 +301,12 @@ def truncated_eigs(
     seed : int or numpy SeedSequence
         Drives the uniform random starting block, making runs repeatable.
     resume : SpectralDecomposition, optional
-        The latest result of an earlier call with the same A (the same
-        object), d and seed, at a tolerance no tighter than tol.  The
-        solve continues from the restart where that one stopped instead of
-        starting over, and returns exactly what a fresh call would:
-        ``iterations``, ``matvecs`` and every other field count the whole
-        solve.  Any other result raises DomainError.
+        A result of an earlier call with the same A (the same object), d
+        and seed, whose restart path has solved no tolerance tighter than
+        tol.  The solve continues from the last restart that path reached
+        instead of starting over, and returns exactly what a fresh call
+        would: ``iterations``, ``matvecs`` and every other field count the
+        whole solve.  Any other result raises DomainError.
     """
     n = A.n
     if A.m == 0:
@@ -329,14 +327,12 @@ def truncated_eigs(
                 "resume needs a solve of the same graph with the same d "
                 "and an int or SeedSequence seed"
             )
-        if tol > resume.tolerance_used:
-            raise DomainError("resume cannot loosen the tolerance")
-        if path.owner() is not resume:
-            raise DomainError("resume needs the latest result on its restart path")
+        if tol > path.tol:
+            raise DomainError("resume cannot loosen the tolerance of its restart path")
 
-    # a replay at a tighter tolerance passes the earlier stops, and any
-    # check it makes before the last logged restart was made (and failed)
-    # by an earlier, looser solve, so only that restart can lack a residual
+    # a replay at a tolerance no looser than path.tol passes the earlier
+    # stops, and any check it makes before the last logged restart failed
+    # in an earlier, looser solve, so only that restart can lack a residual
     checks = 0
     k = 0
     converged = False
@@ -362,11 +358,9 @@ def truncated_eigs(
         matvecs=state.matvecs + d * (checks + (not converged)),
         converged=converged,
         tolerance_used=tol,
-        spectral_norm_estimate=state.denom,
-        krylov_dim=m,
         _path=path,
     )
-    path.owner = weakref.ref(dec)
+    path.tol = tol
     return dec
 
 

@@ -67,7 +67,7 @@ def report_from_solve(A: SparseGraph, dec: SpectralDecomposition) -> ToleranceRe
         raise DomainError("the report reads a solve at the conservative tolerance")
     if not dec.converged:
         raise NoConvergence(dec.iterations)  # an unconverged solve spent its budget
-    lam1 = dec.spectral_norm_estimate
+    lam1 = float(abs(dec.values[0]))
     return ToleranceReport(
         spectral_norm_estimate=lam1,
         delta_A=float(A.degrees.max()),

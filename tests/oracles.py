@@ -438,22 +438,19 @@ def reference_csr_error(n: int, indptr, indices) -> str | None:
     return None
 
 
-def reference_ingest_edge_list(path, *, comment_prefix: str = "#",
-                               indexing: str = "auto") -> dict:
+def reference_ingest_edge_list(path) -> dict:
     """A frozen copy of the original edge-list reader: one Python step per
     line, ``np.unique`` for id compaction and duplicate merging, and a
     lexsort compressed-row build.  Returns the graph's ``indptr`` and
     ``indices``, the ``vertex_ids`` map and the two cleaning counts."""
     from spectol.errors import DomainError, ParseError
 
-    if indexing not in ("auto", "zero", "one"):
-        raise DomainError("indexing must be 'auto', 'zero', or 'one'")
     heads, tails = [], []
     self_loops = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
-            if not text or text.startswith(comment_prefix):
+            if not text or text.startswith("#"):
                 continue
             parts = text.split()
             if len(parts) != 2:
@@ -464,8 +461,8 @@ def reference_ingest_edge_list(path, *, comment_prefix: str = "#",
                 raise ParseError(lineno, f"non-integer token in {parts!r}") from None
             if u < 0 or v < 0:
                 raise ParseError(lineno, "negative vertex id")
-            if indexing == "one" and 0 in (u, v):
-                raise ParseError(lineno, "one-based ids start at 1")
+            if u >= 2**63 or v >= 2**63:
+                raise ParseError(lineno, "vertex id at or above 2^63")
             if u == v:
                 self_loops += 1
                 continue
@@ -475,19 +472,10 @@ def reference_ingest_edge_list(path, *, comment_prefix: str = "#",
         raise DomainError(f"no edges in {path}")
     u = np.asarray(heads, dtype=np.int64)
     v = np.asarray(tails, dtype=np.int64)
-    if indexing == "auto":
-        vertex_ids = np.unique(np.concatenate([u, v]))
-        u = np.searchsorted(vertex_ids, u)
-        v = np.searchsorted(vertex_ids, v)
-        n = vertex_ids.size
-    elif indexing == "zero":
-        n = int(max(u.max(), v.max())) + 1
-        vertex_ids = np.arange(n, dtype=np.int64)
-    else:
-        u = u - 1
-        v = v - 1
-        n = int(max(u.max(), v.max())) + 1
-        vertex_ids = np.arange(1, n + 1, dtype=np.int64)
+    vertex_ids = np.unique(np.concatenate([u, v]))
+    u = np.searchsorted(vertex_ids, u)
+    v = np.searchsorted(vertex_ids, v)
+    n = vertex_ids.size
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     codes = np.unique(lo * np.int64(n) + hi)

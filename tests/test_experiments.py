@@ -142,18 +142,16 @@ ODD_LINES = (
     "3\x0c4",
     "2\x1c5",
     "99999999999999999999 3",
+    "1 9223372036854775808",
 )
 
 
 @st.composite
 def edge_list_files(draw):
-    """An edge-list text, mostly "u v" lines, plus the reader's indexing."""
-    indexing = draw(st.sampled_from(["auto", "zero", "one"]))
-    ident = st.integers(0, 12).map(str) | st.just("007")
-    if indexing == "auto":
-        # 19 digits, inside int64; the dense id range of "zero" or "one"
-        # could not be allocated
-        ident |= st.just("1000000000000000000")
+    """An edge-list text, mostly "u v" lines."""
+    # 19 digits, the bulk parser's requeue limit and the largest int64
+    ident = (st.integers(0, 12).map(str) | st.just("007")
+             | st.sampled_from(["1000000000000000000", "9223372036854775807"]))
     pad = st.sampled_from(["", " ", "\t"])
     plain = st.builds(
         lambda left, a, sep, b, right: f"{left}{a}{sep}{b}{right}",
@@ -162,26 +160,35 @@ def edge_list_files(draw):
     lines = draw(st.lists(plain | plain | st.sampled_from(ODD_LINES), max_size=25))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + (newline if draw(st.booleans()) else "")
-    return text, indexing
+    return text
 
 
-def outcome(read, path, **kwargs):
+def assert_same_edges(result, graph) -> None:
+    """An ingested edge list holds ``graph``'s edges once its ids are read
+    back through ``vertex_ids``; a vertex without edges is not in it."""
+    ids = result.vertex_ids
+    assert np.array_equal(ids, np.flatnonzero(graph.degrees))
+    assert np.array_equal(np.repeat(ids, result.graph.degrees),
+                          np.repeat(np.arange(graph.n), graph.degrees))
+    assert np.array_equal(ids[result.graph.indices], graph.indices)
+
+
+def outcome(read, path):
     try:
-        return read(path, **kwargs), None
+        return read(path), None
     except Exception as exc:  # noqa: BLE001  compared against the reference
         return None, exc
 
 
 class TestIngestEdgeList:
     @settings(max_examples=400, deadline=None)
-    @given(case=edge_list_files())
-    def test_matches_per_line_reference(self, case):
-        text, indexing = case
+    @given(text=edge_list_files())
+    def test_matches_per_line_reference(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "edges.txt"
             path.write_bytes(text.encode("utf-8"))
-            want, want_exc = outcome(reference_ingest_edge_list, path, indexing=indexing)
-            got, got_exc = outcome(ingest_edge_list, path, indexing=indexing)
+            want, want_exc = outcome(reference_ingest_edge_list, path)
+            got, got_exc = outcome(ingest_edge_list, path)
         if want_exc is not None:
             assert type(got_exc) is type(want_exc)
             assert str(got_exc) == str(want_exc)
@@ -239,23 +246,14 @@ class TestIngestEdgeList:
             ingest_edge_list(path)
         assert excinfo.value.line_number == 1
 
-    def test_one_based_indexing(self, tmp_path):
-        path = tmp_path / "one.txt"
-        path.write_text("1 2\n2 3\n")
-        result = ingest_edge_list(path, indexing="one")
-        assert result.graph.n == 3
-        assert np.array_equal(result.vertex_ids, [1, 2, 3])
-        zero = tmp_path / "zero_id.txt"
-        zero.write_text("0 1\n")
-        with pytest.raises(ParseError):
-            ingest_edge_list(zero, indexing="one")
-
-    def test_zero_indexing_keeps_isolated_vertices(self, tmp_path):
-        path = tmp_path / "gap.txt"
-        path.write_text("0 2\n")
-        result = ingest_edge_list(path, indexing="zero")
-        assert result.graph.n == 3
-        assert result.graph.degrees[1] == 0
+    def test_id_past_int64(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("9223372036854775807 1\n1 2\n99999999999999999999 1\n")
+        with pytest.raises(ParseError, match="2\\^63") as excinfo:
+            ingest_edge_list(path)
+        assert excinfo.value.line_number == 3
+        path.write_text("9223372036854775807 1\n1 2\n")
+        assert ingest_edge_list(path).vertex_ids[-1] == 2**63 - 1
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -270,11 +268,7 @@ class TestIngestEdgeList:
         graph = sample_adjacency(P, 7)
         path = tmp_path / "rt.txt"
         write_edge_list(path, graph, header={"n": graph.n})
-        back = ingest_edge_list(path, indexing="zero").graph
-        assert back.n == graph.n
-        assert back.m == graph.m
-        assert np.array_equal(back.indptr, graph.indptr)
-        assert np.array_equal(back.indices, graph.indices)
+        assert_same_edges(ingest_edge_list(path), graph)
 
 
 class TestWriteRows:
@@ -340,6 +334,11 @@ class TestSweepConfigValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(DomainError):
             SweepConfig(model=small_sbm(), workers=0)
+
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence takes no negative seed
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            SweepConfig(model=small_sbm(), seed=-1)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -979,6 +978,7 @@ class TestClusteringStability:
             pytest.param({"repetitions": 1.5}, id="repetitions_fraction"),
             pytest.param({"workers": 1.5}, id="workers_fraction"),
             pytest.param({"seed": 0.5}, id="seed_fraction"),
+            pytest.param({"seed": -1}, id="negative_seed"),
         ],
     )
     def test_bad_k_range_rejected_before_any_solve(self, monkeypatch, bad):
@@ -1110,9 +1110,8 @@ class TestCli:
             ]
         )
         assert code == 0
-        result = ingest_edge_list(out, indexing="zero")
-        assert result.graph.n == 120
-        assert result.graph.m > 0
+        P = FactoredProbabilityMatrix(sbm_to_latent(block_model("60,60", b_diag=0.2, b_off=0.05)))
+        assert_same_edges(ingest_edge_list(out), sample_adjacency(P, 1))
         assert "wrote" in capsys.readouterr().out
 
     def test_embed_complete_graph(self, tmp_path, capsys):
@@ -1249,6 +1248,43 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["embed", "sweep", "cluster-stability"])
+    def test_id_past_int64_is_runtime_error(self, tmp_path, capsys, command):
+        graph_path = tmp_path / "big.txt"
+        graph_path.write_text("99999999999999999999 1\n1 2\n")
+        code = cli_main(
+            [command, "--graph", str(graph_path), "--dim", "1", "--out", str(tmp_path / "e")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 1: vertex id at or above 2^63\n"
+
+    @pytest.mark.parametrize(
+        "command", ["sample", "embed", "sweep", "cluster-stability", "check"]
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        graph_path = tmp_path / "k5.txt"
+        k5_edge_list(graph_path)
+        source = (
+            ["--sizes", "10,10", "--b-diag", "0.5"]
+            if command in ("sample", "check")
+            else ["--graph", str(graph_path), "--dim", "1"]
+        )
+        code = cli_main([command, *source, "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "argument --seed: expected an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        ["sizes = 10,10\nb_diag = 0.5\nseed = -1\n",
+         '{"sizes": "10,10", "b_diag": 0.5, "seed": -1}'],
+        ids=["key_value", "json"],
+    )
+    def test_negative_seed_in_config_is_runtime_error(self, tmp_path, capsys, config):
+        path = tmp_path / "seed.cfg"
+        path.write_text(config)
+        assert cli_main(["sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
     def test_embed_missing_file(self, tmp_path, capsys):
         code = cli_main(
@@ -1515,9 +1551,9 @@ class TestOneBootstrap:
         d = int(dim[1]) if dim else 3
         dec = tolerance.solve_at_heuristic(graph, d, "spectral", seed=4)
         assert payload["heuristic_spectral"] == dec.tolerance_used
-        assert payload["lambda1_hat"] == truncated_eigs(
+        assert payload["lambda1_hat"] == abs(truncated_eigs(
             graph, d, payload["conservative"], seed=4
-        ).spectral_norm_estimate
+        ).values[0])
 
     def test_no_separate_norm_estimate(self, tmp_path, monkeypatch):
         import spectol

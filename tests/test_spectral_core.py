@@ -94,7 +94,7 @@ class TestTruncatedEigs:
         v = dec.vectors[:, 0]
         target = np.ones(2) / np.sqrt(2.0)
         assert min(np.abs(v - target).max(), np.abs(v + target).max()) <= 1e-8
-        assert dec.residual <= 1e-10 * dec.spectral_norm_estimate
+        assert dec.residual <= 1e-10 * abs(dec.values[0])
 
     def test_complete_graph_top_pair(self):
         dec = truncated_eigs(K5, 1, 1e-10)
@@ -295,8 +295,13 @@ class TestResume:
         chained = assert_chain_matches_fresh(
             path6, 2, tuple(2.0**-k for k in range(1, 41)), seed=3
         )
-        assert chained[-1].krylov_dim == 6
         assert chained[-1].converged
+        # the first restart's basis is the whole space: its Ritz values are
+        # the whole spectrum
+        ritz = next(spectral_core._restarts(path6, 2, path6.n, 3))[-1]
+        spectrum = np.linalg.eigvalsh(path6.to_dense())
+        assert np.allclose(np.sort(ritz), spectrum, rtol=0.0, atol=1e-12)
+        assert np.allclose(chained[-1].values, spectrum[[-1, 0]], rtol=0.0, atol=1e-12)
 
     def test_misuse_raises(self):
         A = random_graph(150, 0.15, seed=9)
@@ -306,26 +311,35 @@ class TestResume:
             {"d": 4},
             {"seed": 6},
             {"seed": np.random.SeedSequence(5)},  # not the same seed object
-            {"tol": 2.0**-3},  # looser than the result resumed
+            {"tol": 2.0**-3},  # looser than the path has solved
         ):
             args = {"A": A, "d": 3, "tol": 2.0**-8, "seed": 5, **kwargs}
             with pytest.raises(DomainError):
                 truncated_eigs(args.pop("A"), args.pop("d"), args.pop("tol"),
                                resume=loose, **args)
         tight = truncated_eigs(A, 3, 2.0**-8, seed=5, resume=loose)
-        with pytest.raises(DomainError):  # no longer the latest on its path
-            truncated_eigs(A, 3, 2.0**-10, seed=5, resume=loose)
-        for copied in (copy.deepcopy(tight), dataclasses.replace(tight)):
-            assert_same_result(copied, tight)
-            with pytest.raises(DomainError):
-                truncated_eigs(A, 3, 2.0**-10, seed=5, resume=copied)
+        # a result that is no longer the latest on its path, or a shallow
+        # copy, resumes that path: the result is a fresh solve's
+        for earlier, tol in ((loose, 2.0**-9), (dataclasses.replace(tight), 2.0**-10)):
+            assert_same_result(
+                truncated_eigs(A, 3, tol, seed=5, resume=earlier),
+                truncated_eigs(A, 3, tol, seed=5),
+            )
+        # the path has solved 2^-10, so 2^-6 is refused, though it is
+        # tighter than the tolerance of the result resumed
+        with pytest.raises(DomainError):
+            truncated_eigs(A, 3, 2.0**-6, seed=5, resume=loose)
+        copied = copy.deepcopy(tight)
+        assert_same_result(copied, tight)
+        with pytest.raises(DomainError):  # a deep copy carries no path
+            truncated_eigs(A, 3, 2.0**-12, seed=5, resume=copied)
         unseeded = truncated_eigs(A, 3, 2.0**-4, seed=None)
         with pytest.raises(DomainError):
             truncated_eigs(A, 3, 2.0**-8, seed=None, resume=unseeded)
         # the refused calls left the path usable
         assert_same_result(
-            truncated_eigs(A, 3, 2.0**-10, seed=5, resume=tight),
-            truncated_eigs(A, 3, 2.0**-10, seed=5),
+            truncated_eigs(A, 3, 2.0**-12, seed=5, resume=tight),
+            truncated_eigs(A, 3, 2.0**-12, seed=5),
         )
 
     def test_equal_tolerance_and_int_seed(self):
@@ -524,7 +538,7 @@ class TestInvariants:
                     dec = truncated_eigs(graph, d, tol, seed=solver_ss)
                     assert dec.converged
                     # a Ritz value, so at most ||A|| up to rounding
-                    assert dec.spectral_norm_estimate <= norm * (1.0 + 1e-12)
+                    assert abs(dec.values[0]) <= norm * (1.0 + 1e-12)
                     assert dec.residual <= tol * norm
 
     def test_kahan_and_sin_theta_on_one_run(self):

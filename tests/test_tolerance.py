@@ -142,7 +142,7 @@ class TestToleranceReport:
             report_from_solve(A, unconverged)
         dec = truncated_eigs(A, 3, conservative, seed=0)
         report = report_from_solve(A, dec)
-        assert report.spectral_norm_estimate == dec.spectral_norm_estimate
+        assert report.spectral_norm_estimate == abs(dec.values[0])
         assert report.conservative == conservative
 
 
@@ -184,7 +184,7 @@ class TestSolveAtHeuristic:
         assert_same_result(dec, truncated_eigs(A, d, dec.tolerance_used, seed=5))
         # the heuristic reads lambda_1 off the d-dimensional conservative solve
         conservative = conservative_tolerance(A)
-        lam1 = truncated_eigs(A, d, conservative, seed=5).spectral_norm_estimate
+        lam1 = abs(truncated_eigs(A, d, conservative, seed=5).values[0])
         expected = {
             "spectral": heuristic_tolerance(A.n, lam1),
             "sqrt_n": heuristic_tolerance(A.n, float(A.n)),
