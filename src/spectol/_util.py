@@ -3,6 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
+
+def check_seed(seed) -> None:
+    """Raise DomainError for a negative integer seed, which numpy refuses."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+
 
 def order_by_magnitude(values: np.ndarray) -> np.ndarray:
     """Indices sorting ``values`` by decreasing absolute value.

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import write_rows
+from ._util import check_seed, write_rows
 from .errors import DomainError, ParseError
 from .graph_model import (
     FactoredProbabilityMatrix,
@@ -69,8 +69,7 @@ def _check_runs(count: int, noun: str, workers: int, seed: int) -> None:
         raise DomainError(f"at least one {noun} is required")
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -457,6 +456,8 @@ class IngestResult:
 _BULK_ID_LIMIT = 10**18
 # vertex ids are int64s, so every id lies below this
 _ID_LIMIT = 2**63
+# an edge-list scan window ends at the first line break past this many bytes
+_SCAN_BYTES = 1 << 20
 
 
 def _parse_line(lineno: int, line: str):
@@ -482,11 +483,13 @@ def _read_id_pairs(path) -> tuple[np.ndarray, int]:
     """The (k, 2) id pairs of an edge-list file's non-loop edges, in no fixed
     order, and its self-loop count.
 
-    A plain line, two runs of ASCII digits and nothing else but spaces and
-    tabs, is parsed with all the others in one numpy call; it cannot be a
-    "#" comment.  Every other non-blank line goes through ``_parse_line`` in
-    line order, as does a plain line that holds an id of 19 or more digits;
-    so each rule and each error is ``_parse_line``'s.
+    The file is scanned one window of whole lines at a time, so the scan's
+    temporaries do not grow with the file.  A plain line, two runs of ASCII
+    digits and nothing else but spaces and tabs, is parsed with the others
+    of its window in one numpy call; it cannot be a "#" comment.  Every
+    other non-blank line goes through ``_parse_line`` in line order, as does
+    a plain line that holds an id of 19 or more digits; so each rule and
+    each error is ``_parse_line``'s.
     """
     data = Path(path).read_bytes()
     if not data.isascii():
@@ -494,6 +497,20 @@ def _read_id_pairs(path) -> tuple[np.ndarray, int]:
     if b"\r" in data:
         # the line breaks text-mode reading sees (universal newlines)
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    parts, self_loops, lines, start = [np.empty((0, 2), dtype=np.int64)], 0, 0, 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _SCAN_BYTES) + 1 or len(data)
+        ids, loops, lines = _scan_window(data[start:stop], lines)
+        parts.append(ids)
+        self_loops += loops
+        start = stop
+    del data  # the file's bytes are not held beside the joined pairs
+    return np.concatenate(parts), self_loops
+
+
+def _scan_window(data: bytes, lines: int) -> tuple[np.ndarray, int, int]:
+    """``_read_id_pairs`` on whole lines that follow a file's first ``lines``,
+    and the number of lines up to their end."""
     raw = np.frombuffer(data, dtype=np.uint8)
     newline = raw == ord("\n")
     digit = raw - ord("0") <= 9
@@ -516,7 +533,7 @@ def _read_id_pairs(path) -> tuple[np.ndarray, int]:
 
     bulk_lines = np.flatnonzero(bulk)
     if bulk_lines.size:
-        # the bulk parse reads the file with the other lines cut out
+        # the bulk parse reads the window with the other lines cut out
         cut = np.flatnonzero(slow)
         pieces = zip(np.append(0, ends[cut]), np.append(starts[cut], raw.size))
         text = b"".join(data[a:b] for a, b in pieces) if cut.size else data
@@ -530,24 +547,15 @@ def _read_id_pairs(path) -> tuple[np.ndarray, int]:
             ids = ids[~requeue]
     else:
         ids = np.empty((0, 2), dtype=np.int64)
-    loop = ids[:, 0] == ids[:, 1]
-    self_loops = int(np.count_nonzero(loop))
-    if self_loops:
-        ids = ids[~loop]
-
     pairs = []
     for i in np.flatnonzero(slow):
         line = data[starts[i] : ends[i]].decode("utf-8")
-        pair = _parse_line(int(i) + 1, line)
-        if pair is None:
-            continue
-        if pair[0] == pair[1]:
-            self_loops += 1
-        else:
+        pair = _parse_line(lines + int(i) + 1, line)
+        if pair is not None:
             pairs.append(pair)
-    if pairs:
-        ids = np.concatenate([ids, np.array(pairs, dtype=np.int64)])
-    return ids, self_loops
+    ids = np.concatenate([ids, np.array(pairs, dtype=np.int64).reshape(-1, 2)])
+    loop = ids[:, 0] == ids[:, 1]
+    return ids[~loop], int(np.count_nonzero(loop)), lines + breaks.size
 
 
 def ingest_edge_list(path) -> IngestResult:
@@ -570,15 +578,16 @@ def ingest_edge_list(path) -> IngestResult:
     # np.unique sorts when asked for an inverse; without one, recent numpy
     # takes a hash table, many times slower on int64 ids
     vertex_ids, inverse = np.unique(ids.ravel(), return_inverse=True)
-    ids = inverse.reshape(-1, 2)
     n = vertex_ids.size
-    u, v = ids[:, 0], ids[:, 1]
+    u, v = inverse[0::2], inverse[1::2]
     codes = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
+    del ids, inverse, u, v  # each O(m) array goes once the next step has read it
     codes.sort()  # and a neighbour mask, not np.unique's hash table
     distinct = np.append(True, codes[1:] != codes[:-1])
     codes = codes[distinct]
     duplicates = distinct.size - codes.size
     endpoints = np.column_stack([codes // n, codes % n])
+    del codes, distinct
     if self_loops:
         log.warning("dropped %d self loop(s) while reading %s", self_loops, path)
     if duplicates:

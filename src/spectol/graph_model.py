@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._util import check_seed
 from .errors import DimensionMismatch, DomainError
 
 # eigenvalues of a block matrix in [-PSD_CLAMP, 0) are treated as exact zeros
@@ -184,14 +185,16 @@ class SparseGraph:
             src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
             if np.any(src == indices):
                 raise DimensionMismatch("self loops are not allowed")
+            backward = indices * n  # the transposed keys column * n + row
+            backward += src
+            backward.sort()
             # rows are sorted and duplicate-free exactly when the entry keys
-            # row * n + column strictly increase in storage order
-            forward = src * n + indices
+            # row * n + column, built in src's place, strictly increase
+            forward = np.multiply(src, n, out=src)
+            forward += indices
             if np.any(forward[1:] <= forward[:-1]):
                 raise DimensionMismatch("neighbor lists must be sorted and unique")
             # symmetry: the transposed keys, sorted, must be the same array
-            backward = indices * n + src
-            backward.sort()
             if not np.array_equal(forward, backward):
                 raise DimensionMismatch("adjacency structure is not symmetric")
         indptr.flags.writeable = False
@@ -210,12 +213,14 @@ class SparseGraph:
         endpoints = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
         if endpoints.size and (endpoints.min() < 0 or endpoints.max() >= n):
             raise DimensionMismatch("neighbor index out of range")
-        u, v = endpoints[:, 0], endpoints[:, 1]
-        keys = np.concatenate([u * n + v, v * n + u])
+        keys = np.multiply(endpoints.T, n, order="C")  # rows u * n and v * n
+        keys += endpoints[:, ::-1].T  # rows u * n + v and v * n + u
+        keys = keys.ravel()
         keys.sort()
+        keys %= n
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(endpoints.ravel(), minlength=n), out=indptr[1:])
-        return cls(n, indptr, keys % n)
+        return cls(n, indptr, keys)
 
     @property
     def m(self) -> int:
@@ -284,6 +289,7 @@ def sample_adjacency(P: FactoredProbabilityMatrix, seed) -> SparseGraph:
     PCG64 yields the same doubles however a draw is split, so the graph is a
     pure function of the seed, whatever the blocking.
     """
+    check_seed(seed)
     X = P.latent.rows
     n = P.n
     rng = np.random.default_rng(seed)

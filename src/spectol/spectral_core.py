@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import order_by_magnitude
+from ._util import check_seed, order_by_magnitude
 from .errors import DimensionMismatch, DomainError, NoConvergence
 from .graph_model import DENSE_LIMIT, RANK_REL_TOL, SparseGraph
 
@@ -315,6 +315,7 @@ def truncated_eigs(
         raise DimensionMismatch(f"need 1 <= d < n, got d={d} with n={n}")
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
+    check_seed(seed)
     # working basis size held between restarts, in basis vectors
     m = min(max(2 * d + 5, 20), n)
 
@@ -396,6 +397,7 @@ def excluded_extremes(A: SparseGraph, d: int, seed=0) -> np.ndarray | None:
             for v, r, g in zip(values, residuals, gaps)
         )
 
+    check_seed(seed)
     k = 3
     while d + k < A.n:
         m = min(max(2 * (d + k) + 5, _EXTREMES_BASIS), A.n)

@@ -8,7 +8,9 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,13 +184,17 @@ def outcome(read, path):
 
 class TestIngestEdgeList:
     @settings(max_examples=400, deadline=None)
-    @given(text=edge_list_files())
-    def test_matches_per_line_reference(self, text):
+    @given(text=edge_list_files(),
+           window=st.sampled_from([1, 7, 64, experiments._SCAN_BYTES]))
+    def test_matches_per_line_reference(self, text, window):
+        # the reader scans windows of whole lines; any window size gives
+        # the same graph, and an error the same line number
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "edges.txt"
             path.write_bytes(text.encode("utf-8"))
             want, want_exc = outcome(reference_ingest_edge_list, path)
-            got, got_exc = outcome(ingest_edge_list, path)
+            with mock.patch.object(experiments, "_SCAN_BYTES", window):
+                got, got_exc = outcome(ingest_edge_list, path)
         if want_exc is not None:
             assert type(got_exc) is type(want_exc)
             assert str(got_exc) == str(want_exc)
@@ -238,6 +244,39 @@ class TestIngestEdgeList:
         with pytest.raises(ParseError) as excinfo:
             ingest_edge_list(path)
         assert excinfo.value.line_number == 2
+
+    def test_parse_error_past_the_first_window(self, tmp_path):
+        # 150,000 lines of about 13 bytes span two scan windows; the bad
+        # line sits in the second, and a comment in the first
+        lines = [f"{i} {i + 1}" for i in range(150_000)]
+        lines[10] = "# a comment"
+        lines[120_000] = "x y"
+        path = tmp_path / "late.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert path.stat().st_size > experiments._SCAN_BYTES
+        with pytest.raises(ParseError) as excinfo:
+            ingest_edge_list(path)
+        assert excinfo.value.line_number == 120_001
+        assert str(excinfo.value) == "line 120001: non-integer token in ['x', 'y']"
+
+    def test_scan_memory_bounded_by_its_result(self, tmp_path):
+        # an edge list of five scan windows: the reader's peak
+        # stays within twice its result plus a fixed number of windows,
+        # however many windows the file holds
+        rng = np.random.default_rng(0)
+        edges = rng.integers(100_000, 1_000_000, (300_000, 2))
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges.tolist()))
+        assert path.stat().st_size > 4 * experiments._SCAN_BYTES
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ids, self_loops = experiments._read_id_pairs(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert ids.shape[0] + self_loops == edges.shape[0]
+        assert peak < 2 * ids.nbytes + 16 * experiments._SCAN_BYTES, peak
 
     def test_wrong_token_count(self, tmp_path):
         path = tmp_path / "triple.txt"

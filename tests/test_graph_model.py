@@ -150,6 +150,11 @@ class TestSampleAdjacency:
         A = sample_adjacency(FactoredProbabilityMatrix(X), seed=0)
         assert A.m == 0
 
+    def test_negative_seed_rejected(self):
+        P = FactoredProbabilityMatrix(LatentPositions(np.ones((4, 1))))
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            sample_adjacency(P, -1)
+
     def test_deterministic_given_seed(self):
         P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
         A1 = sample_adjacency(P, seed=123)

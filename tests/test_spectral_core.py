@@ -108,6 +108,11 @@ class TestTruncatedEigs:
         with pytest.raises(DomainError, match="adjacency matrix is identically zero"):
             truncated_eigs(empty, 1, 1e-6)
 
+    def test_negative_seed_rejected(self):
+        # numpy would refuse it with a ValueError of its own
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            truncated_eigs(K5, 1, 0.1, seed=-1)
+
     def test_dimension_bounds(self):
         with pytest.raises(DimensionMismatch):
             truncated_eigs(K2, 2, 1e-6)
@@ -454,6 +459,10 @@ class TestRitzGapRho:
             ritz_gap_rho(np.array([]), np.array([1.0, 2.0]))
         with pytest.raises(DomainError, match="the excluded spectrum is empty"):
             ritz_gap_rho(np.array([1.0]), np.array([1.0]))
+
+    def test_extremes_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            spectral_core.excluded_extremes(K5, 1, seed=-1)
 
     def test_block_model_run_in_unit_band(self):
         B = np.full((3, 3), 0.02)

@@ -214,6 +214,10 @@ class TestSolveAtHeuristic:
         with pytest.raises(DomainError):
             solve_at_heuristic(star_with_random_edges(), 1, "degree")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            solve_at_heuristic(star_with_random_edges(), 1, seed=-1)
+
 
 class TestExpectedSquaredDeviation:
     def test_two_vertex_value(self):
