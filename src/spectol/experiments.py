@@ -743,7 +743,8 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
         kwargs["tolerances"] = (
             parse_tolerances(raw)
             if isinstance(raw, str)
-            else tuple(_parse(float, t, "tolerance") for t in _items(raw, ","))
+            # each item by the string form's token rule: str(True) is no number
+            else tuple(_parse_tolerance_token(str(t)) for t in _items(raw, ","))
         )
     for key in _fields_typed(SweepConfig, "int"):
         if key in data:

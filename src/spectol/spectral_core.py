@@ -26,16 +26,16 @@ throughout, so the projected matrix stays faithful after many restarts.
 
 The tolerance enters only the stopping test: the exact residual draws no
 random numbers and a failed test leaves the basis as it was, so the restart
-trajectory of a start block is the same for every tolerance.  A solve
-therefore runs that trajectory as a suspended restart path, logging what
-the stopping rule read at each restart, and a later call at a tighter
-tolerance can resume it (``resume=``): it replays the log to count the
-exact checks a fresh solve would make, then pulls new restarts, and returns
-exactly the fresh solve's result.
+trajectory of a start block is the same for every tolerance.  It yields one
+record per restart (``_Iterate``), and a solve runs it as a suspended
+restart path that logs these records, keeping the vectors of the last one
+only.  A later call at a tighter tolerance can resume the path (``resume=``):
+it replays the log to count the exact checks a fresh solve would make, then
+pulls new restarts, and returns exactly the fresh solve's result.
 
-``excluded_extremes`` runs the same trajectory with a single start vector
-for the extremes of the spectrum past the d leading eigenvalues.  It stops
-on the two values it reports, not on the residual of every pair.
+``excluded_extremes`` reads the same records, on the trajectory of a single
+start vector, for the extremes of the spectrum past the d leading
+eigenvalues.  It stops on the two values it reports, not on every residual.
 """
 from __future__ import annotations
 
@@ -139,17 +139,29 @@ def _expand_basis(A, Q, W, j, m, b, rng):
     return j, j - start
 
 
+@dataclass
+class _Iterate:
+    """One restart of a trajectory: its d selected Ritz pairs and what the
+    stopping rules read of them."""
+
+    matvecs: int  # products along the trajectory, exact residuals excluded
+    settled: bool  # every selected Ritz value passed the settling gate
+    U: np.ndarray | None  # n x d Ritz vectors, one per column
+    theta: np.ndarray  # their Ritz values
+    G: np.ndarray | None  # rows A u - theta u, formed from W = A Q
+    ritz: np.ndarray  # every Ritz value of the basis
+    estimate: float | None = None  # ||G||_2, set when a path logs the restart
+    residual: float | None = None  # exact residual, once a check needed it
+
+
 def _restarts(A, d, m, seed, b=_BLOCK):
     """The thick-restart trajectory of one start block of width b, one
     restart at a time.
 
-    Yields (state, U, theta, G, ritz) after each restart's Ritz extraction:
-    ``state`` holds what the stopping rule reads, (U, theta) the d selected
-    Ritz pairs, the rows of G their residuals A u - theta u formed from
-    W = A Q, and ``ritz`` every Ritz value of the basis.  The tolerance
-    appears nowhere here, so one trajectory serves every tolerance; the
-    caller picks the restart to stop at.  m >= d + 1 >= b, so a whole
-    block always fits.
+    Yields one ``_Iterate`` after each restart's Ritz extraction, the same
+    record both stopping rules read.  The tolerance appears nowhere here,
+    so one trajectory serves every tolerance; the caller picks the restart
+    to stop at.  m >= d + 1 >= b, so a whole block always fits.
     """
     max_restarts = DEFAULT_MAX_RESTARTS
     n = A.n
@@ -176,8 +188,6 @@ def _restarts(A, d, m, seed, b=_BLOCK):
         take = order[:d]
         theta = all_theta[take]
         Yd = all_Y[:, take]
-        # |theta_1| <= ||A||, so passing against it passes against ||A||
-        denom = float(abs(theta[0]))
 
         # settling gate: a small residual alone can accept an iterate sitting
         # near the wrong invariant subspace, with a leading direction the
@@ -196,19 +206,19 @@ def _restarts(A, d, m, seed, b=_BLOCK):
             settled = bool(
                 np.all(
                     np.abs(theta - prev)
-                    <= _STABILIZE_RTOL * np.maximum(np.abs(theta), RANK_REL_TOL * denom)
+                    <= _STABILIZE_RTOL
+                    * np.maximum(np.abs(theta), RANK_REL_TOL * abs(theta[0]))
                 )
             )
 
-        # residual spectral norm of the top-d block, formed explicitly from
-        # W = A Q: the algebraically equal Y^T (W^T W) Y - Theta^2 cancels
-        # catastrophically and floors the estimate near sqrt(eps) * |lambda|
+        # residuals of the top-d block, formed explicitly from W = A Q: the
+        # algebraically equal Y^T (W^T W) Y - Theta^2 cancels catastrophically
+        # and floors their norm near sqrt(eps) * |lambda|
         Ut = Yd.T @ Q[:j]
         G = Yd.T @ W[:j] - theta[:, None] * Ut
-        est = float(np.sqrt(max(0.0, np.linalg.eigvalsh(G @ G.T)[-1])))
         # U = Ut.T is n x d with contiguous columns: residual_norm reads
         # them as rows without a copy
-        yield _Restart(matvecs, settled, est, denom), Ut.T, theta, G, all_theta
+        yield _Iterate(matvecs, settled, Ut.T, theta, G, all_theta)
         if iteration == max_restarts:
             return
         # thick restart: grow the next block (A times the last b rows) into
@@ -223,17 +233,6 @@ def _restarts(A, d, m, seed, b=_BLOCK):
             M[:held] = all_Y[:, hold].T @ M[:j]
             M[held : held + fresh] = M[j : j + fresh]
         j = held + fresh
-
-
-@dataclass
-class _Restart:
-    """What the stopping rule reads at one restart of a path."""
-
-    matvecs: int  # products along the trajectory, exact residuals excluded
-    settled: bool
-    estimate: float  # residual norm from W = A Q, free of products
-    denom: float
-    residual: float | None = None  # exact residual, once a check needed it
 
 
 def _path_key(d, m, seed) -> tuple:
@@ -253,26 +252,27 @@ def _path_key(d, m, seed) -> tuple:
 class _RestartPath:
     """One suspended restart trajectory plus the log of its restarts so far.
 
-    ``U`` and ``theta`` are the Ritz pairs of the last restart pulled; the
-    log keeps only scalars, which is all a replay at a tighter tolerance
-    reads before it reaches that restart.
+    Only the last restart logged keeps its vectors ``U`` and ``G``: a
+    replay at a tighter tolerance reads no vector before it reaches that
+    restart.
     """
 
     def __init__(self, A, d, m, seed):
         self.A = A
         self.key = _path_key(d, m, seed)
-        self.log: list[_Restart] = []
-        self.U = self.theta = None
+        self.log: list[_Iterate] = []
         self.tol = math.inf  # the tightest tolerance solved on the path
         self._steps = _restarts(A, d, m, seed)
 
     def pull(self) -> bool:
         """Run the trajectory to its next restart; False once the budget is spent."""
-        step = next(self._steps, None)
-        if step is None:
+        it = next(self._steps, None)
+        if it is None:
             return False
-        state, self.U, self.theta, _, _ = step
-        self.log.append(state)
+        if self.log:
+            self.log[-1].U = self.log[-1].G = None
+        it.estimate = _spectral_norm(it.G)
+        self.log.append(it)
         return True
 
 
@@ -338,25 +338,27 @@ def truncated_eigs(
     k = 0
     converged = False
     while k < len(path.log) or path.pull():
-        state = path.log[k]
+        it = path.log[k]
         k += 1
-        if state.settled and state.estimate <= tol * state.denom:
+        # |theta_1| <= ||A||, so passing against it passes against ||A||
+        limit = tol * abs(it.theta[0])
+        if it.settled and it.estimate <= limit:
             checks += 1
-            if state.residual is None:
-                state.residual = residual_norm(A, path.U, path.theta)
-            if state.residual <= tol * state.denom:
+            if it.residual is None:
+                it.residual = residual_norm(A, it.U, it.theta)
+            if it.residual <= limit:
                 converged = True
                 break
     assert k == len(path.log), "a replay stopped before the last logged restart"
-    if not converged and state.residual is None:
-        state.residual = residual_norm(A, path.U, path.theta)
+    if not converged and it.residual is None:
+        it.residual = residual_norm(A, it.U, it.theta)
     dec = SpectralDecomposition(
-        values=path.theta.copy(),
-        vectors=path.U.copy(order="C"),
-        residual=state.residual,
+        values=it.theta.copy(),
+        vectors=it.U.copy(order="C"),
+        residual=it.residual,
         iterations=k,
         # an unconverged solve measures its final residual once more
-        matvecs=state.matvecs + d * (checks + (not converged)),
+        matvecs=it.matvecs + d * (checks + (not converged)),
         converged=converged,
         tolerance_used=tol,
         _path=path,
@@ -401,18 +403,18 @@ def excluded_extremes(A: SparseGraph, d: int, seed=0) -> np.ndarray | None:
     k = 3
     while d + k < A.n:
         m = min(max(2 * (d + k) + 5, _EXTREMES_BASIS), A.n)
-        for state, U, theta, G, ritz in _restarts(A, d + k, m, seed, b=1):
-            excluded = theta[d:]
+        for it in _restarts(A, d + k, m, seed, b=1):
+            excluded = it.theta[d:]
             pairs = d + np.array([excluded.argmax(), excluded.argmin()])
-            mu = theta[pairs]
-            if not (state.settled and exact(mu, np.linalg.norm(G[pairs], axis=1), ritz)):
+            mu = it.theta[pairs]
+            if not (it.settled and exact(mu, np.linalg.norm(it.G[pairs], axis=1), it.ritz)):
                 continue
-            rows = U.T  # contiguous, one Ritz vector per row
-            if not exact(mu, [np.linalg.norm(A.matvec(rows[i]) - theta[i] * rows[i])
-                              for i in pairs], ritz):
+            rows = it.U.T  # contiguous, one Ritz vector per row
+            if not exact(mu, [np.linalg.norm(A.matvec(rows[i]) - it.theta[i] * rows[i])
+                              for i in pairs], it.ritz):
                 continue
             if excluded.min() < 0.0 < excluded.max():
-                return theta
+                return it.theta
             break
         else:
             return None
@@ -449,8 +451,12 @@ def residual_norm(A: SparseGraph, vectors: np.ndarray, values: np.ndarray) -> fl
     G = np.empty_like(rows)
     for i in range(s.size):
         G[i] = A.matvec(rows[i]) - s[i] * rows[i]
-    gram = G @ G.T
-    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1])))
+    return _spectral_norm(G)
+
+
+def _spectral_norm(G: np.ndarray) -> float:
+    """Spectral norm of the d x n matrix G, from its d x d Gram matrix."""
+    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(G @ G.T)[-1])))
 
 
 def dense_eig_oracle(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence
 from .graph_model import RANK_REL_TOL, FactoredProbabilityMatrix, SparseGraph
-from .spectral_core import SpectralDecomposition, truncated_eigs
+from .spectral_core import SpectralDecomposition, _path_key, truncated_eigs
 
 # smallest vertex count for which log(log(n)) is safely above zero
 MIN_HEURISTIC_N = 16
@@ -103,12 +103,15 @@ def solve_at_heuristic(
     where the heuristic makes none.
 
     ``seed`` must be an int or a SeedSequence, as ``resume=`` requires.
-    Raises DomainError for an unknown rule or n < MIN_HEURISTIC_N before any
-    solve, and NoConvergence when the conservative solve, which the
-    heuristic reads, exhausts its restart budget.
+    Raises DomainError before any solve for an unknown rule, any other seed
+    or n < MIN_HEURISTIC_N, and NoConvergence when the conservative solve,
+    which the heuristic reads, exhausts its restart budget.
     """
     if rule not in HEURISTIC_RULES:
         raise DomainError(f"rule must be one of {', '.join(HEURISTIC_RULES)}")
+    # a seed that draws a new start block on every call keys no shared path
+    if _path_key(d, 0, seed) != _path_key(d, 0, seed):
+        raise DomainError("a heuristic solve needs an int or SeedSequence seed")
     if A.n < MIN_HEURISTIC_N:
         raise DomainError(f"heuristic defined for n >= {MIN_HEURISTIC_N}, got {A.n}")
     dec = truncated_eigs(A, d, conservative_tolerance(A), seed=seed)

@@ -564,6 +564,21 @@ class TestConfigFiles:
         assert (config.d, config.replicates) == (2, 3)
         assert all(type(x) is int for x in (config.d, config.replicates))
 
+    def test_tolerance_list_items_read_as_tokens(self):
+        # each item went through float(), so a list refused "2^-1"
+        model = {"sizes": "10,10", "b_diag": "0.1"}
+        listed = sweep_config_from_dict({**model, "tolerances": ["2^-1", 0.25]})
+        line = sweep_config_from_dict({**model, "tolerances": "2^-1,0.25"})
+        assert listed.tolerances == (0.5, 0.25)
+        assert dataclasses.replace(listed, model=line.model) == line
+
+    def test_tolerance_list_rejects_boolean(self):
+        # float(True) made [true, 0.5] the tolerances (1.0, 0.5)
+        with pytest.raises(DomainError, match="tolerance"):
+            sweep_config_from_dict(
+                {"sizes": "10,10", "b_diag": 0.1, "tolerances": [True, 0.5]}
+            )
+
     def test_key_value_without_equals(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("sizes 10,10\n")

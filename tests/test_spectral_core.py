@@ -259,6 +259,17 @@ class TestResume:
         # most tighter tolerances stop at a restart a looser one reached
         assert len({dec.iterations for dec in chained}) < len(chained)
 
+    def test_path_log_holds_no_vectors(self, three_block_900):
+        # only the last restart of a path keeps its n-sized arrays
+        graph_ss, solver_ss = np.random.SeedSequence(0).spawn(2)
+        A = sample_adjacency(three_block_900, graph_ss)
+        dec = None
+        for tol in SWEPT[:20]:
+            dec = truncated_eigs(A, 3, tol, seed=solver_ss, resume=dec)
+        log = dec._path.log
+        assert len(log) > 1 and log[-1].U is not None
+        assert all(it.U is None and it.G is None for it in log[:-1])
+
     @pytest.mark.parametrize("repetition", [4, 6])
     def test_clustering_study_repetitions(self, three_block_900, repetition):
         # the criterion-8 graph and solver seeds, swept tolerances plus the
@@ -285,13 +296,13 @@ class TestResume:
         monkeypatch.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", 40)
         A = random_graph(200, 0.1, seed=11)
         probe = truncated_eigs(A, 4, 1e-18, seed=0)
-        floor = sorted(s.estimate / s.denom for s in probe._path.log)[:8]
+        floor = sorted(s.estimate / abs(s.theta[0]) for s in probe._path.log)[:8]
         tols = [f * (1.0 + 1e-9) for f in floor]
         tightest = min(tols)
         last = assert_chain_matches_fresh(A, 4, tols, seed=0)[-1]
         # the tightest solve did replay checks that failed before its stop
         assert any(
-            s.settled and s.estimate <= tightest * s.denom
+            s.settled and s.estimate <= tightest * abs(s.theta[0])
             for s in last._path.log[: last.iterations - 1]
         )
 
@@ -303,7 +314,7 @@ class TestResume:
         assert chained[-1].converged
         # the first restart's basis is the whole space: its Ritz values are
         # the whole spectrum
-        ritz = next(spectral_core._restarts(path6, 2, path6.n, 3))[-1]
+        ritz = next(spectral_core._restarts(path6, 2, path6.n, 3)).ritz
         spectrum = np.linalg.eigvalsh(path6.to_dense())
         assert np.allclose(np.sort(ritz), spectrum, rtol=0.0, atol=1e-12)
         assert np.allclose(chained[-1].values, spectrum[[-1, 0]], rtol=0.0, atol=1e-12)

@@ -202,6 +202,17 @@ class TestSolveAtHeuristic:
         with pytest.raises(DomainError):
             solve_at_heuristic(path, 1, rule)
 
+    @pytest.mark.parametrize("rule", HEURISTIC_RULES)
+    @pytest.mark.parametrize("seed", [None, "generator"])
+    def test_unresumable_seed_fails_before_any_solve(self, monkeypatch, rule, seed):
+        # the path-resuming rules ran the conservative solve before refusing
+        solves = []
+        monkeypatch.setattr(tolerance, "truncated_eigs", lambda *a, **k: solves.append(a))
+        seed = np.random.default_rng(0) if seed == "generator" else seed
+        with pytest.raises(DomainError, match="int or SeedSequence"):
+            solve_at_heuristic(star_with_random_edges(), 1, rule, seed=seed)
+        assert solves == []
+
     def test_unconverged_bootstrap_raises(self, monkeypatch, three_block_900):
         # this graph and seed need three restarts at the conservative tolerance
         A = sample_adjacency(three_block_900, seed=0)
