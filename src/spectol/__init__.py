@@ -27,7 +27,6 @@ from .spectral_core import (
     dense_eig_oracle,
     estimate_spectral_norm,
     residual_norm,
-    ritz_gap_rho,
     truncated_eigs,
 )
 from .tolerance import (

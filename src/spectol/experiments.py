@@ -37,7 +37,7 @@ from .metrics import (
     silhouette_width,
     zhu_ghodsi_dimension,
 )
-from .spectral_core import excluded_extremes, ritz_gap_rho, truncated_eigs
+from .spectral_core import excluded_extremes, truncated_eigs
 from .tolerance import conservative_tolerance, report_from_solve
 
 log = logging.getLogger(__name__)
@@ -118,11 +118,11 @@ class SweepRecord:
     0.0 unless the config sets ``record_timing``.
 
     ``rho`` is the distance from the cell's Ritz values to the excluded
-    spectrum, read off the replicate's extremes run (``excluded_extremes``),
-    which stops once the extremes mu_+ and mu_- of the values past d are
-    exact to rounding.  It is NaN when that run did not bracket the
-    excluded spectrum or a Ritz value of the cell lies inside the bracket;
-    the summary counts those cells as ``rho_nan_cells``.
+    spectrum: the smallest |v - mu| over the cell's values v and the
+    bracket [mu_-, mu_+] of the replicate's extremes run
+    (``excluded_extremes``), exact to rounding.  It is NaN when that run
+    returned no bracket or a Ritz value of the cell lies inside it; the
+    summary counts those cells as ``rho_nan_cells``.
     """
 
     tol_exponent: float
@@ -236,13 +236,16 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     first; under ``d="auto"`` the pilot runs on it with its graph seed.
     Every tolerance of a replicate reads rho off one extremes run of its
     graph (``excluded_extremes``), so rho is defined at every n and never
-    needs the dense spectrum.  The run stops on the two values rho reads,
-    mu_+ and mu_-, once residual^2 / gap puts each within 1e-14 of its
-    magnitude, not on the residual of every pair.  There is one extremes
-    run per distinct graph, with the solver seed of the first replicate to
-    draw it: an edge-list model's one graph gets replicate 0's.  A cell
-    whose rho that run cannot settle exactly gets NaN, never a guess, and
-    the summary's ``rho_nan_cells`` counts them.
+    needs the dense spectrum.  The run returns the bracket [mu_-, mu_+] that
+    holds every excluded eigenvalue, exact to rounding, so the rho of Ritz
+    values outside it is their smallest distance to mu_- or mu_+.  There is
+    one extremes run per distinct graph, with the solver seed of the first
+    replicate to draw it: an edge-list model's one graph gets replicate 0's.
+    A cell with a Ritz value in the bracket, or whose run returned none,
+    gets NaN, never a guess, and the summary's ``rho_nan_cells`` counts
+    them.  A block model with fewer blocks than d raises DomainError once d
+    is known, before any extremes run or replicate solve: P then has no
+    d-dimensional eigenspace to compare against.
     Returns the records (replicate-major order) and a summary dict; writes
     CSV and summary JSON when the config names an output path.
     """
@@ -253,12 +256,14 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     graph0 = draw(graph0_ss)
     d = resolve_dimension(config.d, graph0, graph0_ss)
     selection = DIMENSION_SELECTION_METHOD if config.d == "auto" else "fixed"
-    extremes0 = excluded_extremes(graph0, d, solver0_ss)
+    if V is not None and d > V.shape[1]:
+        raise DomainError(f"d={d} exceeds the number of blocks, {V.shape[1]}")
+    bracket0 = excluded_extremes(graph0, d, solver0_ss)
 
     def one_replicate(r: int):
         graph_ss, solver_ss = np.random.SeedSequence(config.seed + r).spawn(2)
         A = graph0 if r == 0 else draw(graph_ss)
-        extremes = extremes0 if A is graph0 else excluded_extremes(A, d, solver_ss)
+        bracket = bracket0 if A is graph0 else excluded_extremes(A, d, solver_ss)
         conservative = conservative_tolerance(A)
         records = []
         dec = None
@@ -278,11 +283,10 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
                     left = dec.vectors * np.sqrt(np.abs(dec.values))
                     right = V[:, :d] * np.sqrt(sigma[:d])
                     scaled_err = procrustes_distance(left, right)[0]
-            if extremes is not None:
-                excluded = extremes[d:]
-                outside = (dec.values < excluded.min()) | (dec.values > excluded.max())
-                if outside.all():
-                    rho = ritz_gap_rho(dec.values, extremes)
+            if bracket is not None:
+                lo, hi = bracket
+                if np.all((dec.values < lo) | (dec.values > hi)):
+                    rho = float(np.abs(dec.values[:, None] - bracket).min())
             records.append(
                 SweepRecord(
                     tol_exponent=-math.log2(tol),

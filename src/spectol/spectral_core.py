@@ -34,8 +34,9 @@ it replays the log to count the exact checks a fresh solve would make, then
 pulls new restarts, and returns exactly the fresh solve's result.
 
 ``excluded_extremes`` reads the same records, on the trajectory of a single
-start vector, for the extremes of the spectrum past the d leading
-eigenvalues.  It stops on the two values it reports, not on every residual.
+start vector, for the two extremes of the spectrum past the d leading
+eigenvalues.  It stops once its exact test holds for those two values, with
+no settling gate and no test of any other residual.
 """
 from __future__ import annotations
 
@@ -145,7 +146,7 @@ class _Iterate:
     stopping rules read of them."""
 
     matvecs: int  # products along the trajectory, exact residuals excluded
-    settled: bool  # every selected Ritz value passed the settling gate
+    settled: bool  # each selected value passed the settling gate; d-path only
     U: np.ndarray | None  # n x d Ritz vectors, one per column
     theta: np.ndarray  # their Ritz values
     G: np.ndarray | None  # rows A u - theta u, formed from W = A Q
@@ -367,23 +368,21 @@ def truncated_eigs(
     return dec
 
 
-def excluded_extremes(A: SparseGraph, d: int, seed=0) -> np.ndarray | None:
-    """The d + k leading Ritz values of A whose last k bracket its excluded
-    spectrum, or None.
+def excluded_extremes(A: SparseGraph, d: int, seed=0) -> tuple[float, float] | None:
+    """(mu_-, mu_+), the smallest and largest eigenvalues of A past its d
+    leading ones by magnitude, or None.
 
-    The excluded spectrum is every eigenvalue but the d leading ones by
-    magnitude.  Its k largest in magnitude are the last k of the d + k
-    leading values; once they hold both signs, every other excluded
-    eigenvalue, smaller in magnitude than each of them, lies between their
-    smallest mu_- and their largest mu_+.  So a Ritz value outside
-    [mu_-, mu_+] is nearest to mu_- or mu_+, and ``ritz_gap_rho`` over these
-    d + k values is exact.
+    The run computes the d + k leading Ritz values.  Once the last k hold
+    both signs, every other excluded eigenvalue, smaller in magnitude than
+    each of them, lies between their smallest mu_- and their largest mu_+.
+    So the pair brackets the excluded spectrum, and a value outside
+    [mu_-, mu_+] is nearest to mu_- or mu_+ of all excluded eigenvalues.
 
-    Only mu_+ and mu_- are read, so the run stops on them alone.  It follows
-    the restart trajectory of one start vector from ``seed``, which buys a
-    higher polynomial degree per product than a block.  It stops at the
-    first settled restart where, for both mu_+ and mu_-, residual^2 / gap is
-    at most _EXTREMES_RTOL times |mu|, the gap being the distance to the
+    Only mu_+ and mu_- are returned, so the run stops on them alone.  It
+    follows the restart trajectory of one start vector from ``seed``, which
+    buys a higher polynomial degree per product than a block.  It stops at
+    the first restart where, for both mu_+ and mu_-, residual^2 / gap is at
+    most _EXTREMES_RTOL times |mu|, the gap being the distance to the
     nearest other Ritz value.  The residuals are read off the trajectory
     and confirmed exactly (two products) before the run stops.  When the
     last k values then hold one sign, k doubles from 3 and a wider run
@@ -405,16 +404,16 @@ def excluded_extremes(A: SparseGraph, d: int, seed=0) -> np.ndarray | None:
         m = min(max(2 * (d + k) + 5, _EXTREMES_BASIS), A.n)
         for it in _restarts(A, d + k, m, seed, b=1):
             excluded = it.theta[d:]
-            pairs = d + np.array([excluded.argmax(), excluded.argmin()])
+            pairs = d + np.array([excluded.argmin(), excluded.argmax()])
             mu = it.theta[pairs]
-            if not (it.settled and exact(mu, np.linalg.norm(it.G[pairs], axis=1), it.ritz)):
+            if not exact(mu, np.linalg.norm(it.G[pairs], axis=1), it.ritz):
                 continue
             rows = it.U.T  # contiguous, one Ritz vector per row
             if not exact(mu, [np.linalg.norm(A.matvec(rows[i]) - it.theta[i] * rows[i])
                               for i in pairs], it.ritz):
                 continue
-            if excluded.min() < 0.0 < excluded.max():
-                return it.theta
+            if mu[0] < 0.0 < mu[1]:
+                return float(mu[0]), float(mu[1])
             break
         else:
             return None
@@ -478,21 +477,3 @@ def dense_eig_oracle(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, V = np.linalg.eigh(0.5 * (M + M.T))
     order = order_by_magnitude(w)
     return w[order], V[:, order]
-
-
-def ritz_gap_rho(ritz_values: np.ndarray, all_values: np.ndarray) -> float:
-    """Minimum distance from the Ritz values to the excluded spectrum.
-
-    ``all_values`` is the full spectrum; the len(ritz_values) leading entries
-    by magnitude are excluded and rho is the smallest |ritz - mu| over the
-    rest.  Zero is possible when a Ritz value coincides with an excluded
-    eigenvalue.
-    """
-    ritz = np.asarray(ritz_values, dtype=float).reshape(-1)
-    full = np.asarray(all_values, dtype=float).reshape(-1)
-    if ritz.size == 0:
-        raise DomainError("no Ritz values supplied")
-    if full.size <= ritz.size:
-        raise DomainError("the excluded spectrum is empty")
-    excluded = full[order_by_magnitude(full)][ritz.size :]
-    return float(np.abs(ritz[:, None] - excluded[None, :]).min())

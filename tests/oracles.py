@@ -5,6 +5,7 @@ group, O(n^2) pair counting, exhaustive graph enumeration, a per-line
 edge-list reader, two-lexsort adjacency checks, a latent range check over
 every pair of rows, a sampler that draws one row of uniforms per call,
 an O(n + m) block model edge sampler for graphs above the dense limit,
+rho as the distance from Ritz values to every excluded eigenvalue,
 Lloyd with its distances held one point per row, the Lanczos solver
 with its basis stored one vector per column, and a sweep CSV reader that
 takes each row as a dict.  None of it imports the package under test,
@@ -499,6 +500,26 @@ def _magnitude_order(values):
     return np.lexsort((np.arange(values.size), -np.sign(values), -boosted))
 
 
+def ritz_gap_rho(ritz_values: np.ndarray, all_values: np.ndarray) -> float:
+    """Minimum distance from the Ritz values to the excluded spectrum.
+
+    ``all_values`` is the full spectrum; the len(ritz_values) leading entries
+    by magnitude are excluded and rho is the smallest |ritz - mu| over the
+    rest.  Zero is possible when a Ritz value coincides with an excluded
+    eigenvalue.
+    """
+    from spectol.errors import DomainError
+
+    ritz = np.asarray(ritz_values, dtype=float).reshape(-1)
+    full = np.asarray(all_values, dtype=float).reshape(-1)
+    if ritz.size == 0:
+        raise DomainError("no Ritz values supplied")
+    if full.size <= ritz.size:
+        raise DomainError("the excluded spectrum is empty")
+    excluded = full[_magnitude_order(full)][ritz.size :]
+    return float(np.abs(ritz[:, None] - excluded[None, :]).min())
+
+
 def _column_orthogonalize(t, basis):
     for _ in range(2):
         t = t - basis @ (basis.T @ t)
@@ -634,7 +655,6 @@ def fresh_sweep_records(config) -> list:
     from spectol import (
         FactoredProbabilityMatrix,
         procrustes_distance,
-        ritz_gap_rho,
         sample_adjacency,
         sbm_to_latent,
         truncated_eigs,
@@ -677,7 +697,6 @@ def dense_sweep_rhos(config) -> list[float]:
     from spectol import (
         FactoredProbabilityMatrix,
         SbmSpec,
-        ritz_gap_rho,
         sample_adjacency,
         sbm_to_latent,
         truncated_eigs,

@@ -20,7 +20,6 @@ from spectol import (
     heuristic_tolerance,
     kmeans,
     procrustes_distance,
-    ritz_gap_rho,
     run_clustering_stability,
     sample_adjacency,
     sampling_error_constant,
@@ -36,6 +35,7 @@ from oracles import (
     brute_force_procrustes,
     monte_carlo_sq_deviation,
     pair_counting_ari,
+    ritz_gap_rho,
     sample_hollow_adjacency,
 )
 

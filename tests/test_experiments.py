@@ -23,7 +23,6 @@ from spectol import (
     SparseGraph,
     check_assumptions,
     experiments,
-    ritz_gap_rho,
     sample_adjacency,
     sbm_to_latent,
     spectral_core,
@@ -60,6 +59,7 @@ from oracles import (
     fresh_sweep_records,
     reference_ingest_edge_list,
     reference_read_sweep_csv,
+    ritz_gap_rho,
     sample_block_edges,
 )
 
@@ -801,6 +801,25 @@ class TestToleranceSweep:
             assert flat_at >= summary["heuristic"]["mean_heuristic_spectral"]
             assert flat_at >= summary["heuristic"]["mean_heuristic_sqrt_n"]
 
+    @pytest.mark.parametrize("sizes", ["300,300", "500"])
+    def test_d_above_the_block_count_raises_before_any_solve(self, monkeypatch, sizes):
+        # P has one eigenvector per block, so the Procrustes error of a d = 3
+        # solve failed on its shapes, after graph 0's extremes run and
+        # replicate 0's first solve had run
+        calls = []
+        for name in ("truncated_eigs", "excluded_extremes"):
+            def spy(*args, _real=getattr(experiments, name), _name=name, **kw):
+                calls.append(_name)
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(experiments, name, spy)
+        config = SweepConfig(model=block_model(sizes, b_diag=0.05, b_off=0.02), d=3,
+                             tolerances=(0.5, 0.25), replicates=2)
+        blocks = len(sizes.split(","))
+        with pytest.raises(DomainError, match=f"^d=3 exceeds the number of blocks, {blocks}$"):
+            run_tolerance_sweep(config)
+        assert calls == []
+
 
 class TestSweepRho:
     """rho from one extremes solve per replicate, against np.linalg.eigvalsh."""
@@ -1530,6 +1549,15 @@ class TestCli:
         out = tmp_path / "o.csv"
         assert cli_main([command, *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_sweep_d_above_the_block_count_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli_main(["sweep", "--sizes", "300,300", "--b-diag", "0.05", "--b-off", "0.02",
+                         "--dim", "3", "--tolerances", "2^-1..2^-4", "--replicates", "2",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: d=3 exceeds the number of blocks, 2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("rule", HEURISTIC_RULES)

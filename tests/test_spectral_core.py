@@ -20,7 +20,6 @@ from spectol import (
     dense_eig_oracle,
     estimate_spectral_norm,
     residual_norm,
-    ritz_gap_rho,
     sample_adjacency,
     sbm_to_latent,
     spectral_core,
@@ -29,7 +28,7 @@ from spectol import (
 from spectol.graph_model import DENSE_LIMIT
 
 from conftest import assert_same_result
-from oracles import column_major_solve
+from oracles import column_major_solve, ritz_gap_rho
 
 K2 = SparseGraph.from_edges(2, np.array([[0, 1]]))
 K5 = SparseGraph.from_edges(5, np.array([(i, j) for i in range(5) for j in range(i + 1, 5)]))
@@ -496,6 +495,40 @@ class TestRitzGapRho:
         assert rho >= 0.0
         spread = max(full) - min(full) + max(abs(v) for v in ritz) + 100.0
         assert rho <= spread
+
+
+class TestExcludedExtremes:
+    @pytest.mark.parametrize("replicate", [0, 1, 2, 3, 4, 7])
+    def test_returns_the_bracket_of_the_excluded_spectrum(self, three_block_900, replicate):
+        # the seed-0 benchmark sweep's graphs and extremes seeds; on
+        # replicate 7 the three values past d of a d + 3 run hold one sign,
+        # so the run doubles k
+        graph_ss, solver_ss = np.random.SeedSequence(replicate).spawn(2)
+        A = sample_adjacency(three_block_900, graph_ss)
+        spectrum = np.linalg.eigvalsh(A.to_dense())
+        excluded = spectrum[np.argsort(-np.abs(spectrum), kind="stable")][3:]
+        bracket = spectral_core.excluded_extremes(A, 3, solver_ss)
+        assert isinstance(bracket, tuple) and len(bracket) == 2
+        for got, want in zip(bracket, (excluded.min(), excluded.max())):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_stops_without_the_settling_gate(self, three_block_900, monkeypatch):
+        # the run stops on its own exact test for mu_- and mu_+, so a
+        # trajectory whose restarts never pass the d-path's settling gate
+        # gives the same bracket
+        graph_ss, solver_ss = np.random.SeedSequence(0).spawn(2)
+        A = sample_adjacency(three_block_900, graph_ss)
+        want = spectral_core.excluded_extremes(A, 3, solver_ss)
+        trajectory = spectral_core._restarts
+
+        def unsettled(*args, **kw):
+            for it in trajectory(*args, **kw):
+                it.settled = False
+                yield it
+
+        monkeypatch.setattr(spectral_core, "_restarts", unsettled)
+        got = spectral_core.excluded_extremes(A, 3, solver_ss)
+        assert got is not None and got == want
 
 
 class TestInvariants:
