@@ -756,8 +756,8 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
     for key in _fields_typed(SweepConfig, "bool"):
         if key in data:
             kwargs[key] = as_bool(data.pop(key))
-    if "output" in data:
-        kwargs["output"] = str(data.pop("output"))
+    output = data.pop("output", None)  # null means absent, as for d
+    kwargs["output"] = None if output is None else str(output)
     if data:
         raise DomainError(f"unknown config keys: {sorted(data)}")
     return SweepConfig(**kwargs)

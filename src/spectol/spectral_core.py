@@ -28,15 +28,15 @@ The tolerance enters only the stopping test: the exact residual draws no
 random numbers and a failed test leaves the basis as it was, so the restart
 trajectory of a start block is the same for every tolerance.  It yields one
 record per restart (``_Iterate``), and a solve runs it as a suspended
-restart path that logs these records, keeping the vectors of the last one
-only.  A later call at a tighter tolerance can resume the path (``resume=``):
-it replays the log to count the exact checks a fresh solve would make, then
-pulls new restarts, and returns exactly the fresh solve's result.
+restart path that logs these records with their settling gates and keeps
+the vectors of the last one only.  A later call at a tighter tolerance can
+resume the path (``resume=``): it replays the log to count a fresh solve's
+exact checks, then pulls new restarts, and returns exactly its result.
 
 ``excluded_extremes`` reads the same records, on the trajectory of a single
 start vector, for the two extremes of the spectrum past the d leading
-eigenvalues.  It stops once its exact test holds for those two values, with
-no settling gate and no test of any other residual.
+eigenvalues.  It stops once its exact test holds for those two values: it
+never evaluates the settling gate and tests no other residual.
 """
 from __future__ import annotations
 
@@ -146,11 +146,12 @@ class _Iterate:
     stopping rules read of them."""
 
     matvecs: int  # products along the trajectory, exact residuals excluded
-    settled: bool  # each selected value passed the settling gate; d-path only
     U: np.ndarray | None  # n x d Ritz vectors, one per column
     theta: np.ndarray  # their Ritz values
     G: np.ndarray | None  # rows A u - theta u, formed from W = A Q
     ritz: np.ndarray  # every Ritz value of the basis
+    H: np.ndarray | None  # projected matrix Q^T A Q, dropped when a path logs it
+    settled: bool | None = None  # the settling gate, set when a path logs the restart
     estimate: float | None = None  # ||G||_2, set when a path logs the restart
     residual: float | None = None  # exact residual, once a check needed it
 
@@ -159,10 +160,10 @@ def _restarts(A, d, m, seed, b=_BLOCK):
     """The thick-restart trajectory of one start block of width b, one
     restart at a time.
 
-    Yields one ``_Iterate`` after each restart's Ritz extraction, the same
-    record both stopping rules read.  The tolerance appears nowhere here,
-    so one trajectory serves every tolerance; the caller picks the restart
-    to stop at.  m >= d + 1 >= b, so a whole block always fits.
+    Yields one ``_Iterate`` after each restart's Ritz extraction and
+    evaluates no stopping rule: the tolerance appears nowhere here, so one
+    trajectory serves every tolerance, and the d-path reads its settling
+    gate off ``H``.  m >= d + 1 >= b, so a whole block always fits.
     """
     max_restarts = DEFAULT_MAX_RESTARTS
     n = A.n
@@ -190,28 +191,6 @@ def _restarts(A, d, m, seed, b=_BLOCK):
         theta = all_theta[take]
         Yd = all_Y[:, take]
 
-        # settling gate: a small residual alone can accept an iterate sitting
-        # near the wrong invariant subspace, with a leading direction the
-        # basis has barely reached replaced by a converged bulk vector.  Such
-        # iterates betray themselves through leading Ritz values that still
-        # move as the basis grows, so termination also requires every
-        # selected value to have settled over the last block step (a single
-        # row is only part of a block step).  A value near zero is measured
-        # against RANK_REL_TOL * |theta_1|: rounding moves it by far more
-        # than 1e-3 of itself, and a tie at zero never settles otherwise
-        settled = False
-        if j > d:
-            p = max(j - b, d)
-            prev = np.linalg.eigvalsh(H[:p, :p])
-            prev = prev[order_by_magnitude(prev)[:d]]
-            settled = bool(
-                np.all(
-                    np.abs(theta - prev)
-                    <= _STABILIZE_RTOL
-                    * np.maximum(np.abs(theta), RANK_REL_TOL * abs(theta[0]))
-                )
-            )
-
         # residuals of the top-d block, formed explicitly from W = A Q: the
         # algebraically equal Y^T (W^T W) Y - Theta^2 cancels catastrophically
         # and floors their norm near sqrt(eps) * |lambda|
@@ -219,7 +198,7 @@ def _restarts(A, d, m, seed, b=_BLOCK):
         G = Yd.T @ W[:j] - theta[:, None] * Ut
         # U = Ut.T is n x d with contiguous columns: residual_norm reads
         # them as rows without a copy
-        yield _Iterate(matvecs, settled, Ut.T, theta, G, all_theta)
+        yield _Iterate(matvecs, Ut.T, theta, G, all_theta, H)
         if iteration == max_restarts:
             return
         # thick restart: grow the next block (A times the last b rows) into
@@ -236,7 +215,27 @@ def _restarts(A, d, m, seed, b=_BLOCK):
         j = held + fresh
 
 
-def _path_key(d, m, seed) -> tuple:
+def _settled(it: _Iterate) -> bool:
+    # settling gate: a small residual alone can accept an iterate sitting
+    # near the wrong invariant subspace, with a leading direction the basis
+    # has barely reached replaced by a converged bulk vector.  Such iterates
+    # betray themselves through leading Ritz values that still move as the
+    # basis grows, so the d-path's stop also requires every selected value
+    # to have settled over the last block step (a single row is only part
+    # of a block step).  A value near zero is measured against
+    # RANK_REL_TOL * |theta_1|: rounding moves it by far more than 1e-3 of
+    # itself, and a tie at zero never settles otherwise
+    theta, d, j = it.theta, it.theta.size, it.H.shape[0]
+    if j <= d:
+        return False
+    p = max(j - _BLOCK, d)
+    prev = np.linalg.eigvalsh(it.H[:p, :p])
+    prev = prev[order_by_magnitude(prev)[:d]]
+    floor = np.maximum(np.abs(theta), RANK_REL_TOL * abs(theta[0]))
+    return bool(np.all(np.abs(theta - prev) <= _STABILIZE_RTOL * floor))
+
+
+def _path_key(d, seed) -> tuple:
     """Equal for two calls on one graph exactly when they share a trajectory.
 
     Integer seeds compare by value and SeedSequences by identity; any other
@@ -247,20 +246,20 @@ def _path_key(d, m, seed) -> tuple:
         seed = int(seed)
     elif not isinstance(seed, np.random.SeedSequence):
         seed = object()
-    return (d, m, seed)
+    return (d, seed)
 
 
 class _RestartPath:
     """One suspended restart trajectory plus the log of its restarts so far.
 
-    Only the last restart logged keeps its vectors ``U`` and ``G``: a
-    replay at a tighter tolerance reads no vector before it reaches that
-    restart.
+    Logging a restart sets its gate ``settled`` and drops ``H``.  Only the
+    last restart logged keeps its vectors ``U`` and ``G``: a replay at a
+    tighter tolerance reads no vector before it reaches that restart.
     """
 
     def __init__(self, A, d, m, seed):
         self.A = A
-        self.key = _path_key(d, m, seed)
+        self.key = _path_key(d, seed)
         self.log: list[_Iterate] = []
         self.tol = math.inf  # the tightest tolerance solved on the path
         self._steps = _restarts(A, d, m, seed)
@@ -272,6 +271,7 @@ class _RestartPath:
             return False
         if self.log:
             self.log[-1].U = self.log[-1].G = None
+        it.settled, it.H = _settled(it), None
         it.estimate = _spectral_norm(it.G)
         self.log.append(it)
         return True
@@ -324,7 +324,7 @@ def truncated_eigs(
         path = _RestartPath(A, d, m, seed)
     else:
         path = getattr(resume, "_path", None)
-        if path is None or path.A is not A or path.key != _path_key(d, m, seed):
+        if path is None or path.A is not A or path.key != _path_key(d, seed):
             raise DomainError(
                 "resume needs a solve of the same graph with the same d "
                 "and an int or SeedSequence seed"

@@ -110,7 +110,7 @@ def solve_at_heuristic(
     if rule not in HEURISTIC_RULES:
         raise DomainError(f"rule must be one of {', '.join(HEURISTIC_RULES)}")
     # a seed that draws a new start block on every call keys no shared path
-    if _path_key(d, 0, seed) != _path_key(d, 0, seed):
+    if _path_key(d, seed) != _path_key(d, seed):
         raise DomainError("a heuristic solve needs an int or SeedSequence seed")
     if A.n < MIN_HEURISTIC_N:
         raise DomainError(f"heuristic defined for n >= {MIN_HEURISTIC_N}, got {A.n}")

@@ -332,18 +332,6 @@ class TestWriteRows:
 
 
 class TestSweepConfigValidation:
-    @pytest.mark.parametrize("reference_tol", [1e-6, 2.0**-5])
-    def test_records_match_fresh_solves(self, reference_tol):
-        # one restart path per repetition serves the swept tolerances and
-        # the reference, also when the reference is one of them
-        from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
-
-        graph = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm(100))), 3)
-        tols = tuple(2.0**-k for k in range(1, 9))
-        args = dict(reference_tol=reference_tol, seed=0, repetitions=3, k_range=(2, 3, 4))
-        records, _ = run_clustering_stability(graph, 3, tols, **args)
-        assert nan_safe(records) == nan_safe(fresh_stability_records(graph, 3, tols, **args))
-
     def test_increasing_tolerances_rejected(self):
         with pytest.raises(DomainError):
             SweepConfig(model=small_sbm(), tolerances=(0.1, 0.5))
@@ -1456,6 +1444,20 @@ class TestCli:
             assert (tmp_path / f"cfg{suffix}").read_bytes() == (
                 tmp_path / f"flags{suffix}"
             ).read_bytes()
+
+    def test_null_output_in_json_config_is_absent(self, tmp_path, capsys, monkeypatch):
+        # JSON null leaves the key out, as it does for d: the summary goes
+        # to stdout and no file named after null's string form is written
+        keys = {"sizes": "50,50", "b_diag": 0.2, "b_off": 0.05, "d": 2,
+                "tolerances": "2^-1..2^-2", "replicates": 1}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({**keys, "output": None}))
+        assert sweep_config_from_dict({**keys, "output": None}).output is None
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["sweep", "--config", str(cfg)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert len(summary["per_tolerance"]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
 
     def test_cluster_stability_smoke(self, tmp_path):
         out = tmp_path / "stability.csv"

@@ -21,17 +21,12 @@ from spectol import (
     sbm_to_latent,
 )
 
+from conftest import three_block_spec
 from oracles import (
     reference_csr_error,
     reference_latent_in_range,
     reference_sample_adjacency,
 )
-
-
-def three_block_spec() -> SbmSpec:
-    B = np.full((3, 3), 0.02)
-    np.fill_diagonal(B, 0.05)
-    return SbmSpec(B, (300, 300, 300))
 
 
 class TestLatentPositions:

@@ -513,22 +513,41 @@ class TestExcludedExtremes:
             assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_stops_without_the_settling_gate(self, three_block_900, monkeypatch):
-        # the run stops on its own exact test for mu_- and mu_+, so a
-        # trajectory whose restarts never pass the d-path's settling gate
-        # gives the same bracket
+        # the run stops on its own exact test for mu_- and mu_+, so a gate
+        # that never passes leaves the bracket as it was, while the d-path,
+        # which reads the gate, spends its restarts on the same graph
         graph_ss, solver_ss = np.random.SeedSequence(0).spawn(2)
         A = sample_adjacency(three_block_900, graph_ss)
         want = spectral_core.excluded_extremes(A, 3, solver_ss)
-        trajectory = spectral_core._restarts
-
-        def unsettled(*args, **kw):
-            for it in trajectory(*args, **kw):
-                it.settled = False
-                yield it
-
-        monkeypatch.setattr(spectral_core, "_restarts", unsettled)
+        budget, full_budget = 5, spectral_core.DEFAULT_MAX_RESTARTS
+        monkeypatch.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", budget)
+        assert truncated_eigs(A, 3, 0.5, seed=solver_ss).converged
+        monkeypatch.setattr(spectral_core, "_settled", lambda it: False)
+        dec = truncated_eigs(A, 3, 0.5, seed=solver_ss)
+        assert not dec.converged and dec.iterations == budget
+        monkeypatch.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", full_budget)
         got = spectral_core.excluded_extremes(A, 3, solver_ss)
         assert got is not None and got == want
+
+    def test_never_evaluates_the_settling_gate(self, three_block_900, monkeypatch):
+        # the benchmark sweep's replicate-0 graph and extremes seed: the
+        # extremes run reads no gate, so it evaluates none, while a d-path
+        # solve evaluates it once per restart it logs
+        graph_ss, solver_ss = np.random.SeedSequence(0).spawn(2)
+        A = sample_adjacency(three_block_900, graph_ss)
+        calls = []
+        gate = spectral_core._settled
+
+        def spy(it):
+            calls.append(it)
+            return gate(it)
+
+        monkeypatch.setattr(spectral_core, "_settled", spy)
+        assert spectral_core.excluded_extremes(A, 3, solver_ss) is not None
+        assert calls == []
+        dec = truncated_eigs(A, 3, 2.0**-10, seed=solver_ss)
+        assert len(calls) == dec.iterations
+        assert all(it.H is None for it in dec._path.log)
 
 
 class TestInvariants:
