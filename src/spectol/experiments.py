@@ -725,7 +725,9 @@ def model_from_keys(data: dict) -> SbmSpec | str:
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
-    """Build a SweepConfig from flat keys (strings allowed for every value)."""
+    """Build a SweepConfig from flat keys (strings allowed for every value).
+    A key whose value is None (JSON null) counts as absent; a key that no
+    field takes is refused all the same."""
     data = dict(data)
 
     def as_bool(x):
@@ -737,11 +739,13 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
         raise DomainError(f"cannot parse boolean {x!r}")
 
     kwargs: dict = {"model": model_from_keys(data)}
+    names = {f.name for f in fields(SweepConfig)} - {"model"} | {"dim"}
+    data = {key: value for key, value in data.items()
+            if value is not None or key not in names}
     if "d" in data and "dim" in data:
         raise DomainError("a config takes d or dim, not both")
-    d = data.pop("d", data.pop("dim", None))
-    if d is not None:
-        kwargs["d"] = d
+    if "d" in data or "dim" in data:
+        kwargs["d"] = data.pop("d", data.pop("dim", None))
     if "tolerances" in data:
         raw = data.pop("tolerances")
         kwargs["tolerances"] = (
@@ -756,8 +760,8 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
     for key in _fields_typed(SweepConfig, "bool"):
         if key in data:
             kwargs[key] = as_bool(data.pop(key))
-    output = data.pop("output", None)  # null means absent, as for d
-    kwargs["output"] = None if output is None else str(output)
+    if "output" in data:
+        kwargs["output"] = str(data.pop("output"))
     if data:
         raise DomainError(f"unknown config keys: {sorted(data)}")
     return SweepConfig(**kwargs)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_seed
 from .errors import DimensionMismatch, DomainError
 
 _ORTHONORMAL_TOL = 1e-8
@@ -75,6 +76,25 @@ class Clustering:
     wcss: float
 
 
+def _as_points(points) -> np.ndarray:
+    """``points`` as a float array of n rows; a point with no coordinate is
+    a ``DomainError``, since every distance starts from the first one."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] == 0:
+        raise DomainError("points need at least one coordinate")
+    return points
+
+
+def _cluster_count(k) -> int:
+    """``k`` as an int: a bool, a fraction or a count below 1 is a
+    ``DomainError``."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise DomainError(f"a cluster count must be an integer, got {k!r}")
+    if k < 1:
+        raise DomainError("k must be at least 1")
+    return int(k)
+
+
 def _plus_plus_init(points: np.ndarray, k: int, rng) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -95,55 +115,89 @@ def _sq_dists(rows: np.ndarray, points_t: np.ndarray, out: np.ndarray) -> np.nda
     """Squared Euclidean distances into ``out`` (rows x points), from the
     points' coordinates held one per row (``points_t`` is d x points).  The
     sum runs one coordinate at a time through one reused temporary, so no
-    rows x points x d array exists."""
+    rows x points x d array exists; the first square is written straight
+    into ``out``, exactly 0.0 plus it."""
+    np.subtract(rows[:, 0, None], points_t[0], out=out)
+    out *= out
     tmp = np.empty_like(out)
-    out.fill(0.0)
-    for j in range(rows.shape[1]):
+    for j in range(1, rows.shape[1]):
         np.subtract(rows[:, j, None], points_t[j], out=tmp)
         tmp *= tmp
         out += tmp
     return out
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray):
-    n, k = points.shape[0], centers.shape[0]
-    points_t = np.ascontiguousarray(points.T)
-    centers = centers.copy()
-    labels = np.full(n, -1)
-    prev_wcss = math.inf
-    # cluster-major: row c holds every point's distance to center c
-    dists = np.empty((k, n))
-    for _ in range(_LLOYD_ITERS):
-        _sq_dists(centers, points_t, dists)
-        # a running strict minimum keeps the first of tied centers, as argmin
-        new_labels = np.zeros(n, dtype=np.intp)
-        nearest = dists[0].copy()
-        for c in range(1, k):
-            np.putmask(new_labels, dists[c] < nearest, c)
-            np.minimum(nearest, dists[c], out=nearest)
-        # revive empty clusters by seizing the point farthest from its center
-        counts = np.bincount(new_labels, minlength=k)
-        for c in np.nonzero(counts == 0)[0]:
-            eligible = counts[new_labels] > 1
-            if not eligible.any():
-                break
-            idx = int(np.where(eligible, nearest, -1.0).argmax())
-            counts[new_labels[idx]] -= 1
-            new_labels[idx] = c
-            counts[c] += 1
-            centers[c] = points[idx]
-            nearest[idx] = 0.0  # the seized point is its cluster's new center
-        wcss = float(nearest.sum())
-        assert wcss <= prev_wcss * (1.0 + 1e-9) + 1e-12, "cost rose within Lloyd"
-        prev_wcss = wcss
-        if np.array_equal(new_labels, labels):
+def _revive(points, labels, counts, nearest, centers) -> None:
+    """Give each empty cluster of one start the point farthest from its
+    center, taken from a cluster that keeps at least one other member."""
+    for c in np.nonzero(counts == 0)[0]:
+        eligible = counts[labels] > 1
+        if not eligible.any():
             break
-        labels = new_labels
+        idx = int(np.where(eligible, nearest, -1.0).argmax())
+        counts[labels[idx]] -= 1
+        labels[idx] = c
+        counts[c] += 1
+        centers[c] = points[idx]
+        nearest[idx] = 0.0  # the seized point is its cluster's new center
+
+
+def _lloyd(points: np.ndarray, inits: np.ndarray) -> list:
+    """Lloyd iteration from each start of ``inits`` (starts x k x d) at
+    once; returns each start's (labels, centers, wcss).  Every step is the
+    one a lone run takes, done on all starts still moving, and a start whose
+    labels repeat leaves the batch as a lone run would stop."""
+    n = points.shape[0]
+    starts, k = inits.shape[:2]
+    points_t = np.ascontiguousarray(points.T)
+    # the weights of one bincount over (start, cluster) bins: any prefix of
+    # m * n holds the coordinate once per start, points in index order
+    tiled = np.tile(points_t, (1, starts))
+    centers = inits.copy()
+    labels = np.full((starts, n), -1)
+    prev_wcss = np.full(starts, math.inf)
+    live = np.arange(starts)  # the start each row of the batch belongs to
+    offsets = k * live[:, None]  # row r's clusters are bins r * k to r * k + k - 1
+    runs = [None] * starts
+    # start-major, then cluster-major: dists[s, c] holds every point's
+    # distance to center c of start s
+    dists = np.empty((starts, k, n))
+    for _ in range(_LLOYD_ITERS):
+        m = live.size
+        dist = dists[:m]
+        _sq_dists(centers.reshape(m * k, -1), points_t, dist.reshape(m * k, n))
+        # a running strict minimum keeps the first of tied centers, as argmin
+        new_labels = np.zeros((m, n), dtype=np.intp)
+        nearest = dist[:, 0].copy()
+        for c in range(1, k):
+            np.putmask(new_labels, dist[:, c] < nearest, c)
+            np.minimum(nearest, dist[:, c], out=nearest)
+        counts = np.bincount((new_labels + offsets[:m]).ravel(), minlength=m * k)
+        counts = counts.reshape(m, k)
+        for r in np.nonzero((counts == 0).any(axis=1))[0]:
+            _revive(points, new_labels[r], counts[r], nearest[r], centers[r])
+        wcss = nearest.sum(axis=1)
+        bound = prev_wcss * (1.0 + 1e-9) + 1e-12
+        assert np.all(wcss <= bound), "cost rose within Lloyd"
+        prev_wcss = wcss
+        done = (new_labels == labels).all(axis=1)
+        for r in np.nonzero(done)[0]:
+            runs[live[r]] = (new_labels[r].copy(), centers[r].copy(), float(wcss[r]))
+        moving = ~done
+        live, labels, counts = live[moving], new_labels[moving], counts[moving]
+        centers, prev_wcss = centers[moving], prev_wcss[moving]
+        m = live.size
+        if m == 0:
+            break
         filled = counts > 0
+        bins = (labels + offsets[:m]).ravel()
         for j in range(points.shape[1]):
-            sums = np.bincount(labels, weights=points_t[j], minlength=k)
-            centers[filled, j] = sums[filled] / counts[filled]
-    return labels, centers, prev_wcss
+            sums = np.bincount(bins, weights=tiled[j, : m * n], minlength=m * k)
+            sums = sums.reshape(m, k)
+            centers[..., j][filled] = sums[filled] / counts[filled]
+    for r, s in enumerate(live):
+        runs[s] = (labels[r].copy(), centers[r].copy(), float(prev_wcss[r]))
+    return runs
 
 
 def kmeans(points: np.ndarray, k: int, seed=0) -> Clustering:
@@ -151,25 +205,30 @@ def kmeans(points: np.ndarray, k: int, seed=0) -> Clustering:
     of at most 100 iterations each.
 
     Deterministic for a fixed seed; the within-cluster sum of squares is
-    checked to be non-increasing across every Lloyd iteration.  Lloyd holds
-    its distances cluster-major, k x n, summed one coordinate at a time, and
-    assigns each point to the first of its nearest centers, as argmin would;
-    the center updates read a contiguous copy of points.T.
+    checked to be non-increasing across every Lloyd iteration.  All seeds
+    are drawn first; Lloyd then runs on a batch of starts at once, holding
+    its distances starts x k x n, summed one coordinate at a time, and
+    assigns each point to the first of its nearest centers, as argmin would.
+    A batch's two distance buffers hold at most _SILHOUETTE_BLOCK rows of n
+    (one start's 2k rows if k is larger), so memory stays
+    O(_SILHOUETTE_BLOCK * n) as in a silhouette pass.  Each
+    start gives the labels, centers and cost a lone run from its seed gives,
+    and the first start of least cost is kept.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _as_points(points)
     n = points.shape[0]
-    if k < 1:
-        raise DomainError("k must be at least 1")
+    k = _cluster_count(k)
     if k > n:
         raise DomainError(f"k={k} clusters from {n} points")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(_KMEANS_RESTARTS):
-        init = _plus_plus_init(points, k, rng)
-        labels, centers, wcss = _lloyd(points, init)
-        if best is None or wcss < best[2]:
-            best = (labels, centers, wcss)
-    labels, centers, wcss = best
+    inits = np.array([_plus_plus_init(points, k, rng) for _ in range(_KMEANS_RESTARTS)])
+    batch = max(1, _SILHOUETTE_BLOCK // (2 * k))
+    runs = []
+    for lo in range(0, _KMEANS_RESTARTS, batch):
+        runs += _lloyd(points, inits[lo : lo + batch])
+    # min keeps the first of tied costs
+    labels, centers, wcss = min(runs, key=lambda run: run[2])
     return Clustering(labels=labels, k=k, centers=centers, wcss=wcss)
 
 
@@ -201,7 +260,7 @@ def _silhouette_widths(points, clusterings) -> list[SilhouetteResult]:
     pass over its pairwise distances: each block of rows is formed once and
     folded into the per-cluster sums of every clustering, then released
     (its buffer is reused) before the next block is formed."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _as_points(points)
     n = points.shape[0]
     for clustering in clusterings:
         if clustering.k < 2:
@@ -252,7 +311,7 @@ def choose_k_by_silhouette(
     from one pass over the pairwise distances, not one pass per candidate,
     with the same values as ``silhouette_width`` gives each clustering.
     """
-    candidates = sorted(int(k) for k in k_range)
+    candidates = sorted(_cluster_count(k) for k in k_range)
     if not candidates:
         raise DomainError("no candidate cluster counts")
     clusterings = [kmeans(points, k, seed) for k in candidates]

@@ -483,6 +483,27 @@ class TestConfigFiles:
         assert model_from_keys(data) == "g.txt"
         assert data == {"d": 2}
 
+    @pytest.mark.parametrize(
+        "key",
+        ["d", "dim", "tolerances", "replicates", "seed", "workers", "scaled",
+         "record_timing", "output", "b", "b_off", "edge_list"],
+    )
+    def test_null_key_is_absent(self, key):
+        # null meant absent only for d, dim, the model keys and output; the
+        # others failed with "cannot parse ... None"
+        keys = {"sizes": "10,10", "b_diag": 0.1}
+        absent = sweep_config_from_dict(keys)
+        null = sweep_config_from_dict({**keys, key: None})
+        assert null.model.sizes == absent.model.sizes
+        assert np.array_equal(
+            null.model.block_probabilities, absent.model.block_probabilities
+        )
+        assert dataclasses.replace(null, model=absent.model) == absent
+
+    def test_null_unknown_key_rejected(self):
+        with pytest.raises(DomainError, match="unknown config keys: \\['typo'\\]"):
+            sweep_config_from_dict({"sizes": "10,10", "b_diag": 0.1, "typo": None})
+
     @pytest.mark.parametrize("sizes", ["500", "500,500"])
     def test_b_off_defaults_to_zero(self, sizes):
         B = block_model(sizes, b_diag=0.05).block_probabilities

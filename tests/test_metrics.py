@@ -18,8 +18,11 @@ from spectol import (
     silhouette_width,
     zhu_ghodsi_dimension,
 )
+from spectol import metrics
 from spectol.metrics import _SILHOUETTE_BLOCK, _silhouette_widths
 from oracles import (
+    _reference_plus_plus_init,
+    _row_major_lloyd,
     brute_force_elbow,
     brute_force_procrustes,
     brute_force_silhouette,
@@ -142,6 +145,35 @@ class TestKmeans:
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.centers, b.centers)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        # 2.5 and True raised TypeError from inside the seeding
+        with pytest.raises(DomainError, match="cluster count must be an integer"):
+            kmeans(np.zeros((4, 1)), k)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(DomainError, match="k must be at least 1"):
+            kmeans(np.zeros((4, 1)), 0)
+
+    def test_numpy_integer_k(self):
+        pts = np.random.default_rng(9).standard_normal((60, 2))
+        result = kmeans(pts, np.int64(3), seed=4)
+        assert type(result.k) is int and result.k == 3
+        assert np.array_equal(result.labels, kmeans(pts, 3, seed=4).labels)
+
+    def test_points_without_coordinates_rejected(self):
+        labels = np.array([0, 1])
+        clustering = Clustering(labels=labels, k=2, centers=np.zeros((2, 0)), wcss=0.0)
+        with pytest.raises(DomainError, match="at least one coordinate"):
+            kmeans(np.zeros((2, 0)), 2)
+        with pytest.raises(DomainError, match="at least one coordinate"):
+            silhouette_width(np.zeros((2, 0)), clustering)
+
+    def test_negative_seed_rejected(self):
+        # numpy's own ValueError escaped
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            kmeans(np.zeros((4, 1)), 2, seed=-1)
+
 
 class TestKmeansMatchesReference:
     """Bit-for-bit agreement with the frozen loop version.  For 2 <= d <= 7
@@ -210,6 +242,94 @@ class TestKmeansMatchesRowMajor:
         pts = rng.standard_normal((locations, d))[rng.integers(locations, size=60)]
         self.assert_matches(pts, k, d)
         assert len(set(kmeans(pts, k, d).labels)) == k
+
+
+def calls_per_start(pts, k, seed, name):
+    """How often each start of ``kmeans(pts, k, seed)`` calls
+    ``metrics.<name>``, counted with every start in a batch of its own."""
+    counts = []
+    lloyd, spied = metrics._lloyd, getattr(metrics, name)
+
+    def lone(points, inits):
+        assert len(inits) == 1
+        counts.append(0)
+        return lloyd(points, inits)
+
+    def spy(*args):
+        counts[-1] += 1
+        return spied(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_SILHOUETTE_BLOCK", 2 * k)
+        patch.setattr(metrics, "_lloyd", lone)
+        patch.setattr(metrics, name, spy)
+        kmeans(pts, k, seed)
+    return counts
+
+
+class TestKmeansBatch:
+    """Lloyd runs the seeded starts of one call as a batch.  A start leaves
+    it when its labels repeat, with what a lone run gives, so every start,
+    not only the best, matches the frozen one-start-at-a-time Lloyd bit for
+    bit however its batch-mates differ."""
+
+    @staticmethod
+    def assert_matches(pts, k, seed, max_iters=100):
+        """Check each start of kmeans(pts, k, seed), and the start it
+        keeps, against the oracle; return the sizes of its batches."""
+        runs, sizes = [], []
+        lloyd = metrics._lloyd
+
+        def spy(points, inits):
+            sizes.append(len(inits))
+            batch = lloyd(points, inits)
+            runs.extend(batch)
+            return batch
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_lloyd", spy)
+            result = kmeans(pts, k, seed)
+        rng = np.random.default_rng(seed)
+        assert len(runs) == 10
+        for run in runs:
+            init = _reference_plus_plus_init(pts, k, rng)
+            labels, centers, wcss = _row_major_lloyd(pts, init, max_iters)
+            assert run[0].dtype == labels.dtype
+            assert np.array_equal(run[0], labels)
+            assert np.array_equal(run[1], centers)
+            assert run[2] == wcss
+        labels, centers, wcss = row_major_kmeans(pts, k, seed, max_iters=max_iters)
+        assert np.array_equal(result.labels, labels)
+        assert np.array_equal(result.centers, centers)
+        assert result.wcss == wcss
+        return sizes
+
+    def test_starts_stop_at_different_iterations(self, monkeypatch):
+        # uncapped, some starts stop at their second iteration and some run
+        # past a cap of 3, which they then hit while the others have left
+        rng = np.random.default_rng(0)
+        pts = np.vstack([
+            rng.normal(0.0, 1.0, size=(30, 2)) + np.array([8.0 * i, 0.0])
+            for i in range(3)
+        ])
+        iterations = calls_per_start(pts, 3, 0, "_sq_dists")
+        assert min(iterations) == 2 and max(iterations) > 3
+        monkeypatch.setattr(metrics, "_LLOYD_ITERS", 3)
+        assert self.assert_matches(pts, 3, 0, max_iters=3) == [10]
+
+    def test_one_start_revives_an_empty_cluster(self):
+        pts = np.array([-0.8, 0.5, -2.1, -0.5, -0.2, -1.8, 0.4, -1.8, -0.5, -0.5])
+        pts = pts[:, None]
+        # of the ten starts, only start 1 ever finds an empty cluster
+        revivals = calls_per_start(pts, 3, 2, "_revive")
+        assert revivals[1] > 0 and sum(revivals) == revivals[1]
+        assert self.assert_matches(pts, 3, 2) == [10]
+
+    def test_call_split_into_batches(self, monkeypatch):
+        # two distance buffers of 3 starts x 5 clusters each
+        monkeypatch.setattr(metrics, "_SILHOUETTE_BLOCK", 2 * 3 * 5)
+        pts = np.random.default_rng(0).standard_normal((150, 2))
+        assert self.assert_matches(pts, 5, 0) == [3, 3, 3, 1]
 
 
 class TestSilhouetteMatchesOracle:
@@ -319,6 +439,16 @@ class TestChooseK:
     def test_empty_range(self):
         with pytest.raises(DomainError, match="no candidate cluster counts"):
             choose_k_by_silhouette(np.zeros((4, 1)), (), seed=0)
+
+    @pytest.mark.parametrize("k_range", [(2.5,), (2, True), (2, 3.0)])
+    def test_non_integer_candidate_rejected(self, k_range):
+        # (2.5,) silently ran k = 2
+        with pytest.raises(DomainError, match="cluster count must be an integer"):
+            choose_k_by_silhouette(self.blobs(2, 13), k_range, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            choose_k_by_silhouette(self.blobs(2, 13), (2, 3), seed=-1)
 
 
 class TestChooseKOnePass:
