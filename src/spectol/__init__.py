@@ -23,6 +23,7 @@ from .graph_model import (
     sbm_to_latent,
 )
 from .spectral_core import (
+    RestartPath,
     SpectralDecomposition,
     dense_eig_oracle,
     estimate_spectral_norm,

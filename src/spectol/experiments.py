@@ -37,7 +37,7 @@ from .metrics import (
     silhouette_width,
     zhu_ghodsi_dimension,
 )
-from .spectral_core import excluded_extremes, truncated_eigs
+from .spectral_core import RestartPath, excluded_extremes, truncated_eigs
 from .tolerance import conservative_tolerance, report_from_solve
 
 log = logging.getLogger(__name__)
@@ -49,10 +49,11 @@ PILOT_TOL = 1e-2
 
 
 def _check_tolerances(tolerances, name: str = "tolerances") -> tuple[float, ...]:
-    """``tolerances`` as floats, if they are positive and strictly decreasing."""
+    """``tolerances`` as floats, if they are positive, finite and strictly
+    decreasing."""
     tols = tuple(float(t) for t in tolerances)
-    if not tols or not all(t > 0 for t in tols):
-        raise DomainError(f"{name} must be positive")
+    if not tols or not all(0.0 < t < math.inf for t in tols):
+        raise DomainError(f"{name} must be positive and finite")
     if any(b >= a for a, b in zip(tols, tols[1:])):
         raise DomainError(f"{name} must be strictly decreasing")
     return tols
@@ -113,9 +114,9 @@ class SweepRecord:
     """One (tolerance, replicate) cell of a sweep table.
 
     ``elapsed_ms`` is what a solve to this tolerance costs: the solver time
-    of the replicate's chain up to and including it, a looser conservative
-    link too, since each tolerance resumes the looser one's solve.  It is
-    0.0 unless the config sets ``record_timing``.
+    of the replicate's solves up to and including it, a looser conservative
+    one too, since each tolerance continues the looser one's restart path.
+    It is 0.0 unless the config sets ``record_timing``.
 
     ``rho`` is the distance from the cell's Ritz values to the excluded
     spectrum: the smallest |v - mu| over the cell's values v and the
@@ -225,8 +226,8 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
 
     Within a replicate the sampled graph and the solver's starting seed are
     held fixed across tolerances, so differences down a column are purely
-    the stopping rule.  The tolerances of a replicate share one restart
-    path: each solve resumes where the looser one stopped (``resume=``) and
+    the stopping rule.  The tolerances of a replicate share one
+    ``RestartPath``: each solve continues where the looser one stopped and
     returns what a fresh solve would.  The graph's conservative tolerance
     joins the path (recorded only if configured), and the summary's
     heuristics are read off its solve, as ``embed`` reads them.
@@ -266,11 +267,11 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
         bracket = bracket0 if A is graph0 else excluded_extremes(A, d, solver_ss)
         conservative = conservative_tolerance(A)
         records = []
-        dec = None
+        path = RestartPath(A, d, solver_ss)
         solve_s = 0.0
         for tol in sorted({*config.tolerances, conservative}, reverse=True):
             t0 = time.perf_counter()
-            dec = truncated_eigs(A, d, tol, seed=solver_ss, resume=dec)
+            dec = truncated_eigs(A, d, tol, path=path)
             solve_s += time.perf_counter() - t0
             if tol == conservative:
                 report = report_from_solve(A, dec)
@@ -358,13 +359,14 @@ def run_clustering_stability(
     counts, which persist even for fully converged embeddings.
 
     A repetition solves the swept tolerances and the reference in decreasing
-    order along one restart path, each solve resuming where the looser one
-    stopped (``resume=``), with the results of fresh solves.  The inputs
-    are checked before the first solve, a bad one being a ``DomainError``:
-    the tolerances and ``reference_tol`` as ``SweepConfig`` checks its
-    tolerances, ``repetitions``, ``workers`` and ``seed`` as its
-    ``replicates``, ``workers`` and ``seed``, and every candidate count in
-    ``k_range`` must be an integer in [2, n].
+    order on one ``RestartPath``, each solve continuing where the looser one
+    stopped, with the results of fresh solves.  The inputs are checked
+    before the first solve, a bad one being a ``DomainError``: the
+    tolerances and ``reference_tol`` as ``SweepConfig`` checks its
+    tolerances (positive, finite and, for a list, strictly decreasing),
+    ``repetitions``, ``workers`` and ``seed`` as its ``replicates``,
+    ``workers`` and ``seed``, and every candidate count in ``k_range`` must
+    be an integer in [2, n].
 
     A solve stops only at a restart, so consecutive tolerances often return
     the same embedding bit for bit.  k-means is deterministic for a fixed
@@ -385,14 +387,14 @@ def run_clustering_stability(
     def one_repetition(rep: int):
         ss = np.random.SeedSequence(seed + rep)
         solver_ss, cluster_ss = ss.spawn(2)
-        embeddings = {}
-        dec = None
-        for tol in sorted({*tols, float(reference_tol)}, reverse=True):
-            dec = truncated_eigs(graph, d, tol, seed=solver_ss, resume=dec)
-            embeddings[tol] = dec.vectors
+        path = RestartPath(graph, d, solver_ss)
+        embeddings = {
+            tol: truncated_eigs(graph, d, tol, path=path).vectors
+            for tol in sorted({*tols, float(reference_tol)}, reverse=True)
+        }
         # only the vectors are clustered: free the restart path (the
         # solver's basis) before k-means runs
-        del dec
+        del path
         ref_k, ref_clustering = choose_k_by_silhouette(
             embeddings[float(reference_tol)], k_range, cluster_ss
         )
@@ -567,37 +569,32 @@ def ingest_edge_list(path) -> IngestResult:
 
     Lines starting with "#" and blank lines are skipped; every other line
     must hold exactly two integer ids in [0, 2^63).  Self loops are dropped
-    (counted and logged), duplicate edges merged.  The observed ids are
-    compacted to 0..n-1 in increasing order and returned as the map
-    ``vertex_ids``, so a vertex no edge names is not a vertex of the graph.
+    (counted and logged), and an edge listed twice, in either orientation,
+    is merged (counted and logged).  The observed ids are compacted to
+    0..n-1 in increasing order and returned as the map ``vertex_ids``, so a
+    vertex no edge names is not a vertex of the graph.
 
     Every O(m) step is an array operation: plain "u v" lines are parsed in
     bulk (the line rules are ``_parse_line``'s, and a ``ParseError`` names
-    the first bad line), and id compaction and duplicate merging each take
-    one sort and a neighbour-difference mask.
+    the first bad line), id compaction takes one sort, and
+    ``SparseGraph.from_edges`` merges repeated edges after its own sort.
     """
     ids, self_loops = _read_id_pairs(path)
     if not ids.size:
         raise DomainError(f"no edges in {path}")
+    listed = ids.shape[0]
     # np.unique sorts when asked for an inverse; without one, recent numpy
     # takes a hash table, many times slower on int64 ids
     vertex_ids, inverse = np.unique(ids.ravel(), return_inverse=True)
-    n = vertex_ids.size
-    u, v = inverse[0::2], inverse[1::2]
-    codes = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
-    del ids, inverse, u, v  # each O(m) array goes once the next step has read it
-    codes.sort()  # and a neighbour mask, not np.unique's hash table
-    distinct = np.append(True, codes[1:] != codes[:-1])
-    codes = codes[distinct]
-    duplicates = distinct.size - codes.size
-    endpoints = np.column_stack([codes // n, codes % n])
-    del codes, distinct
+    del ids  # the raw ids are not held beside the graph's keys
+    graph = SparseGraph.from_edges(vertex_ids.size, inverse.reshape(-1, 2))
+    duplicates = listed - graph.m
     if self_loops:
         log.warning("dropped %d self loop(s) while reading %s", self_loops, path)
     if duplicates:
         log.warning("merged %d duplicate edge(s) while reading %s", duplicates, path)
     return IngestResult(
-        graph=SparseGraph.from_edges(n, endpoints),
+        graph=graph,
         vertex_ids=vertex_ids,
         self_loops_dropped=self_loops,
         duplicates_merged=duplicates,

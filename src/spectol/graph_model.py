@@ -204,11 +204,13 @@ class SparseGraph:
 
     @classmethod
     def from_edges(cls, n: int, endpoints: np.ndarray) -> "SparseGraph":
-        """Build from an (m, 2) array of distinct undirected edges u != v.
+        """Build from an (m, 2) array of undirected edges u != v.
 
         Both orientations of every edge are ordered by one sort of the int64
-        keys ``row * n + column``; a row's entry count is its vertex's number
-        of appearances among the endpoints.
+        keys ``row * n + column``.  An edge listed more than once, in either
+        orientation, is merged: equal keys are neighbours after the sort,
+        and the keys are copied without the repeats only when one exists.
+        Row i starts at the first merged key at or above i * n.
         """
         endpoints = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
         if endpoints.size and (endpoints.min() < 0 or endpoints.max() >= n):
@@ -217,9 +219,11 @@ class SparseGraph:
         keys += endpoints[:, ::-1].T  # rows u * n + v and v * n + u
         keys = keys.ravel()
         keys.sort()
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            keys = keys[np.append(True, ~repeated)]
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
         keys %= n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(endpoints.ravel(), minlength=n), out=indptr[1:])
         return cls(n, indptr, keys)
 
     @property

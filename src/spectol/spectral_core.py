@@ -27,11 +27,13 @@ throughout, so the projected matrix stays faithful after many restarts.
 The tolerance enters only the stopping test: the exact residual draws no
 random numbers and a failed test leaves the basis as it was, so the restart
 trajectory of a start block is the same for every tolerance.  It yields one
-record per restart (``_Iterate``), and a solve runs it as a suspended
-restart path that logs these records with their settling gates and keeps
-the vectors of the last one only.  A later call at a tighter tolerance can
-resume the path (``resume=``): it replays the log to count a fresh solve's
-exact checks, then pulls new restarts, and returns exactly its result.
+record per restart (``_Iterate``).  A ``RestartPath`` holds that trajectory
+suspended, with the log of the records it has reached, their settling gates
+and the vectors of the last one only.  Every solve runs on a path: a fresh
+one drawn from its seed, or one the caller passes (``path=``) to solve
+several tightening tolerances.  A solve on a passed path replays the log to
+count a fresh solve's exact checks, then pulls new restarts, and returns
+exactly the fresh solve's result.
 
 ``excluded_extremes`` reads the same records, on the trajectory of a single
 start vector, for the two extremes of the spectrum past the d leading
@@ -41,8 +43,7 @@ never evaluates the settling gate and tests no other residual.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,8 +91,6 @@ class SpectralDecomposition:
     matvecs: int
     converged: bool
     tolerance_used: float
-    # the suspended restart path a later call can resume (``resume=``)
-    _path: _RestartPath | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         gram = self.vectors.T @ self.vectors
@@ -101,10 +100,6 @@ class SpectralDecomposition:
             limit = self.tolerance_used * abs(self.values[0])
             if self.residual > limit * (1.0 + 1e-12):
                 raise DimensionMismatch("converged result violates its own criterion")
-
-    def __getstate__(self) -> dict:
-        # a copy carries no live restart path and so cannot be resumed
-        return {**self.__dict__, "_path": None}
 
 
 def _orthogonalize(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -235,34 +230,33 @@ def _settled(it: _Iterate) -> bool:
     return bool(np.all(np.abs(theta - prev) <= _STABILIZE_RTOL * floor))
 
 
-def _path_key(d, seed) -> tuple:
-    """Equal for two calls on one graph exactly when they share a trajectory.
+class RestartPath:
+    """The restart trajectory of A's d leading eigenpairs from one start
+    block, suspended, plus the log of its restarts so far.
 
-    Integer seeds compare by value and SeedSequences by identity; any other
-    seed (None, a generator) draws a new start block on every call, so its
-    key equals no other.
-    """
-    if isinstance(seed, numbers.Integral):
-        seed = int(seed)
-    elif not isinstance(seed, np.random.SeedSequence):
-        seed = object()
-    return (d, seed)
-
-
-class _RestartPath:
-    """One suspended restart trajectory plus the log of its restarts so far.
+    Making a path checks A (it needs an edge), 1 <= d < n and the seed,
+    which makes the path's generator: anything ``numpy.random.default_rng``
+    takes, an integer being non-negative.  It runs no product: the start
+    block is drawn at the first restart.  Solve it with
+    ``truncated_eigs(A, d, tol, path=path)`` at tolerances that tighten.
 
     Logging a restart sets its gate ``settled`` and drops ``H``.  Only the
     last restart logged keeps its vectors ``U`` and ``G``: a replay at a
     tighter tolerance reads no vector before it reaches that restart.
     """
 
-    def __init__(self, A, d, m, seed):
-        self.A = A
-        self.key = _path_key(d, seed)
+    def __init__(self, A: SparseGraph, d: int, seed=0):
+        if A.m == 0:
+            raise DomainError("adjacency matrix is identically zero")
+        if not 1 <= d < A.n:
+            raise DimensionMismatch(f"need 1 <= d < n, got d={d} with n={A.n}")
+        check_seed(seed)
+        self.A, self.d = A, d
+        # working basis size held between restarts, in basis vectors
+        self.m = min(max(2 * d + 5, 20), A.n)
         self.log: list[_Iterate] = []
         self.tol = math.inf  # the tightest tolerance solved on the path
-        self._steps = _restarts(A, d, m, seed)
+        self._steps = _restarts(A, d, self.m, np.random.default_rng(seed))
 
     def pull(self) -> bool:
         """Run the trajectory to its next restart; False once the budget is spent."""
@@ -283,7 +277,7 @@ def truncated_eigs(
     tol: float,
     *,
     seed=0,
-    resume: SpectralDecomposition | None = None,
+    path: RestartPath | None = None,
 ) -> SpectralDecomposition:
     """d leading eigenpairs of A by magnitude, to relative residual tol.
 
@@ -294,43 +288,29 @@ def truncated_eigs(
     d : int
         Number of eigenpairs, 1 <= d < n.
     tol : float
-        Relative residual target; the run stops once the spectral norm of
-        A U - U S falls below tol times the largest Ritz value magnitude,
-        which never exceeds ||A||.  After DEFAULT_MAX_RESTARTS restarts
-        the last iterate is returned with ``converged`` False rather than
-        raising.
-    seed : int or numpy SeedSequence
-        Drives the uniform random starting block, making runs repeatable.
-    resume : SpectralDecomposition, optional
-        A result of an earlier call with the same A (the same object), d
-        and seed, whose restart path has solved no tolerance tighter than
-        tol.  The solve continues from the last restart that path reached
-        instead of starting over, and returns exactly what a fresh call
-        would: ``iterations``, ``matvecs`` and every other field count the
-        whole solve.  Any other result raises DomainError.
+        Relative residual target, positive and finite; the run stops once
+        the spectral norm of A U - U S falls below tol times the largest
+        Ritz value magnitude, which never exceeds ||A||.  After
+        DEFAULT_MAX_RESTARTS restarts the last iterate is returned with
+        ``converged`` False rather than raising.
+    seed : int, numpy SeedSequence or Generator
+        Drives the random start block of a fresh path; not read beside
+        ``path``, whose own seed drew its start block.
+    path : RestartPath, optional
+        A path of this A (the same object) and d that has solved no
+        tolerance tighter than tol.  The solve continues from the last
+        restart it reached and returns exactly what a fresh solve from its
+        seed would: ``iterations``, ``matvecs`` and every other field count
+        the whole solve.  Any other path raises DomainError.
     """
-    n = A.n
-    if A.m == 0:
-        raise DomainError("adjacency matrix is identically zero")
-    if not 1 <= d < n:
-        raise DimensionMismatch(f"need 1 <= d < n, got d={d} with n={n}")
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
-    check_seed(seed)
-    # working basis size held between restarts, in basis vectors
-    m = min(max(2 * d + 5, 20), n)
-
-    if resume is None:
-        path = _RestartPath(A, d, m, seed)
-    else:
-        path = getattr(resume, "_path", None)
-        if path is None or path.A is not A or path.key != _path_key(d, seed):
-            raise DomainError(
-                "resume needs a solve of the same graph with the same d "
-                "and an int or SeedSequence seed"
-            )
-        if tol > path.tol:
-            raise DomainError("resume cannot loosen the tolerance of its restart path")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if path is None:
+        path = RestartPath(A, d, seed)
+    elif path.A is not A or path.d != d:
+        raise DomainError("a restart path solves only the graph and d it was made for")
+    elif tol > path.tol:
+        raise DomainError("a restart path cannot loosen the tightest tolerance it solved")
 
     # a replay at a tolerance no looser than path.tol passes the earlier
     # stops, and any check it makes before the last logged restart failed
@@ -353,7 +333,8 @@ def truncated_eigs(
     assert k == len(path.log), "a replay stopped before the last logged restart"
     if not converged and it.residual is None:
         it.residual = residual_norm(A, it.U, it.theta)
-    dec = SpectralDecomposition(
+    path.tol = tol
+    return SpectralDecomposition(
         values=it.theta.copy(),
         vectors=it.U.copy(order="C"),
         residual=it.residual,
@@ -362,10 +343,7 @@ def truncated_eigs(
         matvecs=it.matvecs + d * (checks + (not converged)),
         converged=converged,
         tolerance_used=tol,
-        _path=path,
     )
-    path.tol = tol
-    return dec
 
 
 def excluded_extremes(A: SparseGraph, d: int, seed=0) -> tuple[float, float] | None:

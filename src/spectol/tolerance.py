@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence
 from .graph_model import RANK_REL_TOL, FactoredProbabilityMatrix, SparseGraph
-from .spectral_core import SpectralDecomposition, _path_key, truncated_eigs
+from .spectral_core import RestartPath, SpectralDecomposition, truncated_eigs
 
 # smallest vertex count for which log(log(n)) is safely above zero
 MIN_HEURISTIC_N = 16
@@ -88,40 +88,38 @@ def tolerance_report(A: SparseGraph, *, seed=0) -> ToleranceReport:
 def solve_at_heuristic(
     A: SparseGraph, d: int, rule: str = "spectral", *, seed=0
 ) -> SpectralDecomposition:
-    """d leading eigenpairs of A at the tolerance one rule sets, on one solve.
+    """d leading eigenpairs of A at the tolerance one rule sets, on one path.
 
     The d-dimensional problem is solved at the conservative tolerance
     1 / sqrt(max degree) first, and ``report_from_solve`` reads the
     heuristics off it.  A heuristic tighter than the conservative tolerance
     (always for ``sqrt_n``, and for ``spectral`` whenever lambda_1 (ln ln n)^2
-    exceeds the max degree) resumes the same restart path; a looser one, as
-    on hub-dominated graphs, returns the conservative solve, which already
-    meets it, so ``tolerance_used`` is the conservative tolerance there.
-    ``conservative`` stops after the first solve.  Either way the result
-    equals ``truncated_eigs(A, d, result.tolerance_used, seed=seed)``, whose
-    ``matvecs`` leave out any residual check the conservative solve made
-    where the heuristic makes none.
+    exceeds the max degree) is solved on the same ``RestartPath``; a looser
+    one, as on hub-dominated graphs, returns the conservative solve, which
+    already meets it, so ``tolerance_used`` is the conservative tolerance
+    there.  ``conservative`` stops after the first solve.  Either way the
+    result equals a fresh ``truncated_eigs(A, d, result.tolerance_used)``
+    from an equal seed, whose ``matvecs`` leave out any residual check the
+    conservative solve made where the heuristic makes none.  The path draws
+    its start block once, so any seed ``truncated_eigs`` takes works.
 
-    ``seed`` must be an int or a SeedSequence, as ``resume=`` requires.
-    Raises DomainError before any solve for an unknown rule, any other seed
-    or n < MIN_HEURISTIC_N, and NoConvergence when the conservative solve,
+    Raises DomainError before any solve for an unknown rule or
+    n < MIN_HEURISTIC_N, and NoConvergence when the conservative solve,
     which the heuristic reads, exhausts its restart budget.
     """
     if rule not in HEURISTIC_RULES:
         raise DomainError(f"rule must be one of {', '.join(HEURISTIC_RULES)}")
-    # a seed that draws a new start block on every call keys no shared path
-    if _path_key(d, seed) != _path_key(d, seed):
-        raise DomainError("a heuristic solve needs an int or SeedSequence seed")
     if A.n < MIN_HEURISTIC_N:
         raise DomainError(f"heuristic defined for n >= {MIN_HEURISTIC_N}, got {A.n}")
-    dec = truncated_eigs(A, d, conservative_tolerance(A), seed=seed)
+    path = RestartPath(A, d, seed)
+    dec = truncated_eigs(A, d, conservative_tolerance(A), path=path)
     if rule == "conservative":
         return dec
     report = report_from_solve(A, dec)
     tol = report.heuristic_spectral if rule == "spectral" else report.heuristic_sqrt_n
     if tol > report.conservative:
-        return dec  # resume cannot loosen, and this solve meets tol already
-    return truncated_eigs(A, d, tol, seed=seed, resume=dec)
+        return dec  # a path cannot loosen, and this solve meets tol already
+    return truncated_eigs(A, d, tol, path=path)
 
 
 def expected_squared_deviation_diagonal(P: FactoredProbabilityMatrix) -> np.ndarray:

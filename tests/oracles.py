@@ -696,6 +696,7 @@ def dense_sweep_rhos(config) -> list[float]:
     graph.  The cell's Ritz values come from the replicate's restart path."""
     from spectol import (
         FactoredProbabilityMatrix,
+        RestartPath,
         SbmSpec,
         sample_adjacency,
         sbm_to_latent,
@@ -712,9 +713,9 @@ def dense_sweep_rhos(config) -> list[float]:
         graph_ss, solver_ss = np.random.SeedSequence(config.seed + r).spawn(2)
         A = sample_adjacency(P, graph_ss) if isinstance(config.model, SbmSpec) else fixed
         spectrum = np.linalg.eigvalsh(A.to_dense())
-        dec = None
+        path = RestartPath(A, config.d, solver_ss)
         for tol in config.tolerances:
-            dec = truncated_eigs(A, config.d, tol, seed=solver_ss, resume=dec)
+            dec = truncated_eigs(A, config.d, tol, path=path)
             rhos.append(ritz_gap_rho(dec.values, spectrum))
     return rhos
 

@@ -49,7 +49,7 @@ from spectol.experiments import (
 )
 from spectol.graph_model import DENSE_LIMIT
 from spectol.metrics import zhu_ghodsi_dimension
-from spectol.spectral_core import DEFAULT_MAX_RESTARTS, truncated_eigs
+from spectol.spectral_core import DEFAULT_MAX_RESTARTS, RestartPath, truncated_eigs
 from spectol.tolerance import HEURISTIC_RULES, heuristic_tolerance
 
 from conftest import three_block_spec
@@ -339,6 +339,12 @@ class TestSweepConfigValidation:
     def test_empty_tolerances_rejected(self):
         with pytest.raises(DomainError):
             SweepConfig(model=small_sbm(), tolerances=())
+
+    @pytest.mark.parametrize("tolerances", [(math.inf, 0.5), (0.5, math.nan)])
+    def test_non_finite_tolerance_rejected(self, tolerances):
+        # an infinite tolerance was accepted, and its row wrote -inf
+        with pytest.raises(DomainError, match="positive"):
+            SweepConfig(model=small_sbm(), tolerances=tolerances)
 
     def test_zero_replicates_rejected(self):
         with pytest.raises(DomainError):
@@ -687,7 +693,7 @@ class TestToleranceSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_records_match_fresh_solves(self):
-        # the sweep resumes one restart path per replicate; every record
+        # the sweep solves on one restart path per replicate; every record
         # must equal a fresh solve at its tolerance.  rho comes from the
         # replicate's extremes solve, the fresh records' from the dense
         # spectrum, so the two agree to rounding
@@ -886,9 +892,9 @@ class TestSweepRho:
         # bracket the rest and rho over these seven is exact
         assert oracle[4:].min() < 0.0 < oracle[4:].max()
         _, solver_ss = np.random.SeedSequence(0).spawn(2)
-        want, dec = [], None
+        want, path = [], RestartPath(A, 4, solver_ss)
         for tol in config.tolerances:
-            dec = truncated_eigs(A, 4, tol, seed=solver_ss, resume=dec)
+            dec = truncated_eigs(A, 4, tol, path=path)
             want.append(ritz_gap_rho(dec.values, oracle))
         assert_rho_matches([rec.rho for rec in records], want)
         assert summary["rho_nan_cells"] == 0
@@ -1039,6 +1045,17 @@ class TestClusteringStability:
         graph = sample_adjacency(P, 0)
         with pytest.raises(DomainError):
             run_clustering_stability(graph, 2, tolerances=(0.1, 0.5))
+
+    @pytest.mark.parametrize(
+        "bad", [{"reference_tol": math.inf}, {"tolerances": (math.inf, 0.5)}]
+    )
+    def test_infinite_tolerance_fails_before_any_solve(self, monkeypatch, bad):
+        from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
+
+        graph = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm(30))), 0)
+        monkeypatch.setattr(experiments, "truncated_eigs", lambda *a, **k: pytest.fail())
+        with pytest.raises(DomainError, match="positive"):
+            run_clustering_stability(graph, 2, **bad)
 
     # the ids of the k_range cases are the ones pytest gave them when they
     # were the only cases
@@ -1411,6 +1428,32 @@ class TestCli:
             sbm_to_latent(block_model("300,300,300", b_diag=0.05, b_off=0.02))
         )
         assert payload["gamma"] == check_assumptions(P, 3).gamma
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--sizes", "50,50", "--b-diag", "0.3", "--b-off", "0.02", "--dim",
+             "2", "--tolerances", "inf,0.5", "--replicates", "1"],
+            ["cluster-stability", "--sizes", "50,50", "--b-diag", "0.3", "--b-off", "0.02",
+             "--dim", "2", "--tolerances", "inf,0.5", "--repetitions", "1"],
+            ["cluster-stability", "--sizes", "50,50", "--b-diag", "0.3", "--b-off", "0.02",
+             "--dim", "2", "--tolerances", "2^-1..2^-2", "--reference-tol", "inf",
+             "--repetitions", "1"],
+            ["embed", "--graph", "TRIANGLE", "--dim", "1", "--tol", "1e309"],
+        ],
+        ids=["sweep", "cluster-stability", "reference-tol", "embed"],
+    )
+    def test_infinite_tolerance_is_runtime_error(self, tmp_path, capsys, argv):
+        # each exited 0: a sweep wrote a -inf row and a summary that was
+        # not JSON, and embed printed "converged: d=1 tol=inf"
+        triangle = tmp_path / "tri.txt"
+        triangle.write_text("0 1\n1 2\n2 0\n")
+        out = tmp_path / "out.csv"
+        argv = [str(triangle) if arg == "TRIANGLE" else arg for arg in argv]
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "positive" in err
+        assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("command", ["sweep", "cluster-stability"])
     def test_empty_tolerances_is_runtime_error(self, tmp_path, capsys, command):

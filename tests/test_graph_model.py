@@ -371,6 +371,16 @@ class TestSparseGraphStructure:
         with pytest.raises(DimensionMismatch, match="out of range"):
             SparseGraph.from_edges(3, np.array([[0, 3]]))
 
+    def test_from_edges_merges_repeated_edges(self):
+        # an edge listed again, in either orientation, is one edge; vertex
+        # 4 names no edge and keeps an empty row
+        edges = np.array([[2, 0], [0, 1], [1, 0], [3, 0], [0, 2], [2, 0]])
+        A = SparseGraph.from_edges(5, edges)
+        want = SparseGraph.from_edges(5, np.array([[0, 1], [0, 2], [0, 3]]))
+        assert np.array_equal(A.indptr, want.indptr)
+        assert np.array_equal(A.indices, want.indices)
+        assert np.array_equal(A.indptr, [0, 3, 4, 5, 6, 6])
+
     def test_neighbor_lists_sorted(self):
         A = SparseGraph.from_edges(4, np.array([[2, 0], [0, 1], [3, 0]]))
         assert np.array_equal(A.indices[A.indptr[0] : A.indptr[1]], [1, 2, 3])

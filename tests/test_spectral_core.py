@@ -1,8 +1,8 @@
 """Solver correctness against the dense oracle and its own invariants."""
 from __future__ import annotations
 
-import copy
-import dataclasses
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from spectol import (
     DomainError,
     FactoredProbabilityMatrix,
     NoConvergence,
+    RestartPath,
     SbmSpec,
     SparseGraph,
     canonical_angles,
@@ -111,6 +112,12 @@ class TestTruncatedEigs:
         # numpy would refuse it with a ValueError of its own
         with pytest.raises(DomainError, match="seed must be non-negative"):
             truncated_eigs(K5, 1, 0.1, seed=-1)
+
+    @pytest.mark.parametrize("tol", [math.inf, float("1e309"), math.nan, 0.0, -0.1])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # an infinite tolerance was accepted and reported as tol=inf
+        with pytest.raises(DomainError, match="positive"):
+            truncated_eigs(K5, 1, tol)
 
     def test_dimension_bounds(self):
         with pytest.raises(DimensionMismatch):
@@ -234,13 +241,16 @@ class TestTruncatedEigs:
         assert np.linalg.norm(gram - np.eye(4)) <= 1e-8
 
 
-def assert_chain_matches_fresh(A, d, tolerances, **kwargs) -> list:
-    """Solve decreasing tolerances along one resumed restart path and check
-    each result against a fresh solve; returns the chained results."""
-    chained, dec = [], None
+def assert_chain_matches_fresh(A, d, tolerances, seed, path=None) -> list:
+    """Solve decreasing tolerances on one restart path (a new one from
+    ``seed`` unless given) and check each result against a fresh solve;
+    returns the chained results."""
+    if path is None:
+        path = RestartPath(A, d, seed)
+    chained = []
     for tol in sorted(tolerances, reverse=True):
-        dec = truncated_eigs(A, d, tol, resume=dec, **kwargs)
-        assert_same_result(dec, truncated_eigs(A, d, tol, **kwargs))
+        dec = truncated_eigs(A, d, tol, path=path)
+        assert_same_result(dec, truncated_eigs(A, d, tol, seed=seed))
         chained.append(dec)
     return chained
 
@@ -262,12 +272,11 @@ class TestResume:
         # only the last restart of a path keeps its n-sized arrays
         graph_ss, solver_ss = np.random.SeedSequence(0).spawn(2)
         A = sample_adjacency(three_block_900, graph_ss)
-        dec = None
+        path = RestartPath(A, 3, solver_ss)
         for tol in SWEPT[:20]:
-            dec = truncated_eigs(A, 3, tol, seed=solver_ss, resume=dec)
-        log = dec._path.log
-        assert len(log) > 1 and log[-1].U is not None
-        assert all(it.U is None and it.G is None for it in log[:-1])
+            truncated_eigs(A, 3, tol, path=path)
+        assert len(path.log) > 1 and path.log[-1].U is not None
+        assert all(it.U is None and it.G is None for it in path.log[:-1])
 
     @pytest.mark.parametrize("repetition", [4, 6])
     def test_clustering_study_repetitions(self, three_block_900, repetition):
@@ -288,21 +297,23 @@ class TestResume:
     def test_failed_checks_replayed(self, monkeypatch):
         # At the rounding floor the residual estimate from W = A Q can pass
         # while the exact residual fails.  A fresh solve pays d products for
-        # every such failed check, so a resumed one must count again the
+        # every such failed check, so a solve on a path must count again the
         # checks its tighter tolerance still makes at logged restarts.  The
         # tolerances sit just above the smallest logged estimates (read
-        # from the private path log), so every solve makes such checks.
+        # from the path's log), so every solve makes such checks.
         monkeypatch.setattr(spectral_core, "DEFAULT_MAX_RESTARTS", 40)
         A = random_graph(200, 0.1, seed=11)
-        probe = truncated_eigs(A, 4, 1e-18, seed=0)
-        floor = sorted(s.estimate / abs(s.theta[0]) for s in probe._path.log)[:8]
+        probe = RestartPath(A, 4, 0)
+        truncated_eigs(A, 4, 1e-18, path=probe)
+        floor = sorted(s.estimate / abs(s.theta[0]) for s in probe.log)[:8]
         tols = [f * (1.0 + 1e-9) for f in floor]
         tightest = min(tols)
-        last = assert_chain_matches_fresh(A, 4, tols, seed=0)[-1]
+        path = RestartPath(A, 4, 0)
+        last = assert_chain_matches_fresh(A, 4, tols, seed=0, path=path)[-1]
         # the tightest solve did replay checks that failed before its stop
         assert any(
             s.settled and s.estimate <= tightest * abs(s.theta[0])
-            for s in last._path.log[: last.iterations - 1]
+            for s in path.log[: last.iterations - 1]
         )
 
     def test_basis_fills_the_space(self):
@@ -320,48 +331,88 @@ class TestResume:
 
     def test_misuse_raises(self):
         A = random_graph(150, 0.15, seed=9)
-        loose = truncated_eigs(A, 3, 2.0**-4, seed=5)
+        path = RestartPath(A, 3, 5)
+        truncated_eigs(A, 3, 2.0**-4, path=path)
         for kwargs in (
             {"A": random_graph(150, 0.15, seed=9)},  # equal graph, other object
             {"d": 4},
-            {"seed": 6},
-            {"seed": np.random.SeedSequence(5)},  # not the same seed object
             {"tol": 2.0**-3},  # looser than the path has solved
         ):
-            args = {"A": A, "d": 3, "tol": 2.0**-8, "seed": 5, **kwargs}
-            with pytest.raises(DomainError):
-                truncated_eigs(args.pop("A"), args.pop("d"), args.pop("tol"),
-                               resume=loose, **args)
-        tight = truncated_eigs(A, 3, 2.0**-8, seed=5, resume=loose)
-        # a result that is no longer the latest on its path, or a shallow
-        # copy, resumes that path: the result is a fresh solve's
-        for earlier, tol in ((loose, 2.0**-9), (dataclasses.replace(tight), 2.0**-10)):
-            assert_same_result(
-                truncated_eigs(A, 3, tol, seed=5, resume=earlier),
-                truncated_eigs(A, 3, tol, seed=5),
-            )
-        # the path has solved 2^-10, so 2^-6 is refused, though it is
-        # tighter than the tolerance of the result resumed
-        with pytest.raises(DomainError):
-            truncated_eigs(A, 3, 2.0**-6, seed=5, resume=loose)
-        copied = copy.deepcopy(tight)
-        assert_same_result(copied, tight)
-        with pytest.raises(DomainError):  # a deep copy carries no path
-            truncated_eigs(A, 3, 2.0**-12, seed=5, resume=copied)
-        unseeded = truncated_eigs(A, 3, 2.0**-4, seed=None)
-        with pytest.raises(DomainError):
-            truncated_eigs(A, 3, 2.0**-8, seed=None, resume=unseeded)
+            args = {"A": A, "d": 3, "tol": 2.0**-8, **kwargs}
+            with pytest.raises(DomainError, match="restart path"):
+                truncated_eigs(args["A"], args["d"], args["tol"], path=path)
+        # beside a path the seed is not read: the path's seed drew the start
+        assert_same_result(
+            truncated_eigs(A, 3, 2.0**-8, seed=6, path=path),
+            truncated_eigs(A, 3, 2.0**-8, seed=5),
+        )
+        # the path has solved 2^-8, so 2^-6 is refused
+        with pytest.raises(DomainError, match="cannot loosen"):
+            truncated_eigs(A, 3, 2.0**-6, path=path)
         # the refused calls left the path usable
         assert_same_result(
-            truncated_eigs(A, 3, 2.0**-12, seed=5, resume=tight),
+            truncated_eigs(A, 3, 2.0**-12, path=path),
             truncated_eigs(A, 3, 2.0**-12, seed=5),
         )
 
     def test_equal_tolerance_and_int_seed(self):
         A = random_graph(80, 0.2, seed=1)
-        first = truncated_eigs(A, 3, 1e-4, seed=np.int64(7))
-        again = truncated_eigs(A, 3, 1e-4, seed=7, resume=first)
-        assert_same_result(again, first)
+        path = RestartPath(A, 3, 7)
+        first = truncated_eigs(A, 3, 1e-4, path=path)
+        assert_same_result(truncated_eigs(A, 3, 1e-4, path=path), first)
+
+
+class TestRestartPath:
+    def test_making_a_path_runs_no_product(self, monkeypatch):
+        A = random_graph(150, 0.15, seed=9)
+        calls = []
+        matvec = SparseGraph.matvec
+        monkeypatch.setattr(SparseGraph, "matvec", lambda G, x: calls.append(1) or matvec(G, x))
+        path = RestartPath(A, 3, np.random.default_rng(0))
+        assert calls == [] and path.log == [] and path.m == 20
+        dec = truncated_eigs(A, 3, 2.0**-6, path=path)
+        assert len(calls) == dec.matvecs
+
+    def test_inputs_checked_where_the_path_is_made(self):
+        empty = SparseGraph(4, np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with pytest.raises(DomainError, match="adjacency matrix is identically zero"):
+            RestartPath(empty, 1)
+        for d in (0, 5):
+            with pytest.raises(DimensionMismatch):
+                RestartPath(K5, d)
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            RestartPath(K5, 1, seed=-1)
+        with pytest.raises(TypeError):  # numpy's refusal, before any solve
+            RestartPath(K5, 1, seed="x")
+
+    @pytest.mark.parametrize("seed", [None, "generator"])
+    def test_any_seed_continues(self, seed):
+        # a path draws its start block once, so a seed that draws a new one
+        # on every call still gives a chain of fresh solves: of an equal
+        # generator, or of the path's own first solve for None
+        A = random_graph(150, 0.15, seed=9)
+        if seed is None:
+            path = RestartPath(A, 3, None)
+            loose = truncated_eigs(A, 3, 2.0**-4, path=path)
+            tight = truncated_eigs(A, 3, 2.0**-10, path=path)
+            assert tight.converged and tight.iterations >= loose.iterations
+        else:
+            path = RestartPath(A, 3, np.random.default_rng(3))
+            for tol in (2.0**-4, 2.0**-10):
+                assert_same_result(
+                    truncated_eigs(A, 3, tol, path=path),
+                    truncated_eigs(A, 3, tol, seed=np.random.default_rng(3)),
+                )
+
+    def test_result_does_not_hold_its_path(self):
+        # the result keeps its d vectors, not the solver's basis
+        A = random_graph(150, 0.15, seed=9)
+        path = RestartPath(A, 3, 5)
+        dec = truncated_eigs(A, 3, 2.0**-6, path=path)
+        ref = weakref.ref(path)
+        del path
+        assert ref() is None
+        assert_same_result(dec, truncated_eigs(A, 3, 2.0**-6, seed=5))
 
 
 class TestRowMajorBasis:
@@ -545,9 +596,10 @@ class TestExcludedExtremes:
         monkeypatch.setattr(spectral_core, "_settled", spy)
         assert spectral_core.excluded_extremes(A, 3, solver_ss) is not None
         assert calls == []
-        dec = truncated_eigs(A, 3, 2.0**-10, seed=solver_ss)
-        assert len(calls) == dec.iterations
-        assert all(it.H is None for it in dec._path.log)
+        path = RestartPath(A, 3, solver_ss)
+        dec = truncated_eigs(A, 3, 2.0**-10, path=path)
+        assert len(calls) == dec.iterations == len(path.log)
+        assert all(it.H is None for it in path.log)
 
 
 class TestInvariants:

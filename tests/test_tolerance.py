@@ -204,14 +204,17 @@ class TestSolveAtHeuristic:
 
     @pytest.mark.parametrize("rule", HEURISTIC_RULES)
     @pytest.mark.parametrize("seed", [None, "generator"])
-    def test_unresumable_seed_fails_before_any_solve(self, monkeypatch, rule, seed):
-        # the path-resuming rules ran the conservative solve before refusing
-        solves = []
-        monkeypatch.setattr(tolerance, "truncated_eigs", lambda *a, **k: solves.append(a))
-        seed = np.random.default_rng(0) if seed == "generator" else seed
-        with pytest.raises(DomainError, match="int or SeedSequence"):
-            solve_at_heuristic(star_with_random_edges(), 1, rule, seed=seed)
-        assert solves == []
+    def test_any_seed_solves(self, three_block_900, rule, seed):
+        # these seeds were refused: the heuristic rules continue the
+        # conservative solve's path, which a new start block per call broke
+        A = sample_adjacency(three_block_900, seed=3)
+        if seed is None:
+            assert solve_at_heuristic(A, 3, rule, seed=None).converged
+            return
+        dec = solve_at_heuristic(A, 3, rule, seed=np.random.default_rng(0))
+        assert dec.converged
+        fresh = truncated_eigs(A, 3, dec.tolerance_used, seed=np.random.default_rng(0))
+        assert_same_result(dec, fresh)
 
     def test_unconverged_bootstrap_raises(self, monkeypatch, three_block_900):
         # this graph and seed need three restarts at the conservative tolerance
