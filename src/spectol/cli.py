@@ -15,6 +15,7 @@ from ._util import write_rows
 from .errors import SpectolError
 from .experiments import (
     DEFAULT_TOLERANCES,
+    check_tolerances,
     graph_source,
     ingest_edge_list,
     load_sweep_config,
@@ -104,6 +105,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    if args.tol is not None:
+        # a bad tolerance fails before the file is read or a pilot runs
+        check_tolerances((args.tol,), "--tol")
     graph = ingest_edge_list(args.graph).graph
     d = resolve_dimension(args.dim, graph, args.seed)
     if args.tol is not None:

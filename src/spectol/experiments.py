@@ -48,7 +48,7 @@ DIMENSION_SELECTION_METHOD = "profile_likelihood_equal_variance"
 PILOT_TOL = 1e-2
 
 
-def _check_tolerances(tolerances, name: str = "tolerances") -> tuple[float, ...]:
+def check_tolerances(tolerances, name: str = "tolerances") -> tuple[float, ...]:
     """``tolerances`` as floats, if they are positive, finite and strictly
     decreasing."""
     tols = tuple(float(t) for t in tolerances)
@@ -95,7 +95,7 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tolerances", _check_tolerances(self.tolerances))
+        object.__setattr__(self, "tolerances", check_tolerances(self.tolerances))
         for key in _fields_typed(SweepConfig, "int"):
             object.__setattr__(self, key, _integer(getattr(self, key), key))
         _check_runs(self.replicates, "replicate", self.workers, self.seed)
@@ -374,8 +374,8 @@ def run_clustering_stability(
     and silhouette instead of recomputing them: each distinct embedding of
     a repetition is clustered once, with identical results.
     """
-    tols = _check_tolerances(tolerances)
-    _check_tolerances((reference_tol,), "reference_tol")
+    tols = check_tolerances(tolerances)
+    check_tolerances((reference_tol,), "reference_tol")
     repetitions = _integer(repetitions, "repetitions")
     workers = _integer(workers, "workers")
     seed = _integer(seed, "seed")
@@ -559,9 +559,13 @@ def _scan_window(data: bytes, lines: int) -> tuple[np.ndarray, int, int]:
         pair = _parse_line(lines + int(i) + 1, line)
         if pair is not None:
             pairs.append(pair)
-    ids = np.concatenate([ids, np.array(pairs, dtype=np.int64).reshape(-1, 2)])
+    if pairs:
+        ids = np.concatenate([ids, np.array(pairs, dtype=np.int64)])
     loop = ids[:, 0] == ids[:, 1]
-    return ids[~loop], int(np.count_nonzero(loop)), lines + breaks.size
+    loops = int(np.count_nonzero(loop))
+    if loops:
+        ids = ids[~loop]
+    return ids, loops, lines + breaks.size
 
 
 def ingest_edge_list(path) -> IngestResult:
@@ -576,16 +580,30 @@ def ingest_edge_list(path) -> IngestResult:
 
     Every O(m) step is an array operation: plain "u v" lines are parsed in
     bulk (the line rules are ``_parse_line``'s, and a ``ParseError`` names
-    the first bad line), id compaction takes one sort, and
-    ``SparseGraph.from_edges`` merges repeated edges after its own sort.
+    the first bad line), and the edge keys are sorted once, by
+    ``SparseGraph.from_edges``, which also merges repeated edges.  Ids are
+    compacted through a presence table indexed by id when the largest id is
+    below the number of listed ids, so the table is never larger than the
+    ids themselves; sparser ids, up to 2^63, are compacted by a sort.  Both
+    give the same ``vertex_ids`` and the same graph.
     """
     ids, self_loops = _read_id_pairs(path)
     if not ids.size:
         raise DomainError(f"no edges in {path}")
     listed = ids.shape[0]
-    # np.unique sorts when asked for an inverse; without one, recent numpy
-    # takes a hash table, many times slower on int64 ids
-    vertex_ids, inverse = np.unique(ids.ravel(), return_inverse=True)
+    ids = ids.ravel()
+    top = int(ids.max())
+    if top < ids.size:
+        present = np.zeros(top + 1, dtype=bool)
+        present[ids] = True
+        vertex_ids = np.flatnonzero(present)
+        # an id's compact index is the number of present ids below it
+        inverse = np.cumsum(present, dtype=np.int64)[ids]
+        inverse -= 1
+    else:
+        # np.unique sorts when asked for an inverse; without one, recent
+        # numpy takes a hash table, many times slower on int64 ids
+        vertex_ids, inverse = np.unique(ids, return_inverse=True)
     del ids  # the raw ids are not held beside the graph's keys
     graph = SparseGraph.from_edges(vertex_ids.size, inverse.reshape(-1, 2))
     duplicates = listed - graph.m

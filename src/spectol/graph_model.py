@@ -155,12 +155,14 @@ class SparseGraph:
     """Hollow symmetric adjacency with sorted per-vertex neighbor lists.
 
     Storage is compressed rows: the neighbors of vertex i sit in
-    ``indices[indptr[i]:indptr[i+1]]``, strictly increasing.  Symmetry, absence
-    of self loops, sortedness, and uniqueness are asserted on construction,
-    for every graph, in O(m) plus one sort: once the rows are known to be
-    sorted and unique, the entries in storage order are the ascending keys
-    ``row * n + column``, and the graph is symmetric exactly when the keys
-    ``column * n + row``, sorted, are the same array.
+    ``indices[indptr[i]:indptr[i+1]]``, strictly increasing.  Arrays passed
+    to the constructor come from outside, so symmetry, absence of self
+    loops, sortedness, and uniqueness are asserted there in O(m) plus one
+    sort: once the rows are known to be sorted and unique, the entries in
+    storage order are the ascending keys ``row * n + column``, and the graph
+    is symmetric exactly when the keys ``column * n + row``, sorted, are the
+    same array.  ``from_edges`` builds arrays that hold all four by
+    construction and skips that sort.
     """
 
     n: int
@@ -197,6 +199,9 @@ class SparseGraph:
             # symmetry: the transposed keys, sorted, must be the same array
             if not np.array_equal(forward, backward):
                 raise DimensionMismatch("adjacency structure is not symmetric")
+        self._freeze(indptr, indices)
+
+    def _freeze(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         indptr.flags.writeable = False
         indices.flags.writeable = False
         object.__setattr__(self, "indptr", indptr)
@@ -211,10 +216,20 @@ class SparseGraph:
         orientation, is merged: equal keys are neighbours after the sort,
         and the keys are copied without the repeats only when one exists.
         Row i starts at the first merged key at or above i * n.
+
+        The sorted, merged keys in both orientations are sorted, unique,
+        symmetric rows by construction, so the constructor's sort-based
+        check is not run again; n, the id range and self loops are checked
+        here, with the constructor's messages.
         """
+        n = int(n)
+        if n < 1:
+            raise DimensionMismatch("a graph needs at least one vertex")
         endpoints = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
         if endpoints.size and (endpoints.min() < 0 or endpoints.max() >= n):
             raise DimensionMismatch("neighbor index out of range")
+        if np.any(endpoints[:, 0] == endpoints[:, 1]):
+            raise DimensionMismatch("self loops are not allowed")
         keys = np.multiply(endpoints.T, n, order="C")  # rows u * n and v * n
         keys += endpoints[:, ::-1].T  # rows u * n + v and v * n + u
         keys = keys.ravel()
@@ -224,7 +239,10 @@ class SparseGraph:
             keys = keys[np.append(True, ~repeated)]
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
         keys %= n
-        return cls(n, indptr, keys)
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        graph._freeze(indptr.astype(np.int64, copy=False), keys)
+        return graph
 
     @property
     def m(self) -> int:

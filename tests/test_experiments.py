@@ -1,6 +1,7 @@
 """Harness behavior: ingestion, sweeps, stability runs, CSV contracts, CLI."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -22,6 +23,7 @@ from spectol import (
     SbmSpec,
     SparseGraph,
     check_assumptions,
+    cli,
     experiments,
     sample_adjacency,
     sbm_to_latent,
@@ -151,9 +153,12 @@ ODD_LINES = (
 @st.composite
 def edge_list_files(draw):
     """An edge-list text, mostly "u v" lines."""
-    # 19 digits, the bulk parser's requeue limit and the largest int64
-    ident = (st.integers(0, 12).map(str) | st.just("007")
-             | st.sampled_from(["1000000000000000000", "9223372036854775807"]))
+    ident = st.integers(0, 12).map(str) | st.just("007")
+    # half the files also draw 19-digit ids, the bulk parser's requeue limit
+    # and the largest int64: ingestion compacts those ids by a sort, and
+    # the small ids of a longer file through its presence table
+    if draw(st.booleans()):
+        ident |= st.sampled_from(["1000000000000000000", "9223372036854775807"])
     pad = st.sampled_from(["", " ", "\t"])
     plain = st.builds(
         lambda left, a, sep, b, right: f"{left}{a}{sep}{b}{right}",
@@ -277,6 +282,28 @@ class TestIngestEdgeList:
             tracemalloc.stop()
         assert ids.shape[0] + self_loops == edges.shape[0]
         assert peak < 2 * ids.nbytes + 16 * experiments._SCAN_BYTES, peak
+
+    def test_ingest_memory_bounded_by_its_ids(self, tmp_path):
+        # ids below the listed count are compacted through a presence table
+        # and the edge keys are sorted once: with small scan windows the
+        # peak stays under four times the listed ids' bytes, repeated edges
+        # merged included; a sort-based compaction of these ids, or a second
+        # check of the built graph, takes it past six
+        rng = np.random.default_rng(0)
+        edges = rng.integers(0, 50_000, (200_000, 2))
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges.tolist()))
+        window = 1 << 16
+        with mock.patch.object(experiments, "_SCAN_BYTES", window):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                result = ingest_edge_list(path)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert result.duplicates_merged > 0
+        assert peak < 4 * edges.nbytes + 16 * window, peak
 
     def test_wrong_token_count(self, tmp_path):
         path = tmp_path / "triple.txt"
@@ -1440,17 +1467,27 @@ class TestCli:
              "--dim", "2", "--tolerances", "2^-1..2^-2", "--reference-tol", "inf",
              "--repetitions", "1"],
             ["embed", "--graph", "TRIANGLE", "--dim", "1", "--tol", "1e309"],
+            ["embed", "--graph", "TRIANGLE", "--dim", "auto", "--tol", "inf"],
         ],
-        ids=["sweep", "cluster-stability", "reference-tol", "embed"],
+        ids=["sweep", "cluster-stability", "reference-tol", "embed", "embed-auto"],
     )
     def test_infinite_tolerance_is_runtime_error(self, tmp_path, capsys, argv):
         # each exited 0: a sweep wrote a -inf row and a summary that was
-        # not JSON, and embed printed "converged: d=1 tol=inf"
+        # not JSON, and embed printed "converged: d=1 tol=inf"; embed
+        # also read the file, and under --dim auto ran the pilot, before
+        # it checked the tolerance
         triangle = tmp_path / "tri.txt"
         triangle.write_text("0 1\n1 2\n2 0\n")
         out = tmp_path / "out.csv"
         argv = [str(triangle) if arg == "TRIANGLE" else arg for arg in argv]
-        assert cli_main([*argv, "--out", str(out)]) == 1
+        modules = {"ingest_edge_list": (cli, experiments),
+                   "truncated_eigs": (cli, experiments, tolerance)}
+        with contextlib.ExitStack() as stack:
+            spies = [stack.enter_context(mock.patch.object(
+                         module, name, wraps=getattr(module, name)))
+                     for name, bound_in in modules.items() for module in bound_in]
+            assert cli_main([*argv, "--out", str(out)]) == 1
+        assert not any(spy.called for spy in spies)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "positive" in err
         assert not list(tmp_path.glob("out*"))

@@ -371,6 +371,39 @@ class TestSparseGraphStructure:
         with pytest.raises(DimensionMismatch, match="out of range"):
             SparseGraph.from_edges(3, np.array([[0, 3]]))
 
+    def test_from_edges_rejects_what_the_constructor_rejects(self):
+        # from_edges skips the constructor's check, so it refuses a self
+        # loop and an empty vertex set itself, in the constructor's words
+        for build in (lambda: SparseGraph(2, np.array([0, 1, 2]), np.array([0, 0])),
+                      lambda: SparseGraph.from_edges(2, np.array([[0, 1], [1, 1]]))):
+            with pytest.raises(DimensionMismatch, match="^self loops are not allowed$"):
+                build()
+        for build in (lambda: SparseGraph(0, np.array([0]), np.array([], dtype=int)),
+                      lambda: SparseGraph.from_edges(0, np.empty((0, 2), dtype=int))):
+            with pytest.raises(DimensionMismatch,
+                               match="^a graph needs at least one vertex$"):
+                build()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+    )
+    def test_from_edges_passes_the_constructor_check(self, n, edges):
+        # from_edges does not run the constructor's check: its arrays must
+        # pass it anyway, with repeats in both orientations and vertices
+        # that no edge names
+        edges = np.array([(u % n, v % n) for u, v in edges if u % n != v % n],
+                         dtype=np.int64).reshape(-1, 2)
+        edges = np.concatenate([edges, edges[::2, ::-1], edges[1::3]])
+        g = SparseGraph.from_edges(n, edges)
+        checked = SparseGraph(n, g.indptr, g.indices)
+        assert checked.n == g.n == n
+        assert np.array_equal(checked.indptr, g.indptr)
+        assert np.array_equal(checked.indices, g.indices)
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert not (g.indptr.flags.writeable or g.indices.flags.writeable)
+
     def test_from_edges_merges_repeated_edges(self):
         # an edge listed again, in either orientation, is one edge; vertex
         # 4 names no edge and keeps an empty row
@@ -387,8 +420,8 @@ class TestSparseGraphStructure:
         assert A.m == 3
 
     def test_sampled_graphs_validate(self):
-        # construction itself asserts hollow symmetric structure
+        # the constructor's check asserts hollow symmetric structure
         P = FactoredProbabilityMatrix(sbm_to_latent(SbmSpec(np.array([[0.4]]), (40,))))
         for seed in range(5):
             A = sample_adjacency(P, seed=seed)
-            assert A.n == 40
+            assert SparseGraph(A.n, A.indptr, A.indices).n == 40
