@@ -32,13 +32,15 @@ def order_by_magnitude(values: np.ndarray) -> np.ndarray:
 _ROWS_PER_WRITE = 1 << 16
 
 
-def write_rows(fh, template: str, rows) -> None:
-    """Write each row of ``rows`` through the %-format ``template``.
-
-    One format call per block of rows: the same bytes as formatting every
-    value on its own, with no Python step per value.
-    """
+def write_rows(path, template: str, rows, header: str = "") -> None:
+    """Write ``header``, then each row of ``rows`` through the %-format
+    ``template``, to ``path``: every table spectol writes, in UTF-8 with the
+    template's LF line ends on every platform (``newline=""``).  One format
+    call per block of rows gives the same bytes as formatting each value on
+    its own, with no Python step per value."""
     rows = np.asarray(rows)
-    for start in range(0, len(rows), _ROWS_PER_WRITE):
-        block = rows[start : start + _ROWS_PER_WRITE]
-        fh.write(template * len(block) % tuple(block.ravel().tolist()))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header)
+        for start in range(0, len(rows), _ROWS_PER_WRITE):
+            block = rows[start : start + _ROWS_PER_WRITE]
+            fh.write(template * len(block) % tuple(block.ravel().tolist()))

@@ -117,11 +117,8 @@ def _cmd_embed(args) -> int:
         dec = solve_at_heuristic(graph, d, rule, seed=args.seed)
     values_path = Path(str(args.out) + ".values.csv")
     vectors_path = Path(str(args.out) + ".vectors.csv")
-    with open(values_path, "w", encoding="utf-8") as fh:
-        write_rows(fh, "%.17g\n", dec.values)
-    row = ",".join(["%.17g"] * dec.vectors.shape[1]) + "\n"
-    with open(vectors_path, "w", encoding="utf-8") as fh:
-        write_rows(fh, row, dec.vectors)
+    write_rows(values_path, "%.17g\n", dec.values)
+    write_rows(vectors_path, ",".join(["%.17g"] * dec.values.size) + "\n", dec.vectors)
     status = "converged" if dec.converged else "NOT converged"
     print(
         f"{status}: d={d} tol={dec.tolerance_used:.6g} iterations={dec.iterations} "

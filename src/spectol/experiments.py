@@ -7,7 +7,6 @@ exactly that reason) plus JSON summaries.
 """
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -16,6 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .metrics import (
     zhu_ghodsi_dimension,
 )
 from .spectral_core import RestartPath, excluded_extremes, truncated_eigs
-from .tolerance import conservative_tolerance, report_from_solve
+from .tolerance import check_heuristic_n, conservative_tolerance, report_from_solve
 
 log = logging.getLogger(__name__)
 
@@ -244,9 +244,10 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     replicate to draw it: an edge-list model's one graph gets replicate 0's.
     A cell with a Ritz value in the bracket, or whose run returned none,
     gets NaN, never a guess, and the summary's ``rho_nan_cells`` counts
-    them.  A block model with fewer blocks than d raises DomainError once d
-    is known, before any extremes run or replicate solve: P then has no
-    d-dimensional eigenspace to compare against.
+    them.  DomainError is raised before any extremes run or replicate solve
+    for a graph 0 below MIN_HEURISTIC_N vertices, before the pilot too (the
+    summary reads the heuristics), and, once d is known, for a block model
+    with fewer blocks than d (P has no d-dimensional eigenspace then).
     Returns the records (replicate-major order) and a summary dict; writes
     CSV and summary JSON when the config names an output path.
     """
@@ -255,6 +256,7 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     # replicate 0's graph and solver streams; the pilot draws from the first
     graph0_ss, solver0_ss = np.random.SeedSequence(config.seed).spawn(2)
     graph0 = draw(graph0_ss)
+    check_heuristic_n(graph0.n)  # the summary reads the heuristics
     d = resolve_dimension(config.d, graph0, graph0_ss)
     selection = DIMENSION_SELECTION_METHOD if config.d == "auto" else "fixed"
     if V is not None and d > V.shape[1]:
@@ -623,10 +625,9 @@ def write_edge_list(path, graph: SparseGraph, *, header: dict | None = None) -> 
     """Write one "u v" line per edge (u < v), with an optional comment header."""
     src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
     mask = graph.indices > src
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
-        write_rows(fh, "%d %d\n", np.column_stack([src[mask], graph.indices[mask]]))
+    edges = np.column_stack([src[mask], graph.indices[mask]])
+    comment = " ".join(f"{k}={v}" for k, v in (header or {}).items())
+    write_rows(path, "%d %d\n", edges, f"# {comment}\n" if comment else "")
 
 
 def write_records_csv(path, records) -> None:
@@ -639,15 +640,10 @@ def write_records_csv(path, records) -> None:
         if (getattr(records[0], f.name) if records else f.default) is not None
     ]
     ints = _fields_typed(kind, "int")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([
-                str(int(getattr(rec, col))) if col in ints
-                else format(float(getattr(rec, col)), ".17g")
-                for col in columns
-            ])
+    template = ",".join("%d" if col in ints else "%.17g" for col in columns) + "\n"
+    # an object array hands each value to the template as the record holds it
+    rows = np.array(list(map(attrgetter(*columns), records)), dtype=object)
+    write_rows(path, template, rows, ",".join(columns) + "\n")
 
 
 def _parse_tolerance_token(token: str) -> float:

@@ -22,14 +22,19 @@ MIN_HEURISTIC_N = 16
 HEURISTIC_RULES = ("spectral", "sqrt_n", "conservative")
 
 
+def check_heuristic_n(n: int) -> None:
+    """Raise DomainError for a vertex count the heuristics are not defined at."""
+    if n < MIN_HEURISTIC_N:
+        raise DomainError(f"heuristic defined for n >= {MIN_HEURISTIC_N}, got {n}")
+
+
 def heuristic_tolerance(n: int, spectral_norm: float) -> float:
     """1 / (log(log(n)) * sqrt(spectral_norm)), natural logarithms.
 
     Pass the top eigenvalue estimate of the adjacency matrix for the
     spectral variant, or n itself for the sqrt-n variant.
     """
-    if n < MIN_HEURISTIC_N:
-        raise DomainError(f"heuristic defined for n >= {MIN_HEURISTIC_N}, got {n}")
+    check_heuristic_n(n)
     if not spectral_norm > 0.0:
         raise DomainError("spectral norm must be positive")
     return 1.0 / (math.log(math.log(n)) * math.sqrt(spectral_norm))
@@ -109,8 +114,7 @@ def solve_at_heuristic(
     """
     if rule not in HEURISTIC_RULES:
         raise DomainError(f"rule must be one of {', '.join(HEURISTIC_RULES)}")
-    if A.n < MIN_HEURISTIC_N:
-        raise DomainError(f"heuristic defined for n >= {MIN_HEURISTIC_N}, got {A.n}")
+    check_heuristic_n(A.n)
     path = RestartPath(A, d, seed)
     dec = truncated_eigs(A, d, conservative_tolerance(A), path=path)
     if rule == "conservative":

@@ -7,13 +7,14 @@ every pair of rows, a sampler that draws one row of uniforms per call,
 an O(n + m) block model edge sampler for graphs above the dense limit,
 rho as the distance from Ritz values to every excluded eigenvalue,
 Lloyd with its distances held one point per row, the Lanczos solver
-with its basis stored one vector per column, and a sweep CSV reader that
-takes each row as a dict.  None of it imports the package under test,
-except its exception types, the sweep record type the reader builds, and
-the fresh-solve harness references at the end: they rebuild sweep and
-stability records from the package's own solver and metrics with one
-independent solve per tolerance, the plain pipeline that the harness's
-shared restart path must reproduce.
+with its basis stored one vector per column, a sweep CSV reader that
+takes each row as a dict, and a record CSV writer that formats each cell
+on its own through ``csv.writer``.  None of it imports the package under
+test, except its exception types, the record types the reader and the
+writer take, and the fresh-solve harness references at the end: they
+rebuild sweep and stability records from the package's own solver and
+metrics with one independent solve per tolerance, the plain pipeline that
+the harness's shared restart path must reproduce.
 """
 from __future__ import annotations
 
@@ -645,6 +646,32 @@ def reference_read_sweep_csv(path) -> list:
                            for col, text in row.items()})
             for row in csv.DictReader(fh)
         ]
+
+
+def reference_write_records_csv(path, records) -> None:
+    """The record CSV as ``csv.writer`` writes it, one cell at a time:
+    the columns are the fields of the first record that are not None (the
+    sweep header for no record), an ``int`` field is written with
+    ``str(int(x))`` and every other field with ``format(float(x), ".17g")``."""
+    from dataclasses import fields
+
+    from spectol.experiments import SweepRecord
+
+    kind = type(records[0]) if records else SweepRecord
+    columns = [
+        f.name for f in fields(kind)
+        if (getattr(records[0], f.name) if records else f.default) is not None
+    ]
+    ints = {f.name for f in fields(kind) if f.type == "int"}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow([
+                str(int(getattr(rec, col))) if col in ints
+                else format(float(getattr(rec, col)), ".17g")
+                for col in columns
+            ])
 
 
 def fresh_sweep_records(config) -> list:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import re
@@ -36,6 +35,7 @@ from spectol.experiments import (
     DEFAULT_TOLERANCES,
     PILOT_TOL,
     SweepConfig,
+    StabilityRecord,
     SweepRecord,
     block_model,
     ingest_edge_list,
@@ -61,6 +61,7 @@ from oracles import (
     fresh_sweep_records,
     reference_ingest_edge_list,
     reference_read_sweep_csv,
+    reference_write_records_csv,
     ritz_gap_rho,
     sample_block_edges,
 )
@@ -112,6 +113,11 @@ def spy_extremes_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(experiments, "excluded_extremes", spy)
     return graphs
+
+
+def twelve_cycle() -> str:
+    """The edge list of a 12-cycle: too few vertices for the heuristics."""
+    return "".join(f"{i} {(i + 1) % 12}\n" for i in range(12))
 
 
 def without_rho(records) -> list:
@@ -338,7 +344,7 @@ class TestIngestEdgeList:
 
 
 class TestWriteRows:
-    def test_same_bytes_as_per_value_format(self, monkeypatch):
+    def test_same_bytes_as_per_value_format(self, monkeypatch, tmp_path):
         from spectol import _util
 
         # blocks of three rows, so seven rows cross two block boundaries
@@ -347,15 +353,83 @@ class TestWriteRows:
         floats = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3))
         floats[0] = [np.nan, np.inf, -np.inf]
         floats[1] = [-0.0, 5e-324, 1.0 / 3.0]
-        out = io.StringIO()
+        out = tmp_path / "floats.csv"
         _util.write_rows(out, "%.17g,%.17g,%.17g\n", floats)
-        assert out.getvalue() == "".join(
+        assert out.read_bytes().decode("utf-8") == "".join(
             ",".join(format(v, ".17g") for v in row) + "\n" for row in floats
         )
         edges = rng.integers(0, 10**12, (7, 2))
-        out = io.StringIO()
+        out = tmp_path / "edges.txt"
         _util.write_rows(out, "%d %d\n", edges)
-        assert out.getvalue() == "".join(f"{a} {b}\n" for a, b in edges)
+        assert out.read_bytes().decode("utf-8") == "".join(f"{a} {b}\n" for a, b in edges)
+
+    def test_header_first_and_lf_line_ends(self, monkeypatch, tmp_path):
+        from spectol import _util
+
+        opened = []
+
+        def spy(*args, **kw):
+            opened.append(kw)
+            return open(*args, **kw)
+
+        monkeypatch.setattr(_util, "open", spy, raising=False)
+        out = tmp_path / "t.csv"
+        _util.write_rows(out, "%d,%.17g\n", np.array([[1, 0.5], [2, -0.0]]), "k,x\n")
+        assert out.read_bytes() == b"k,x\n1,0.5\n2,-0\n"
+        _util.write_rows(out, "%d\n", [], "k\n")
+        assert out.read_bytes() == b"k\n"
+        # newline="" writes each "\n" as it is, where text mode would write
+        # os.linesep, "\r\n" on Windows
+        assert opened == [{"encoding": "utf-8", "newline": ""}] * 2
+
+
+# the cells the record writer must format as csv.writer did: the IEEE
+# specials, signed zero, subnormals, and counts past 2^53, as the Python and
+# numpy scalars a record can hold
+_CELL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats().map(np.float64),
+)
+_CELL_COUNTS = st.one_of(
+    st.sampled_from([0, 2**52, 2**53 + 1, 2**63 - 1]),
+    st.integers(0, 2**63 - 1),
+    st.integers(0, 2**63 - 1).map(np.int64),
+)
+
+
+@st.composite
+def record_lists(draw):
+    """A list of sweep records, with or without the scaled column, or of
+    stability records; possibly empty."""
+    kind = draw(st.sampled_from([SweepRecord, StabilityRecord]))
+    scaled = draw(st.booleans())
+
+    def cell(f):
+        if f.type == "int":
+            return draw(_CELL_COUNTS)
+        if f.default is None and not scaled:
+            return None
+        return draw(_CELL_FLOATS)
+
+    count = draw(st.integers(0, 5))
+    return [kind(**{f.name: cell(f) for f in dataclasses.fields(kind)}) for _ in range(count)]
+
+
+class TestWriteRecordsCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(records=record_lists())
+    def test_same_bytes_as_csv_writer(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            write_records_csv(got, records)
+            reference_write_records_csv(want, records)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_no_record_writes_the_sweep_header(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        write_records_csv(out, [])
+        assert out.read_bytes() == (",".join(SWEEP_HEADER) + "\n").encode()
 
 
 class TestSweepConfigValidation:
@@ -862,6 +936,30 @@ class TestToleranceSweep:
             run_tolerance_sweep(config)
         assert calls == []
 
+    @pytest.mark.parametrize("d", [2, "auto"])
+    @pytest.mark.parametrize("source", ["edge_list", "block_model"])
+    def test_below_heuristic_n_raises_before_any_solve(
+        self, monkeypatch, tmp_path, source, d
+    ):
+        # the summary reads the heuristics, defined for n >= 16: a 12-vertex
+        # sweep failed on them after graph 0's extremes run and first solves
+        calls = []
+        for name in ("truncated_eigs", "excluded_extremes"):
+            def spy(*args, _real=getattr(experiments, name), _name=name, **kw):
+                calls.append(_name)
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(experiments, name, spy)
+        if source == "edge_list":
+            model = str(tmp_path / "c12.txt")
+            Path(model).write_text(twelve_cycle())
+        else:
+            model = block_model("6,6", b_diag=0.5, b_off=0.1)
+        config = SweepConfig(model=model, d=d, tolerances=(0.5, 0.1), replicates=2)
+        with pytest.raises(DomainError, match="^heuristic defined for n >= 16, got 12$"):
+            run_tolerance_sweep(config)
+        assert calls == []
+
 
 class TestSweepRho:
     """rho from one extremes solve per replicate, against np.linalg.eigvalsh."""
@@ -1348,6 +1446,17 @@ class TestCli:
         )
         assert code == 2
         assert "argument --k-range" in capsys.readouterr().err
+
+    def test_sweep_below_heuristic_n_is_runtime_error(self, tmp_path, capsys):
+        graph_path = tmp_path / "c12.txt"
+        graph_path.write_text(twelve_cycle())
+        code = cli_main(
+            ["sweep", "--graph", str(graph_path), "--dim", "2", "--tolerances", "0.5,0.1",
+             "--replicates", "2", "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: heuristic defined for n >= 16, got 12\n"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_k_range_above_n_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
         from spectol import experiments
