@@ -15,7 +15,6 @@ from ._util import write_rows
 from .errors import SpectolError
 from .experiments import (
     DEFAULT_TOLERANCES,
-    check_tolerances,
     graph_source,
     ingest_edge_list,
     load_sweep_config,
@@ -107,7 +106,7 @@ def _cmd_sample(args) -> int:
 def _cmd_embed(args) -> int:
     if args.tol is not None:
         # a bad tolerance fails before the file is read or a pilot runs
-        check_tolerances((args.tol,), "--tol")
+        parse_tolerances(args.tol, "--tol")
     graph = ingest_edge_list(args.graph).graph
     d = resolve_dimension(args.dim, graph, args.seed)
     if args.tol is not None:
@@ -153,16 +152,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cluster_stability(args) -> int:
-    tolerances = (DEFAULT_TOLERANCES if args.tolerances is None
-                  else parse_tolerances(args.tolerances))
+    # bad tolerances fail before the graph is drawn, the rest before the pilot
+    tolerances = parse_tolerances(args.tolerances)
+    (reference_tol,) = parse_tolerances(args.reference_tol, "--reference-tol")
     _, draw = graph_source(_model(args))
-    graph = draw(args.seed)
-    d = resolve_dimension(args.dim, graph, args.seed)
     records, summary = run_clustering_stability(
-        graph,
-        d,
+        draw(args.seed),
+        args.dim,
         tolerances,
-        reference_tol=args.reference_tol,
+        reference_tol=reference_tol,
         seed=args.seed,
         repetitions=args.repetitions,
         k_range=args.k_range,
@@ -257,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sbm_arguments(p)
     p.add_argument("--graph", help="edge-list input path (instead of SBM flags)")
     p.add_argument("--dim", type=_dimension, default="auto")
-    p.add_argument("--tolerances", help="e.g. 2^-1..2^-14")
+    p.add_argument("--tolerances", default=DEFAULT_TOLERANCES, help="e.g. 2^-1..2^-14")
     p.add_argument("--reference-tol", type=float, default=1e-6)
     p.add_argument("--repetitions", type=int, default=10)
     p.add_argument(

@@ -12,6 +12,7 @@ import logging
 import math
 import re
 import time
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -46,17 +47,6 @@ DEFAULT_TOLERANCES = tuple(2.0**-k for k in range(1, 21))
 DIMENSION_SELECTION_METHOD = "profile_likelihood_equal_variance"
 # relative residual of the rank-20 pilot behind d = "auto"
 PILOT_TOL = 1e-2
-
-
-def check_tolerances(tolerances, name: str = "tolerances") -> tuple[float, ...]:
-    """``tolerances`` as floats, if they are positive, finite and strictly
-    decreasing."""
-    tols = tuple(float(t) for t in tolerances)
-    if not tols or not all(0.0 < t < math.inf for t in tols):
-        raise DomainError(f"{name} must be positive and finite")
-    if any(b >= a for a, b in zip(tols, tols[1:])):
-        raise DomainError(f"{name} must be strictly decreasing")
-    return tols
 
 
 def _fields_typed(cls, annotation: str) -> tuple[str, ...]:
@@ -95,7 +85,7 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tolerances", check_tolerances(self.tolerances))
+        object.__setattr__(self, "tolerances", parse_tolerances(self.tolerances))
         for key in _fields_typed(SweepConfig, "int"):
             object.__setattr__(self, key, _integer(getattr(self, key), key))
         _check_runs(self.replicates, "replicate", self.workers, self.seed)
@@ -341,7 +331,7 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
 
 def run_clustering_stability(
     graph: SparseGraph,
-    d: int,
+    d: int | str,
     tolerances: tuple[float, ...] = DEFAULT_TOLERANCES,
     reference_tol: float = 1e-6,
     seed: int = 0,
@@ -362,13 +352,13 @@ def run_clustering_stability(
 
     A repetition solves the swept tolerances and the reference in decreasing
     order on one ``RestartPath``, each solve continuing where the looser one
-    stopped, with the results of fresh solves.  The inputs are checked
-    before the first solve, a bad one being a ``DomainError``: the
-    tolerances and ``reference_tol`` as ``SweepConfig`` checks its
-    tolerances (positive, finite and, for a list, strictly decreasing),
-    ``repetitions``, ``workers`` and ``seed`` as its ``replicates``,
-    ``workers`` and ``seed``, and every candidate count in ``k_range`` must
-    be an integer in [2, n].
+    stopped, with the results of fresh solves.  ``d`` may be "auto", whose
+    pilot (``resolve_dimension``, from ``seed``) runs after the inputs are
+    checked.  A bad one is a ``DomainError``: the tolerances and the one
+    ``reference_tol`` by ``parse_tolerances``, ``repetitions``, ``workers``
+    and ``seed`` as ``SweepConfig`` checks its ``replicates``, ``workers``
+    and ``seed``, and every candidate count in ``k_range`` must be an
+    integer in [2, n].
 
     A solve stops only at a restart, so consecutive tolerances often return
     the same embedding bit for bit.  k-means is deterministic for a fixed
@@ -376,8 +366,8 @@ def run_clustering_stability(
     and silhouette instead of recomputing them: each distinct embedding of
     a repetition is clustered once, with identical results.
     """
-    tols = check_tolerances(tolerances)
-    check_tolerances((reference_tol,), "reference_tol")
+    tols = parse_tolerances(tolerances)
+    (reference_tol,) = parse_tolerances([reference_tol], "reference_tol")
     repetitions = _integer(repetitions, "repetitions")
     workers = _integer(workers, "workers")
     seed = _integer(seed, "seed")
@@ -385,6 +375,7 @@ def run_clustering_stability(
     k_range = tuple(_integer(k, "cluster count") for k in k_range)
     if not k_range or not all(2 <= k <= graph.n for k in k_range):
         raise DomainError(f"cluster counts must lie in [2, {graph.n}], got {k_range}")
+    d = resolve_dimension(d, graph, seed)
 
     def one_repetition(rep: int):
         ss = np.random.SeedSequence(seed + rep)
@@ -392,13 +383,13 @@ def run_clustering_stability(
         path = RestartPath(graph, d, solver_ss)
         embeddings = {
             tol: truncated_eigs(graph, d, tol, path=path).vectors
-            for tol in sorted({*tols, float(reference_tol)}, reverse=True)
+            for tol in sorted({*tols, reference_tol}, reverse=True)
         }
         # only the vectors are clustered: free the restart path (the
         # solver's basis) before k-means runs
         del path
         ref_k, ref_clustering = choose_k_by_silhouette(
-            embeddings[float(reference_tol)], k_range, cluster_ss
+            embeddings[reference_tol], k_range, cluster_ss
         )
         records = []
         prev_labels = prev_vectors = None
@@ -646,33 +637,51 @@ def write_records_csv(path, records) -> None:
     write_rows(path, template, rows, ",".join(columns) + "\n")
 
 
-def _parse_tolerance_token(token: str) -> float:
-    token = token.strip()
-    match = re.fullmatch(r"2\^(-?\d+)", token)
-    if match:
-        return 2.0 ** int(match.group(1))
-    try:
-        return float(token)
-    except ValueError:
-        raise DomainError(f"cannot parse tolerance {token!r}") from None
+def _tolerance(item) -> float:
+    """One tolerance: a number, or a float or "2^k" token."""
+    if isinstance(item, (bool, np.bool_)):
+        raise DomainError(f"cannot parse tolerance {item!r}")
+    if isinstance(item, str):
+        item = item.strip()
+        if re.fullmatch(r"2\^-?\d+", item):
+            return _parse(lambda token: 2.0 ** float(token[2:]), item, "tolerance")
+    return _parse(float, item, "tolerance")
 
 
-def parse_tolerances(text: str) -> tuple[float, ...]:
-    """Parse "2^-1..2^-20", or a comma list of floats and 2^-k tokens."""
-    text = text.strip()
-    span = re.fullmatch(r"2\^-(\d+)\.\.2\^-(\d+)", text)
-    if span:
-        lo, hi = int(span.group(1)), int(span.group(2))
-        if hi < lo:
-            raise DomainError("tolerance range must move toward tighter values")
-        return tuple(2.0**-k for k in range(lo, hi + 1))
-    return tuple(_parse_tolerance_token(tok) for tok in text.split(","))
+def parse_tolerances(value, name: str = "tolerances") -> tuple[float, ...]:
+    """The tolerances ``value`` names, as floats: a "2^-a..2^-b" range, a
+    comma list of floats and "2^k" tokens, one number, or a list of numbers
+    and such tokens.  Every tolerance spectol takes enters here.
+
+    A bool, a token that is no number, a tolerance that is not positive and
+    finite, or a list that is not strictly decreasing is a ``DomainError``;
+    a range whose tightest member rounds to 0.0 is refused before it is built.
+    """
+    items = [value]
+    if isinstance(value, str):
+        items = value.split(",")
+        span = re.fullmatch(r"2\^-(\d+)\.\.2\^-(\d+)", value.strip())
+        if span:
+            lo, hi = map(float, span.groups())
+            if hi < lo:
+                raise DomainError("tolerance range must move toward tighter values")
+            if 2.0**-hi == 0.0:
+                raise DomainError(f"{name} must be positive and finite")
+            items = [2.0**-k for k in range(int(lo), int(hi) + 1)]
+    elif isinstance(value, Iterable):
+        items = value
+    tols = tuple(map(_tolerance, items))
+    if not tols or not all(0.0 < t < math.inf for t in tols):
+        raise DomainError(f"{name} must be positive and finite")
+    if any(b >= a for a, b in zip(tols, tols[1:])):
+        raise DomainError(f"{name} must be strictly decreasing")
+    return tols
 
 
 def _parse(convert, value, what: str):
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"cannot parse {what} {value!r}") from None
 
 
@@ -757,15 +766,7 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
         raise DomainError("a config takes d or dim, not both")
     if "d" in data or "dim" in data:
         kwargs["d"] = data.pop("d", data.pop("dim", None))
-    if "tolerances" in data:
-        raw = data.pop("tolerances")
-        kwargs["tolerances"] = (
-            parse_tolerances(raw)
-            if isinstance(raw, str)
-            # each item by the string form's token rule: str(True) is no number
-            else tuple(_parse_tolerance_token(str(t)) for t in _items(raw, ","))
-        )
-    for key in _fields_typed(SweepConfig, "int"):
+    for key in ("tolerances", *_fields_typed(SweepConfig, "int")):
         if key in data:
             kwargs[key] = data.pop(key)
     for key in _fields_typed(SweepConfig, "bool"):

@@ -84,8 +84,7 @@ def report_from_solve(A: SparseGraph, dec: SpectralDecomposition) -> ToleranceRe
 
 def tolerance_report(A: SparseGraph, *, seed=0) -> ToleranceReport:
     """The report of A from a d = 1 solve at the conservative tolerance."""
-    if A.n < MIN_HEURISTIC_N:
-        raise DomainError(f"report defined for n >= {MIN_HEURISTIC_N}, got {A.n}")
+    check_heuristic_n(A.n)
     dec = truncated_eigs(A, 1, conservative_tolerance(A), seed=seed)
     return report_from_solve(A, dec)
 

@@ -447,6 +447,13 @@ class TestSweepConfigValidation:
         with pytest.raises(DomainError, match="positive"):
             SweepConfig(model=small_sbm(), tolerances=tolerances)
 
+    @pytest.mark.parametrize("tolerances", [(True,), (0.5, np.False_), ("x",)])
+    def test_non_number_tolerance_rejected(self, tolerances):
+        # float(True) made (True,) the tolerances (1.0,), while a JSON
+        # [0.5, true] was refused
+        with pytest.raises(DomainError, match="cannot parse tolerance"):
+            SweepConfig(model=small_sbm(), tolerances=tolerances)
+
     def test_zero_replicates_rejected(self):
         with pytest.raises(DomainError):
             SweepConfig(model=small_sbm(), replicates=0)
@@ -516,6 +523,73 @@ class TestToleranceParsing:
     def test_garbage_token_rejected(self):
         with pytest.raises(DomainError):
             parse_tolerances("2^-1..oops")
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (0.25, (0.25,)),
+            (2, (2.0,)),
+            (np.float64(0.1), (0.1,)),
+            (["2^-1", 0.25], (0.5, 0.25)),
+            (np.array([0.5, 0.25]), (0.5, 0.25)),
+            (" 2^-3 , 0.1 ", (0.125, 0.1)),
+            ("2^-1073..2^-1074", (2.0**-1073, 2.0**-1074)),
+        ],
+        ids=["bare", "bare-int", "numpy-scalar", "list", "array", "spaced", "subnormal"],
+    )
+    def test_accepted_forms(self, value, expected):
+        tols = parse_tolerances(value)
+        assert tols == expected and all(type(t) is float for t in tols)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "2^1024",
+            "2^2000",
+            "2^" + "9" * 5000,
+            "2^-" + "9" * 5000,
+            "2^-1075",
+            ("x",),
+            (True,),
+            (0.5, True),
+            True,
+            None,
+            [10**400],
+            "0.5,,0.25",
+            "2^-" + "9" * 5000 + "..2^-3",
+        ],
+        ids=["2^1024", "2^2000", "2^5000-digits", "2^-5000-digits", "2^-1075", "x",
+             "bool", "list-bool", "bare-bool", "none", "huge-int", "blank-token",
+             "huge-backwards-range"],
+    )
+    def test_rejected_forms(self, value):
+        # the overflowing 2^k tokens and the huge int ended in an
+        # OverflowError traceback, and (True,) was read as (1.0,)
+        with pytest.raises(DomainError):
+            parse_tolerances(value)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2^-1..2^-1075", "2^-1..2^-99999999", "2^-1..2^-" + "9" * 5000],
+        ids=["2^-1075", "2^-99999999", "2^-5000-digits"],
+    )
+    def test_range_to_zero_fails_before_it_is_built(self, monkeypatch, text):
+        # 2^-1..2^-99999999 built a 10^8-entry tuple before its zeros were
+        # refused; no range past the smallest subnormal may be built
+        def bounded_range(*args):
+            assert len(range(*args)) <= 1074, "a range past 2^-1074 was built"
+            return range(*args)
+
+        monkeypatch.setattr(experiments, "range", bounded_range, raising=False)
+        with pytest.raises(DomainError, match="tolerances must be positive and finite"):
+            parse_tolerances(text)
+        assert parse_tolerances("2^-1..2^-1074")[-1] == 2.0**-1074
+
+    def test_name_in_message(self):
+        with pytest.raises(DomainError, match="^reference_tol must be positive"):
+            parse_tolerances(-1.0, "reference_tol")
+        with pytest.raises(DomainError, match="^--tol must be strictly decreasing"):
+            parse_tolerances("0.25,0.5", "--tol")
 
 
 class TestConfigFiles:
@@ -1203,6 +1277,11 @@ class TestClusteringStability:
             pytest.param({"workers": 1.5}, id="workers_fraction"),
             pytest.param({"seed": 0.5}, id="seed_fraction"),
             pytest.param({"seed": -1}, id="negative_seed"),
+            # each raised a ValueError, not the DomainError promised
+            pytest.param({"tolerances": ("x",)}, id="unparsable_tolerance"),
+            pytest.param({"reference_tol": "x"}, id="unparsable_reference_tol"),
+            pytest.param({"tolerances": (True,)}, id="bool_tolerance"),
+            pytest.param({"tolerances": "2^2000"}, id="overflowing_tolerance"),
         ],
     )
     def test_bad_k_range_rejected_before_any_solve(self, monkeypatch, bad):
@@ -1213,9 +1292,20 @@ class TestClusteringStability:
         assert graph.n == 90
         solves = []
         monkeypatch.setattr(experiments, "truncated_eigs", lambda *a, **kw: solves.append(a))
-        with pytest.raises(DomainError):
-            run_clustering_stability(graph, 2, **{"tolerances": (0.5, 0.25), **bad})
+        # under d = "auto" every input is checked before the pilot solve too
+        for d in (2, "auto"):
+            with pytest.raises(DomainError):
+                run_clustering_stability(graph, d, **{"tolerances": (0.5, 0.25), **bad})
         assert solves == []
+
+    def test_auto_dimension_is_the_pilots(self):
+        # d = "auto" resolves through resolve_dimension from the study's seed
+        graph = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm(100))), 3)
+        args = dict(tolerances=(2.0**-3, 2.0**-6), seed=4, repetitions=2, k_range=(2, 3))
+        d = resolve_dimension("auto", graph, 4)
+        auto = run_clustering_stability(graph, "auto", **args)
+        assert auto[1]["dimension"] == d
+        assert nan_safe(auto[0]) == nan_safe(run_clustering_stability(graph, d, **args)[0])
 
     def test_each_distinct_embedding_clustered_once(self, monkeypatch):
         from spectol import FactoredProbabilityMatrix, sample_adjacency, sbm_to_latent
@@ -1612,6 +1702,50 @@ class TestCli:
         assert capsys.readouterr().err == "error: cannot parse tolerance ''\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "cluster-stability"])
+    @pytest.mark.parametrize("tolerances", ["2^2000", "2^-1..2^-1075", "0.5,true"])
+    def test_unusable_tolerances_are_runtime_errors(
+        self, tmp_path, capsys, monkeypatch, command, tolerances
+    ):
+        # 2^2000 ended in an OverflowError traceback
+        monkeypatch.setattr(experiments, "truncated_eigs", lambda *a, **k: pytest.fail())
+        out = tmp_path / "out.csv"
+        code = cli_main(
+            [command, "--sizes", "50,50", "--b-diag", "0.1", "--dim", "auto",
+             "--tolerances", tolerances, "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tolerances", "0.25,0.5"],
+            ["--reference-tol", "inf"],
+            ["--repetitions", "0"],
+            ["--k-range", "2,5000"],
+        ],
+        ids=["increasing", "reference-inf", "repetitions0", "k-above-n"],
+    )
+    def test_cluster_stability_checks_inputs_before_the_pilot(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        # under the default --dim auto each sampled the graph and ran the
+        # rank-20 pilot solve before it refused the value
+        dims = []
+        solve = experiments.truncated_eigs
+        monkeypatch.setattr(experiments, "truncated_eigs",
+                            lambda A, d, tol, **kw: dims.append(d) or solve(A, d, tol, **kw))
+        out = tmp_path / "st.csv"
+        code = cli_main(["cluster-stability", "--sizes", "50,50", "--b-diag", "0.3",
+                         "--b-off", "0.02", *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert dims == [] and not out.exists()
+
     def test_sweep_row_count_from_flags(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = cli_main(
@@ -1718,6 +1852,10 @@ class TestCli:
                     '{"sizes": "10,10", "b_diag": 0.1, "seed": 0.5}',
                     '{"sizes": "10,10", "b_diag": 0.1, "workers": true}',
                     '{"sizes": [10.5, 10], "b_diag": 0.1}',
+                    # an overflowing 2^k, as a string and as a list item
+                    '{"sizes": "10,10", "b_diag": 0.1, "tolerances": "2^2000"}',
+                    '{"sizes": "10,10", "b_diag": 0.1, "tolerances": ["2^2000", 0.5]}',
+                    "sizes = 10,10\nb_diag = 0.1\ntolerances = 2^-1..2^-1075\n",
                 )
             ],
         ],

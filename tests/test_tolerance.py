@@ -113,6 +113,13 @@ class TestToleranceReport:
         assert abs(report.heuristic_sqrt_n - 0.0173858) <= 1e-6
         assert report.heuristic_spectral > report.heuristic_sqrt_n
 
+    def test_small_graph_fails_before_any_solve(self, monkeypatch):
+        # the report refuses small n by the heuristics' own check and message
+        monkeypatch.setattr(tolerance, "truncated_eigs", lambda *a, **k: pytest.fail())
+        path = SparseGraph.from_edges(15, np.array([(i, i + 1) for i in range(14)]))
+        with pytest.raises(DomainError, match="^heuristic defined for n >= 16, got 15$"):
+            tolerance_report(path)
+
     @pytest.mark.parametrize("graph", range(6))
     def test_d1_report_equals_norm_estimate(self, three_block_900, graph):
         # the report's d = 1 solve gives the figures estimate_spectral_norm
