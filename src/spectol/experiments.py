@@ -639,13 +639,11 @@ def write_records_csv(path, records) -> None:
 
 def _tolerance(item) -> float:
     """One tolerance: a number, or a float or "2^k" token."""
-    if isinstance(item, (bool, np.bool_)):
-        raise DomainError(f"cannot parse tolerance {item!r}")
     if isinstance(item, str):
         item = item.strip()
         if re.fullmatch(r"2\^-?\d+", item):
             return _parse(lambda token: 2.0 ** float(token[2:]), item, "tolerance")
-    return _parse(float, item, "tolerance")
+    return _real(item, "tolerance")
 
 
 def parse_tolerances(value, name: str = "tolerances") -> tuple[float, ...]:
@@ -692,6 +690,13 @@ def _integer(value, what: str) -> int:
     return _parse(int, value, what)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; a bool, which float() takes, is an error."""
+    if isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"cannot parse {what} {value!r}")
+    return _parse(float, value, what)
+
+
 def _items(value, sep: str) -> list:
     """A list's items, or the non-blank ``sep``-separated fields of a string."""
     if isinstance(value, (list, tuple)):
@@ -706,20 +711,20 @@ def block_model(sizes, *, b=None, b_diag=None, b_off=None) -> SbmSpec:
     Every argument may be a string, as flags and key=value files give them
     ("300,300", "0.05,0.02;0.02,0.05": rows split at ';', entries at ','),
     or numbers and lists, as JSON gives them.  A token that is not a number,
-    or ``b`` beside ``b_diag`` or ``b_off``, is a ``DomainError``; ``SbmSpec``
-    checks shapes and ranges.
+    a bool, or ``b`` beside ``b_diag`` or ``b_off``, is a ``DomainError``;
+    ``SbmSpec`` checks shapes and ranges.
     """
     sizes = tuple(_integer(s, "block size") for s in _items(sizes, ","))
     if b is not None:
         if b_diag is not None or b_off is not None:
             raise DomainError("a block model takes b or b_diag/b_off, not both")
         B = [
-            [_parse(float, x, "block probability") for x in _items(row, ",")]
+            [_real(x, "block probability") for x in _items(row, ",")]
             for row in _items(b, ";")
         ]
     elif b_diag is not None:
-        diag = _parse(float, b_diag, "b_diag")
-        off = 0.0 if b_off is None else _parse(float, b_off, "b_off")
+        diag = _real(b_diag, "b_diag")
+        off = 0.0 if b_off is None else _real(b_off, "b_off")
         k = len(sizes)
         B = np.full((k, k), off) + np.eye(k) * (diag - off)
     else:

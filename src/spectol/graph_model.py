@@ -87,7 +87,12 @@ class SbmSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
+        try:
+            sizes = tuple(int(s) for s in self.sizes)
+        except (TypeError, ValueError, OverflowError):  # NaN, inf, not a number
+            sizes = None
+        if sizes is None or sizes != tuple(self.sizes):
+            raise DimensionMismatch(f"block sizes must be whole numbers, got {self.sizes}")
         try:
             B = np.array(self.block_probabilities, dtype=float)
         except ValueError:  # rows of unequal length, or not numbers
@@ -100,6 +105,8 @@ class SbmSpec:
             raise DimensionMismatch("block probability matrix must be square")
         if B.shape[0] != len(sizes):
             raise DimensionMismatch("one size per block is required")
+        if not np.isfinite(B).all():
+            raise DimensionMismatch("block probabilities must be finite")
         if not np.allclose(B, B.T, atol=1e-12, rtol=0.0):
             raise DimensionMismatch("block probability matrix must be symmetric")
         if B.min() < 0.0 or B.max() > 1.0:

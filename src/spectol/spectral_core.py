@@ -1,10 +1,11 @@
-"""Truncated eigendecomposition of sparse symmetric graphs.
+"""Truncated eigendecomposition of symmetric graphs and operators.
 
-The solver is a block thick-restart Lanczos iteration.  It starts from a
-block of random vectors, grows an orthonormal basis Q one block step at a
-time (A times the previous block, reorthogonalized), keeps W = A Q
-alongside, and diagonalizes the projected matrix H = Q^T A Q once the basis
-reaches its working size.  Q and W hold one basis vector per row, so every
+The solver is a block thick-restart Lanczos iteration.  It reads A only as
+``A.n`` and ``A.matvec(x)`` (an ``Operator``).  It starts from a block of
+random vectors, grows an orthonormal basis Q one block step at a time (A
+times the previous block, reorthogonalized), keeps W = A Q alongside, and
+diagonalizes the projected matrix H = Q^T A Q once the basis reaches its
+working size.  Q and W hold one basis vector per row, so every
 matrix-vector product, projection and update reads and writes contiguous
 memory.  A block gives each member of a near-tied leading pair its own
 start direction, where a single start vector would give the pair one
@@ -29,11 +30,12 @@ random numbers and a failed test leaves the basis as it was, so the restart
 trajectory of a start block is the same for every tolerance.  It yields one
 record per restart (``_Iterate``).  A ``RestartPath`` holds that trajectory
 suspended, with the log of the records it has reached, their settling gates
-and the vectors of the last one only.  Every solve runs on a path: a fresh
-one drawn from its seed, or one the caller passes (``path=``) to solve
-several tightening tolerances.  A solve on a passed path replays the log to
-count a fresh solve's exact checks, then pulls new restarts, and returns
-exactly the fresh solve's result.
+and the vectors of the last one only.  Making one runs no product; a zero A
+is refused at its first restart.  Every solve runs on a path: a fresh one
+drawn from its seed, or one the caller passes (``path=``) to solve several
+tightening tolerances.  A solve on a passed path replays the log to count a
+fresh solve's exact checks, then pulls new restarts, and returns exactly
+the fresh solve's result.
 
 ``excluded_extremes`` reads the same records, on the trajectory of a single
 start vector, for the two extremes of the spectrum past the d leading
@@ -44,12 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 from ._util import check_seed, order_by_magnitude
 from .errors import DimensionMismatch, DomainError, NoConvergence
-from .graph_model import DENSE_LIMIT, RANK_REL_TOL, SparseGraph
+from .graph_model import DENSE_LIMIT, RANK_REL_TOL
 
 # relative change over the last block step below which a selected Ritz value
 # counts as settled (the settling gate of the stopping rule); a value below
@@ -69,6 +72,12 @@ _BLOCK = 2
 _EXTREMES_RTOL = 1e-14
 # working basis size of an extremes run, in basis vectors
 _EXTREMES_BASIS = 30
+
+
+class Operator(Protocol):
+    """What the solver reads of A: its order n and the product x -> A x."""
+    n: int
+    def matvec(self, x: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -234,20 +243,18 @@ class RestartPath:
     """The restart trajectory of A's d leading eigenpairs from one start
     block, suspended, plus the log of its restarts so far.
 
-    Making a path checks A (it needs an edge), 1 <= d < n and the seed,
-    which makes the path's generator: anything ``numpy.random.default_rng``
-    takes, an integer being non-negative.  It runs no product: the start
-    block is drawn at the first restart.  Solve it with
-    ``truncated_eigs(A, d, tol, path=path)`` at tolerances that tighten.
+    Making a path checks 1 <= d < n and the seed, which makes the path's
+    generator: anything ``numpy.random.default_rng`` takes, an integer
+    being non-negative.  It runs no product: the start block is drawn at the
+    first restart, and a zero operator is refused there, unlogged.  Solve it
+    with ``truncated_eigs(A, d, tol, path=path)`` at tolerances that tighten.
 
     Logging a restart sets its gate ``settled`` and drops ``H``.  Only the
     last restart logged keeps its vectors ``U`` and ``G``: a replay at a
     tighter tolerance reads no vector before it reaches that restart.
     """
 
-    def __init__(self, A: SparseGraph, d: int, seed=0):
-        if A.m == 0:
-            raise DomainError("adjacency matrix is identically zero")
+    def __init__(self, A: Operator, d: int, seed=0):
         if not 1 <= d < A.n:
             raise DimensionMismatch(f"need 1 <= d < n, got d={d} with n={A.n}")
         check_seed(seed)
@@ -263,6 +270,8 @@ class RestartPath:
         it = next(self._steps, None)
         if it is None:
             return False
+        if not it.ritz.any():  # H = Q^T A Q vanishes: A is zero on the basis
+            raise DomainError("adjacency matrix is identically zero")
         if self.log:
             self.log[-1].U = self.log[-1].G = None
         it.settled, it.H = _settled(it), None
@@ -272,7 +281,7 @@ class RestartPath:
 
 
 def truncated_eigs(
-    A: SparseGraph,
+    A: Operator,
     d: int,
     tol: float,
     *,
@@ -283,8 +292,8 @@ def truncated_eigs(
 
     Parameters
     ----------
-    A : SparseGraph
-        Hollow symmetric adjacency structure with at least one edge.
+    A : Operator
+        Symmetric and nonzero, such as a ``SparseGraph`` with an edge.
     d : int
         Number of eigenpairs, 1 <= d < n.
     tol : float
@@ -315,8 +324,7 @@ def truncated_eigs(
     # a replay at a tolerance no looser than path.tol passes the earlier
     # stops, and any check it makes before the last logged restart failed
     # in an earlier, looser solve, so only that restart can lack a residual
-    checks = 0
-    k = 0
+    checks = k = 0
     converged = False
     while k < len(path.log) or path.pull():
         it = path.log[k]
@@ -346,7 +354,7 @@ def truncated_eigs(
     )
 
 
-def excluded_extremes(A: SparseGraph, d: int, seed=0) -> tuple[float, float] | None:
+def excluded_extremes(A: Operator, d: int, seed=0) -> tuple[float, float] | None:
     """(mu_-, mu_+), the smallest and largest eigenvalues of A past its d
     leading ones by magnitude, or None.
 
@@ -371,10 +379,8 @@ def excluded_extremes(A: SparseGraph, d: int, seed=0) -> tuple[float, float] | N
     def exact(values, residuals, ritz):
         # the second smallest distance skips the value's own Ritz value
         gaps = [np.partition(np.abs(ritz - v), 1)[1] for v in values]
-        return all(
-            r * r <= _EXTREMES_RTOL * abs(v) * g
-            for v, r, g in zip(values, residuals, gaps)
-        )
+        return all(r * r <= _EXTREMES_RTOL * abs(v) * g
+                   for v, r, g in zip(values, residuals, gaps))
 
     check_seed(seed)
     k = 3
@@ -386,9 +392,8 @@ def excluded_extremes(A: SparseGraph, d: int, seed=0) -> tuple[float, float] | N
             mu = it.theta[pairs]
             if not exact(mu, np.linalg.norm(it.G[pairs], axis=1), it.ritz):
                 continue
-            rows = it.U.T  # contiguous, one Ritz vector per row
-            if not exact(mu, [np.linalg.norm(A.matvec(rows[i]) - it.theta[i] * rows[i])
-                              for i in pairs], it.ritz):
+            G = _residual_rows(A, it.U.T[pairs], mu)  # two products
+            if not exact(mu, [np.linalg.norm(g) for g in G], it.ritz):
                 continue
             if mu[0] < 0.0 < mu[1]:
                 return float(mu[0]), float(mu[1])
@@ -399,7 +404,7 @@ def excluded_extremes(A: SparseGraph, d: int, seed=0) -> tuple[float, float] | N
     return None
 
 
-def estimate_spectral_norm(A: SparseGraph, tol: float = 1e-6, *, seed=0) -> float:
+def estimate_spectral_norm(A: Operator, tol: float = 1e-6, *, seed=0) -> float:
     """Largest eigenvalue magnitude of A, via the d = 1 truncated solve.
 
     Magnitude ties (bipartite-like spectra) resolve to the positive side, so
@@ -413,7 +418,7 @@ def estimate_spectral_norm(A: SparseGraph, tol: float = 1e-6, *, seed=0) -> floa
     return float(np.abs(dec.values[0]))
 
 
-def residual_norm(A: SparseGraph, vectors: np.ndarray, values: np.ndarray) -> float:
+def residual_norm(A: Operator, vectors: np.ndarray, values: np.ndarray) -> float:
     """Exact spectral norm of the thin residual A U - U S.
 
     Computed from the d x d Gram matrix of the residual columns, so the cost
@@ -424,11 +429,12 @@ def residual_norm(A: SparseGraph, vectors: np.ndarray, values: np.ndarray) -> fl
     if U.ndim != 2 or U.shape[0] != A.n or U.shape[1] != s.size:
         raise DimensionMismatch("vectors must be n x d with one value per column")
     # one contiguous row per vector (free when U has contiguous columns)
-    rows = np.ascontiguousarray(U.T)
-    G = np.empty_like(rows)
-    for i in range(s.size):
-        G[i] = A.matvec(rows[i]) - s[i] * rows[i]
-    return _spectral_norm(G)
+    return _spectral_norm(_residual_rows(A, np.ascontiguousarray(U.T), s))
+
+
+def _residual_rows(A: Operator, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The rows A u - s u of Ritz vector rows u and values s: one product each."""
+    return np.array([A.matvec(u) - s * u for u, s in zip(rows, values)])
 
 
 def _spectral_norm(G: np.ndarray) -> float:

@@ -643,6 +643,32 @@ class TestConfigFiles:
             block_model(sizes, **matrix)
 
     @pytest.mark.parametrize(
+        "matrix",
+        [
+            {"b_diag": True, "b_off": False},
+            {"b_diag": 0.1, "b_off": False},
+            {"b_diag": np.bool_(True)},
+            {"b": [[True, 0.0], [0.0, 0.1]]},
+        ],
+    )
+    def test_bool_block_probability_rejected(self, matrix):
+        # float() takes a bool, so a JSON true built B = [[1, 0], [0, 1]]: a
+        # sweep on two cliques
+        with pytest.raises(DomainError, match="cannot parse"):
+            block_model("20,20", **matrix)
+        with pytest.raises(DomainError, match="cannot parse"):
+            sweep_config_from_dict({"sizes": "20,20", **matrix, "d": 2})
+
+    def test_bool_block_probability_in_json_config_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "bool.json"
+        cfg.write_text(json.dumps({"sizes": "20,20", "b_diag": True, "b_off": 0.1, "d": 2}))
+        monkeypatch.setattr(experiments, "truncated_eigs", lambda *a, **k: pytest.fail())
+        assert cli_main(["sweep", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: cannot parse b_diag True\n"
+
+    @pytest.mark.parametrize(
         "keys, match",
         [
             ({"edge_list": "g.txt", "sizes": "10,10"}, "got sizes$"),

@@ -84,6 +84,24 @@ class TestLatentPositions:
                 LatentPositions(rows)
 
 
+class TestSbmSpec:
+    @pytest.mark.parametrize("sizes", [(2.7, 3), (3, 0.5), (math.nan, 3), (math.inf, 3), ("x", 3)])
+    def test_size_that_is_not_a_whole_number_rejected(self, sizes):
+        # int() truncated 2.7 to 2 and the model kept sizes (2, 3)
+        with pytest.raises(DimensionMismatch, match="whole numbers"):
+            SbmSpec(0.1 * np.ones((2, 2)), sizes)
+        # a whole float is kept, as an int
+        spec = SbmSpec(0.1 * np.ones((2, 2)), np.array([2.0, 3.0]))
+        assert spec.sizes == (2, 3) and all(type(s) is int for s in spec.sizes)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        # a NaN on the diagonal failed as "must be symmetric"
+        B = np.array([[bad, 0.1], [0.1, 0.2]])
+        with pytest.raises(DimensionMismatch, match="block probabilities must be finite"):
+            SbmSpec(B, (2, 2))
+
+
 class TestSbmToLatent:
     def test_diagonal_quarter(self):
         spec = SbmSpec(0.25 * np.eye(2), (1, 1))

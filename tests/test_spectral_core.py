@@ -374,9 +374,6 @@ class TestRestartPath:
         assert len(calls) == dec.matvecs
 
     def test_inputs_checked_where_the_path_is_made(self):
-        empty = SparseGraph(4, np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        with pytest.raises(DomainError, match="adjacency matrix is identically zero"):
-            RestartPath(empty, 1)
         for d in (0, 5):
             with pytest.raises(DimensionMismatch):
                 RestartPath(K5, d)
@@ -384,6 +381,18 @@ class TestRestartPath:
             RestartPath(K5, 1, seed=-1)
         with pytest.raises(TypeError):  # numpy's refusal, before any solve
             RestartPath(K5, 1, seed="x")
+
+    def test_zero_operator_refused_at_the_first_restart(self):
+        # making a path reads only n, so an edgeless graph gets a path; its
+        # first restart has Ritz values all zero, which is refused unlogged,
+        # so every later solve on the path is refused too
+        empty = SparseGraph(4, np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        path = RestartPath(empty, 1)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="adjacency matrix is identically zero"):
+                truncated_eigs(empty, 1, 1e-6, path=path)
+            assert path.log == []
+        assert spectral_core.excluded_extremes(empty, 1) is None
 
     @pytest.mark.parametrize("seed", [None, "generator"])
     def test_any_seed_continues(self, seed):
@@ -413,6 +422,80 @@ class TestRestartPath:
         del path
         assert ref() is None
         assert_same_result(dec, truncated_eigs(A, 3, 2.0**-6, seed=5))
+
+
+class ShiftedGraph:
+    """c I - A with c the maximum degree, so that no eigenvalue is negative."""
+
+    def __init__(self, A: SparseGraph):
+        self.A, self.n, self.c = A, A.n, float(A.degrees.max())
+        self.dense = self.c * np.eye(A.n) - A.to_dense()
+
+    def matvec(self, x):
+        return self.c * x - self.A.matvec(x)
+
+
+class DenseOperator:
+    """A dense symmetric matrix behind the two members the solver reads."""
+
+    def __init__(self, M: np.ndarray):
+        self.n, self.dense = M.shape[0], M
+
+    def matvec(self, x):
+        return self.dense @ x
+
+
+def random_symmetric(n: int, seed: int) -> np.ndarray:
+    G = np.random.default_rng(seed).standard_normal((n, n))
+    return (G + G.T) / 2.0
+
+
+OPERATORS = {
+    "shifted graph": lambda: ShiftedGraph(random_graph(60, 0.2, seed=4)),
+    "dense 60 x 60": lambda: DenseOperator(random_symmetric(60, seed=2)),
+}
+
+
+class TestOperator:
+    """The solver reads only ``n`` and ``matvec``: operators that are not
+    graphs against ``np.linalg.eigh`` of their dense matrix."""
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_path_continues_as_fresh_solves(self, name):
+        op = OPERATORS[name]()
+        assert_chain_matches_fresh(op, 3, (2.0**-4, 2.0**-12), seed=1)
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_ritz_values_within_the_residual_of_an_eigenvalue(self, name):
+        op = OPERATORS[name]()
+        spectrum = np.linalg.eigh(op.dense)[0]
+        for tol in (2.0**-2, 2.0**-12):
+            dec = truncated_eigs(op, 3, tol, seed=1)
+            for theta in dec.values:
+                assert np.abs(spectrum - theta).min() <= dec.residual + 1e-12
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_residual_norm_matches_the_dense_residual(self, name):
+        op = OPERATORS[name]()
+        dec = truncated_eigs(op, 3, 2.0**-3, seed=1)
+        U, s = dec.vectors, dec.values
+        direct = np.linalg.norm(op.dense @ U - U * s, 2)
+        assert abs(residual_norm(op, U, s) - direct) <= 1e-12 * max(1.0, direct)
+        assert abs(dec.residual - direct) <= 1e-12 * max(1.0, direct)
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_excluded_extremes_match_the_dense_spectrum(self, name):
+        op = OPERATORS[name]()
+        spectrum = np.linalg.eigh(op.dense)[0]
+        excluded = spectrum[np.argsort(-np.abs(spectrum), kind="stable")][3:]
+        bracket = spectral_core.excluded_extremes(op, 3, 0)
+        if excluded.min() >= 0.0:
+            # c I - A has no negative eigenvalue, so no bracket holds both signs
+            assert bracket is None
+            return
+        assert bracket is not None
+        for got, want in zip(bracket, (excluded.min(), excluded.max())):
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestRowMajorBasis:
