@@ -355,10 +355,10 @@ def run_clustering_stability(
     stopped, with the results of fresh solves.  ``d`` may be "auto", whose
     pilot (``resolve_dimension``, from ``seed``) runs after the inputs are
     checked.  A bad one is a ``DomainError``: the tolerances and the one
-    ``reference_tol`` by ``parse_tolerances``, ``repetitions``, ``workers``
-    and ``seed`` as ``SweepConfig`` checks its ``replicates``, ``workers``
-    and ``seed``, and every candidate count in ``k_range`` must be an
-    integer in [2, n].
+    ``reference_tol`` by ``parse_tolerances``, ``d``, ``repetitions``,
+    ``workers`` and ``seed`` as ``SweepConfig`` checks its ``d``,
+    ``replicates``, ``workers`` and ``seed``, and every candidate count in
+    ``k_range`` must be an integer in [2, n].
 
     A solve stops only at a restart, so consecutive tolerances often return
     the same embedding bit for bit.  k-means is deterministic for a fixed
@@ -375,6 +375,10 @@ def run_clustering_stability(
     k_range = tuple(_integer(k, "cluster count") for k in k_range)
     if not k_range or not all(2 <= k <= graph.n for k in k_range):
         raise DomainError(f"cluster counts must lie in [2, {graph.n}], got {k_range}")
+    if d != "auto":
+        d = _integer(d, "dimension")
+        if d < 1:
+            raise DomainError("d must be a positive integer or 'auto'")
     d = resolve_dimension(d, graph, seed)
 
     def one_repetition(rep: int):
@@ -684,10 +688,12 @@ def _parse(convert, value, what: str):
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int; a fraction or a bool, which int() takes, is an error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int; a bool, or a number that int() would truncate,
+    is an error."""
+    number = None if isinstance(value, (bool, np.bool_)) else _parse(int, value, what)
+    if number is None or (not isinstance(value, str) and number != value):
         raise DomainError(f"cannot parse {what} {value!r}")
-    return _parse(int, value, what)
+    return number
 
 
 def _real(value, what: str) -> float:
@@ -752,36 +758,27 @@ def model_from_keys(data: dict) -> SbmSpec | str:
 def sweep_config_from_dict(data: dict) -> SweepConfig:
     """Build a SweepConfig from flat keys (strings allowed for every value).
     A key whose value is None (JSON null) counts as absent; a key that no
-    field takes is refused all the same."""
+    field takes is refused all the same, before any value is parsed."""
     data = dict(data)
-
-    def as_bool(x):
-        text = str(x).strip().lower()  # str(True) is "True"
-        if text in ("true", "1", "yes"):
-            return True
-        if text in ("false", "0", "no"):
-            return False
-        raise DomainError(f"cannot parse boolean {x!r}")
-
-    kwargs: dict = {"model": model_from_keys(data)}
-    names = {f.name for f in fields(SweepConfig)} - {"model"} | {"dim"}
+    model = model_from_keys(data)
+    names = {f.name for f in fields(SweepConfig)} - {"model"}
     data = {key: value for key, value in data.items()
-            if value is not None or key not in names}
-    if "d" in data and "dim" in data:
-        raise DomainError("a config takes d or dim, not both")
-    if "d" in data or "dim" in data:
-        kwargs["d"] = data.pop("d", data.pop("dim", None))
-    for key in ("tolerances", *_fields_typed(SweepConfig, "int")):
-        if key in data:
-            kwargs[key] = data.pop(key)
+            if value is not None or key not in names | {"dim"}}
+    if "dim" in data:
+        if "d" in data:
+            raise DomainError("a config takes d or dim, not both")
+        data["d"] = data.pop("dim")
+    if data.keys() - names:
+        raise DomainError(f"unknown config keys: {sorted(data.keys() - names)}")
     for key in _fields_typed(SweepConfig, "bool"):
         if key in data:
-            kwargs[key] = as_bool(data.pop(key))
+            text = str(data[key]).strip().lower()  # str(True) is "True"
+            if text not in ("true", "1", "yes", "false", "0", "no"):
+                raise DomainError(f"cannot parse boolean {data[key]!r}")
+            data[key] = text in ("true", "1", "yes")
     if "output" in data:
-        kwargs["output"] = str(data.pop("output"))
-    if data:
-        raise DomainError(f"unknown config keys: {sorted(data)}")
-    return SweepConfig(**kwargs)
+        data["output"] = str(data["output"])
+    return SweepConfig(model=model, **data)
 
 
 def _unique_keys(pairs) -> dict:

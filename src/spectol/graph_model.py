@@ -91,7 +91,10 @@ class SbmSpec:
             sizes = tuple(int(s) for s in self.sizes)
         except (TypeError, ValueError, OverflowError):  # NaN, inf, not a number
             sizes = None
-        if sizes is None or sizes != tuple(self.sizes):
+        # a bool passes int() and compares equal to the int it gives
+        if sizes is None or sizes != tuple(self.sizes) or any(
+            isinstance(s, (bool, np.bool_)) for s in self.sizes
+        ):
             raise DimensionMismatch(f"block sizes must be whole numbers, got {self.sizes}")
         try:
             B = np.array(self.block_probabilities, dtype=float)

@@ -239,15 +239,22 @@ def _settled(it: _Iterate) -> bool:
     return bool(np.all(np.abs(theta - prev) <= _STABILIZE_RTOL * floor))
 
 
+def _check_dimension(A: Operator, d) -> None:
+    # a bool passes 1 <= d < n, and a float d would fail only where it slices a basis
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not 1 <= d < A.n:
+        raise DimensionMismatch(f"need an integer 1 <= d < n, got d={d!r} with n={A.n}")
+
+
 class RestartPath:
     """The restart trajectory of A's d leading eigenpairs from one start
     block, suspended, plus the log of its restarts so far.
 
-    Making a path checks 1 <= d < n and the seed, which makes the path's
-    generator: anything ``numpy.random.default_rng`` takes, an integer
-    being non-negative.  It runs no product: the start block is drawn at the
-    first restart, and a zero operator is refused there, unlogged.  Solve it
-    with ``truncated_eigs(A, d, tol, path=path)`` at tolerances that tighten.
+    Making a path checks that d is an integer with 1 <= d < n, and the
+    seed, which makes the path's generator: anything
+    ``numpy.random.default_rng`` takes, an integer being non-negative.  It
+    runs no product: the start block is drawn at the first restart, and a
+    zero operator is refused there, unlogged.  Solve it with
+    ``truncated_eigs(A, d, tol, path=path)`` at tolerances that tighten.
 
     Logging a restart sets its gate ``settled`` and drops ``H``.  Only the
     last restart logged keeps its vectors ``U`` and ``G``: a replay at a
@@ -255,8 +262,7 @@ class RestartPath:
     """
 
     def __init__(self, A: Operator, d: int, seed=0):
-        if not 1 <= d < A.n:
-            raise DimensionMismatch(f"need 1 <= d < n, got d={d} with n={A.n}")
+        _check_dimension(A, d)
         check_seed(seed)
         self.A, self.d = A, d
         # working basis size held between restarts, in basis vectors
@@ -295,7 +301,7 @@ def truncated_eigs(
     A : Operator
         Symmetric and nonzero, such as a ``SparseGraph`` with an edge.
     d : int
-        Number of eigenpairs, 1 <= d < n.
+        Number of eigenpairs, an integer with 1 <= d < n.
     tol : float
         Relative residual target, positive and finite; the run stops once
         the spectral norm of A U - U S falls below tol times the largest
@@ -373,7 +379,8 @@ def excluded_extremes(A: Operator, d: int, seed=0) -> tuple[float, float] | None
     and confirmed exactly (two products) before the run stops.  When the
     last k values then hold one sign, k doubles from 3 and a wider run
     starts.  None when a run spends DEFAULT_MAX_RESTARTS restarts or d + k
-    would reach n.
+    would reach n.  A d that is not an integer in [1, n) is refused, as a
+    ``RestartPath`` refuses it, before any product.
     """
 
     def exact(values, residuals, ritz):
@@ -382,6 +389,7 @@ def excluded_extremes(A: Operator, d: int, seed=0) -> tuple[float, float] | None
         return all(r * r <= _EXTREMES_RTOL * abs(v) * g
                    for v, r, g in zip(values, residuals, gaps))
 
+    _check_dimension(A, d)
     check_seed(seed)
     k = 3
     while d + k < A.n:

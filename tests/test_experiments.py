@@ -9,6 +9,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -483,10 +484,14 @@ class TestSweepConfigValidation:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("replicates", 2.7), ("d", True), ("d", 1.5), ("seed", 0.5), ("workers", True)],
+        [("replicates", 2.7), ("d", True), ("d", 1.5), ("seed", 0.5), ("workers", True),
+         ("replicates", np.True_), ("d", np.True_), ("seed", np.False_),
+         ("replicates", np.float32(2.5)), ("workers", Fraction(5, 2))],
     )
     def test_integer_field_rejects_fraction_or_boolean(self, key, value):
-        # checked where the config is built, not when a later range() fails
+        # checked where the config is built, not when a later range() fails;
+        # int() took np.True_ as 1 and truncated np.float32(2.5) and
+        # Fraction(5, 2) to 2
         with pytest.raises(DomainError, match="cannot parse"):
             SweepConfig(model=small_sbm(), **{key: value})
 
@@ -629,6 +634,16 @@ class TestConfigFiles:
             sweep_config_from_dict({"sizes": "10,10", "b_diag": 0.1, "typo": 1})
 
     @pytest.mark.parametrize(
+        "keys",
+        [{"scaled": "maybe"}, {"record_timing": "x"}, {"replicates": "x"}],
+    )
+    @pytest.mark.parametrize("unknown", ["typo", "model"])
+    def test_unknown_key_reported_before_any_value(self, keys, unknown):
+        # a malformed bool used to be reported before the unknown key
+        with pytest.raises(DomainError, match=f"^unknown config keys: \\['{unknown}'\\]$"):
+            sweep_config_from_dict({"sizes": "10,10", "b_diag": 0.1, unknown: 1, **keys})
+
+    @pytest.mark.parametrize(
         "sizes, matrix, error",
         [
             ("10,10", {"b_diag": "0.1", "b_off": "y"}, DomainError),
@@ -765,7 +780,8 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "key, value",
         [("replicates", 2.7), ("d", 2.5), ("dim", 1.5), ("seed", True),
-         ("workers", 1.5), ("sizes", [10.5, 10]), ("replicates", float("inf"))],
+         ("workers", 1.5), ("sizes", [10.5, 10]), ("replicates", float("inf")),
+         ("replicates", np.True_), ("sizes", [np.True_, 10]), ("d", np.float32(1.5))],
     )
     def test_integer_key_rejects_fraction_or_boolean(self, key, value):
         data = {"sizes": "10,10", "b_diag": 0.1, key: value}
@@ -779,6 +795,41 @@ class TestConfigFiles:
         assert config.model.sizes == (10, 10)
         assert (config.d, config.replicates) == (2, 3)
         assert all(type(x) is int for x in (config.d, config.replicates))
+
+    def test_flags_and_both_file_forms_build_one_config(self, tmp_path, monkeypatch):
+        # one sweep as flags, as key=value lines and as JSON: the files spell
+        # d as dim, give ints and bools as strings, and the JSON gives nulls
+        built = []
+        monkeypatch.setattr(cli, "run_tolerance_sweep", lambda c: built.append(c) or ([], {}))
+        out = str(tmp_path / "s.csv")
+        text = tmp_path / "s.cfg"
+        text.write_text(
+            "sizes = 20,20\nb_diag = 0.1\nb_off = 0.02\ndim = 2\n"
+            "tolerances = 2^-1..2^-3\nreplicates = 2\nseed = 3\nscaled = yes\n"
+            f"record_timing = 0\noutput = {out}\n"
+        )
+        json_path = tmp_path / "s.json"
+        json_path.write_text(json.dumps({
+            "sizes": [20, 20], "b": None, "b_diag": 0.1, "b_off": "0.02", "d": None,
+            "dim": "2", "tolerances": ["2^-1", 0.25, "0.125"], "replicates": "2",
+            "seed": 3, "workers": None, "scaled": "True", "record_timing": "0",
+            "output": out,
+        }))
+        flags = ["--sizes", "20,20", "--b-diag", "0.1", "--b-off", "0.02", "--dim", "2",
+                 "--tolerances", "2^-1..2^-3", "--replicates", "2", "--seed", "3",
+                 "--scaled", "--out", out]
+        assert cli_main(["sweep", *flags]) == 0
+        for path in (text, json_path):
+            assert cli_main(["sweep", "--config", str(path)]) == 0
+        first = built[0]
+        assert (first.d, first.replicates, first.seed, first.scaled) == (2, 2, 3, True)
+        assert first.output == out and not first.record_timing
+        for config in built[1:]:
+            assert config.model.sizes == first.model.sizes
+            assert np.array_equal(
+                config.model.block_probabilities, first.model.block_probabilities
+            )
+            assert dataclasses.replace(config, model=first.model) == first
 
     def test_tolerance_list_items_read_as_tokens(self):
         # each item went through float(), so a list refused "2^-1"
@@ -1308,6 +1359,14 @@ class TestClusteringStability:
             pytest.param({"reference_tol": "x"}, id="unparsable_reference_tol"),
             pytest.param({"tolerances": (True,)}, id="bool_tolerance"),
             pytest.param({"tolerances": "2^2000"}, id="overflowing_tolerance"),
+            # a float or bool d raised a TypeError in the first solve, or ran
+            # a d = 1 study whose summary wrote "dimension": true
+            pytest.param({"d": 1.5}, id="d_fraction"),
+            pytest.param({"d": True}, id="d_bool"),
+            pytest.param({"d": np.True_}, id="d_numpy_bool"),
+            pytest.param({"d": 0}, id="d0"),
+            pytest.param({"d": -1}, id="d-1"),
+            pytest.param({"d": "two"}, id="d_unparsable"),
         ],
     )
     def test_bad_k_range_rejected_before_any_solve(self, monkeypatch, bad):
@@ -1321,8 +1380,19 @@ class TestClusteringStability:
         # under d = "auto" every input is checked before the pilot solve too
         for d in (2, "auto"):
             with pytest.raises(DomainError):
-                run_clustering_stability(graph, d, **{"tolerances": (0.5, 0.25), **bad})
+                run_clustering_stability(graph, **{"d": d, "tolerances": (0.5, 0.25), **bad})
         assert solves == []
+
+    @pytest.mark.parametrize("d", [2.0, "2", np.int64(2)])
+    def test_whole_number_dimension_read_as_int(self, d):
+        # as SweepConfig reads d: 2.0 and "2" raised a TypeError in the
+        # first solve, and np.int64(2) reached the summary, which JSON
+        # cannot write
+        graph = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(small_sbm(30))), 0)
+        args = dict(tolerances=(0.5, 0.25), repetitions=1, k_range=(2, 3))
+        records, summary = run_clustering_stability(graph, d, **args)
+        assert summary["dimension"] == 2 and type(summary["dimension"]) is int
+        assert nan_safe(records) == nan_safe(run_clustering_stability(graph, 2, **args)[0])
 
     def test_auto_dimension_is_the_pilots(self):
         # d = "auto" resolves through resolve_dimension from the study's seed

@@ -85,9 +85,14 @@ class TestLatentPositions:
 
 
 class TestSbmSpec:
-    @pytest.mark.parametrize("sizes", [(2.7, 3), (3, 0.5), (math.nan, 3), (math.inf, 3), ("x", 3)])
+    @pytest.mark.parametrize(
+        "sizes",
+        [(2.7, 3), (3, 0.5), (math.nan, 3), (math.inf, 3), ("x", 3),
+         (True, 3), (3, np.True_)],
+    )
     def test_size_that_is_not_a_whole_number_rejected(self, sizes):
-        # int() truncated 2.7 to 2 and the model kept sizes (2, 3)
+        # int() truncated 2.7 to 2 and the model kept sizes (2, 3), and it
+        # kept a bool as a one-vertex block
         with pytest.raises(DimensionMismatch, match="whole numbers"):
             SbmSpec(0.1 * np.ones((2, 2)), sizes)
         # a whole float is kept, as an int

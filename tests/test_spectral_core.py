@@ -374,9 +374,12 @@ class TestRestartPath:
         assert len(calls) == dec.matvecs
 
     def test_inputs_checked_where_the_path_is_made(self):
-        for d in (0, 5):
-            with pytest.raises(DimensionMismatch):
+        # a bool d solved d = 1, and a float one failed in a slice
+        for d in (0, 5, -1, True, np.True_, 2.0, "2", None):
+            with pytest.raises(DimensionMismatch, match="need an integer 1 <= d < n"):
                 RestartPath(K5, d)
+            with pytest.raises(DimensionMismatch, match="need an integer 1 <= d < n"):
+                truncated_eigs(K5, d, 0.1)
         with pytest.raises(DomainError, match="seed must be non-negative"):
             RestartPath(K5, 1, seed=-1)
         with pytest.raises(TypeError):  # numpy's refusal, before any solve
@@ -645,6 +648,18 @@ class TestExcludedExtremes:
         assert isinstance(bracket, tuple) and len(bracket) == 2
         for got, want in zip(bracket, (excluded.min(), excluded.max())):
             assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("d", [0, -1, 60, True, np.True_, 2.0, "2"])
+    def test_dimension_checked_before_any_product(self, monkeypatch, d):
+        # d = 0 returned a "bracket" that held lambda_1, d = -1 returned
+        # None, and d = True ran d = 1
+        B = np.array([[0.5, 0.1], [0.1, 0.5]])
+        A = sample_adjacency(FactoredProbabilityMatrix(sbm_to_latent(SbmSpec(B, (30, 30)))), 0)
+        calls = []
+        monkeypatch.setattr(SparseGraph, "matvec", lambda G, x: calls.append(1))
+        with pytest.raises(DimensionMismatch, match="need an integer 1 <= d < n"):
+            spectral_core.excluded_extremes(A, d)
+        assert calls == []
 
     def test_stops_without_the_settling_gate(self, three_block_900, monkeypatch):
         # the run stops on its own exact test for mu_- and mu_+, so a gate
