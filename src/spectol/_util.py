@@ -1,15 +1,23 @@
 """Small shared helpers."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 
 
 def check_seed(seed) -> None:
     """Raise DomainError for a negative integer seed, which numpy refuses."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+
+
+def check_dimension(A, d) -> None:
+    # a bool passes 1 <= d < n, and a float d would fail only where it slices a basis
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not 1 <= d < A.n:
+        raise DimensionMismatch(f"need an integer 1 <= d < n, got d={d!r} with n={A.n}")
 
 
 def order_by_magnitude(values: np.ndarray) -> np.ndarray:
@@ -28,16 +36,24 @@ def order_by_magnitude(values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(n), -np.sign(values), -boosted))
 
 
+def json_text(document) -> str:
+    """``document`` as JSON indented by two, with a final newline.  JSON has
+    no NaN or Infinity token, so every non-finite float is written null."""
+    finite = json.loads(json.dumps(document), parse_constant=lambda _: None)
+    return json.dumps(finite, indent=2) + "\n"
+
+
 # rows formatted per call: bounds the temporary tuple of Python numbers
 _ROWS_PER_WRITE = 1 << 16
 
 
 def write_rows(path, template: str, rows, header: str = "") -> None:
     """Write ``header``, then each row of ``rows`` through the %-format
-    ``template``, to ``path``: every table spectol writes, in UTF-8 with the
-    template's LF line ends on every platform (``newline=""``).  One format
-    call per block of rows gives the same bytes as formatting each value on
-    its own, with no Python step per value."""
+    ``template``, to ``path``: every table and JSON file spectol writes (a
+    JSON file is a header with no rows), in UTF-8 with LF line ends on
+    every platform (``newline=""``).  One format call per block of rows
+    gives the same bytes as formatting each value on its own, with no
+    Python step per value."""
     rows = np.asarray(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)

@@ -7,11 +7,10 @@ with a one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from ._util import write_rows
+from ._util import json_text, write_rows
 from .errors import SpectolError
 from .experiments import (
     DEFAULT_TOLERANCES,
@@ -58,7 +57,7 @@ def _report(output, summary: dict) -> None:
         print(f"records -> {output}")
         print(f"summary -> {summary_path(output)}")
     else:
-        print(json.dumps(summary, indent=2))
+        print(json_text(summary), end="")
 
 
 def _dimension(text: str):
@@ -193,12 +192,12 @@ def _cmd_check(args) -> int:
         "gamma_check": assumptions.gamma_check,
         "delta_check": assumptions.delta_check,
     }
-    text = json.dumps(payload, indent=2)
+    text = json_text(payload)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_rows(args.out, "", (), text)
         print(f"report -> {args.out}")
     else:
-        print(text)
+        print(text, end="")
     return 0
 
 

@@ -21,12 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import check_seed, write_rows
+from ._util import check_seed, json_text, write_rows
 from .errors import DomainError, ParseError
 from .graph_model import (
     FactoredProbabilityMatrix,
     SbmSpec,
     SparseGraph,
+    check_assumptions,
     sample_adjacency,
     sbm_to_latent,
 )
@@ -204,11 +205,10 @@ def summary_path(output) -> Path:
 
 
 def write_run(output, records, summary: dict) -> None:
-    """Write records as CSV to ``output`` and the summary to ``summary_path``."""
+    """Write records as CSV to ``output`` and the summary, as ``json_text``, to
+    ``summary_path``."""
     write_records_csv(output, records)
-    summary_path(output).write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    write_rows(summary_path(output), "", (), json_text(summary))
 
 
 def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
@@ -237,7 +237,7 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     them.  DomainError is raised before any extremes run or replicate solve
     for a graph 0 below MIN_HEURISTIC_N vertices, before the pilot too (the
     summary reads the heuristics), and, once d is known, for a block model
-    with fewer blocks than d (P has no d-dimensional eigenspace then).
+    whose P has rank below d (P has no d-dimensional eigenspace then).
     Returns the records (replicate-major order) and a summary dict; writes
     CSV and summary JSON when the config names an output path.
     """
@@ -249,8 +249,8 @@ def run_tolerance_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict]:
     check_heuristic_n(graph0.n)  # the summary reads the heuristics
     d = resolve_dimension(config.d, graph0, graph0_ss)
     selection = DIMENSION_SELECTION_METHOD if config.d == "auto" else "fixed"
-    if V is not None and d > V.shape[1]:
-        raise DomainError(f"d={d} exceeds the number of blocks, {V.shape[1]}")
+    if P is not None and d > (rank := check_assumptions(P, d).rank):
+        raise DomainError(f"d={d} exceeds the rank of P, {rank}")
     bracket0 = excluded_extremes(graph0, d, solver0_ss)
 
     def one_replicate(r: int):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import check_seed
+from ._util import check_dimension, check_seed
 from .errors import DimensionMismatch, DomainError
 
 # eigenvalues of a block matrix in [-PSD_CLAMP, 0) are treated as exact zeros
@@ -368,11 +368,11 @@ def check_assumptions(P: FactoredProbabilityMatrix, d: int) -> AssumptionReport:
     gamma(P) = (lambda_d - lambda_{d+1}) / delta(P), where eigenvalues past
     the factor's width are exact zeros.  Checks the rank against d, gamma(P)
     against c0 = GAMMA_MIN, and delta(P) against (log n)^(4+a) with
-    a = DENSITY_MARGIN.  Only d < 1 raises; degenerate inputs (P = 0)
-    simply fail the checks.
+    a = DENSITY_MARGIN.  This is the one place spectol counts the rank of
+    P.  Only a d that is not an integer in [1, n) raises, as the solver
+    refuses it; degenerate inputs (P = 0) simply fail the checks.
     """
-    if d < 1:
-        raise DimensionMismatch("d must be at least 1")
+    check_dimension(P, d)
     values, _ = P.eigendecomposition()
     lam1 = float(values[0])
     rank = int(np.count_nonzero(values > RANK_REL_TOL * lam1)) if lam1 > 0 else 0
@@ -383,7 +383,7 @@ def check_assumptions(P: FactoredProbabilityMatrix, d: int) -> AssumptionReport:
     threshold = math.log(P.n) ** (4.0 + DENSITY_MARGIN) if P.n > 1 else float("inf")
     return AssumptionReport(
         rank=rank,
-        rank_matches=rank == d,
+        rank_matches=bool(rank == d),
         gamma=gamma,
         gamma_check=delta > 0 and gamma > GAMMA_MIN,
         delta=delta,

@@ -78,10 +78,13 @@ class Clustering:
 
 def _as_points(points) -> np.ndarray:
     """``points`` as a float array of n rows; a point with no coordinate is
-    a ``DomainError``, since every distance starts from the first one."""
+    a ``DomainError``, since every distance starts from the first one, and
+    so is a NaN or infinite coordinate, whose distances are all NaN."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] == 0:
         raise DomainError("points need at least one coordinate")
+    if not np.isfinite(points).all():
+        raise DomainError("points must have finite coordinates")
     return points
 
 

@@ -50,7 +50,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ._util import check_seed, order_by_magnitude
+from ._util import check_dimension, check_seed, order_by_magnitude
 from .errors import DimensionMismatch, DomainError, NoConvergence
 from .graph_model import DENSE_LIMIT, RANK_REL_TOL
 
@@ -239,12 +239,6 @@ def _settled(it: _Iterate) -> bool:
     return bool(np.all(np.abs(theta - prev) <= _STABILIZE_RTOL * floor))
 
 
-def _check_dimension(A: Operator, d) -> None:
-    # a bool passes 1 <= d < n, and a float d would fail only where it slices a basis
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not 1 <= d < A.n:
-        raise DimensionMismatch(f"need an integer 1 <= d < n, got d={d!r} with n={A.n}")
-
-
 class RestartPath:
     """The restart trajectory of A's d leading eigenpairs from one start
     block, suspended, plus the log of its restarts so far.
@@ -262,7 +256,7 @@ class RestartPath:
     """
 
     def __init__(self, A: Operator, d: int, seed=0):
-        _check_dimension(A, d)
+        check_dimension(A, d)
         check_seed(seed)
         self.A, self.d = A, d
         # working basis size held between restarts, in basis vectors
@@ -389,7 +383,7 @@ def excluded_extremes(A: Operator, d: int, seed=0) -> tuple[float, float] | None
         return all(r * r <= _EXTREMES_RTOL * abs(v) * g
                    for v, r, g in zip(values, residuals, gaps))
 
-    _check_dimension(A, d)
+    check_dimension(A, d)
     check_seed(seed)
     k = 3
     while d + k < A.n:

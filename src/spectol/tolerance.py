@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .graph_model import RANK_REL_TOL, FactoredProbabilityMatrix, SparseGraph
+from .graph_model import FactoredProbabilityMatrix, SparseGraph, check_assumptions
 from .spectral_core import RestartPath, SpectralDecomposition, truncated_eigs
 
 # smallest vertex count for which log(log(n)) is safely above zero
@@ -133,9 +133,8 @@ def expected_squared_deviation_diagonal(P: FactoredProbabilityMatrix) -> np.ndar
     never-sampled diagonal.  Computed in O(n d^2) from the factor.
     """
     X = P.latent.rows
-    col_sum = X.sum(axis=0)
     G = X.T @ X
-    row_p = X @ col_sum
+    row_p = P.row_sums()
     row_p2 = np.einsum("ij,jk,ik->i", X, G, X)
     p_ii = np.einsum("ij,ij->i", X, X)
     return row_p - row_p2 - p_ii + 2.0 * p_ii**2
@@ -145,18 +144,13 @@ def sampling_error_constant(P: FactoredProbabilityMatrix, d: int) -> float:
     """C(P): the scale of eigenvector fluctuation caused by edge sampling.
 
     C(P) = sqrt(tr(S^-1 V^T E[(A - P)^2] V S^-1)) over the d leading
-    eigenpairs (S, V) of P.  Raises DomainError when the d-th eigenvalue
-    is numerically zero relative to the first: at or below RANK_REL_TOL
-    times it, the threshold ``check_assumptions`` counts the rank by.
+    eigenpairs (S, V) of P.  Raises DomainError when the rank of P, as
+    ``check_assumptions`` counts it, is below d, and DimensionMismatch for
+    a d that is not an integer in [1, n).
     """
-    values, vectors = P.eigendecomposition()
-    if d < 1 or d > values.size:
-        raise DomainError(
-            f"rank-{d} constant requested from a factor with {values.size} columns"
-        )
-    lam1 = float(values[0])
-    if lam1 <= 0.0 or values[d - 1] <= RANK_REL_TOL * lam1:
+    if check_assumptions(P, d).rank < d:
         raise DomainError(f"eigenvalue {d} is numerically zero")
+    values, vectors = P.eigendecomposition()
     diag = expected_squared_deviation_diagonal(P)
     Vd = vectors[:, :d]
     weighted = (Vd**2 * diag[:, None]).sum(axis=0)

@@ -46,9 +46,11 @@ from spectol.experiments import (
     resolve_dimension,
     run_clustering_stability,
     run_tolerance_sweep,
+    summary_path,
     sweep_config_from_dict,
     write_edge_list,
     write_records_csv,
+    write_run,
 )
 from spectol.graph_model import DENSE_LIMIT
 from spectol.metrics import zhu_ghodsi_dimension
@@ -119,6 +121,15 @@ def spy_extremes_solves(monkeypatch) -> list:
 def twelve_cycle() -> str:
     """The edge list of a 12-cycle: too few vertices for the heuristics."""
     return "".join(f"{i} {(i + 1) % 12}\n" for i in range(12))
+
+
+def strict_json(path) -> dict:
+    """The JSON document in ``path``, refusing NaN and Infinity, which JSON
+    does not define."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
 
 
 def without_rho(records) -> list:
@@ -379,9 +390,14 @@ class TestWriteRows:
         assert out.read_bytes() == b"k,x\n1,0.5\n2,-0\n"
         _util.write_rows(out, "%d\n", [], "k\n")
         assert out.read_bytes() == b"k\n"
+        # a summary is a header of no rows, with null for each non-finite float
+        write_run(out, [], {"x": np.nan, "y": [-np.inf, 0.5], "k": 2})
+        assert summary_path(out).read_bytes() == (
+            b'{\n  "x": null,\n  "y": [\n    null,\n    0.5\n  ],\n  "k": 2\n}\n'
+        )
         # newline="" writes each "\n" as it is, where text mode would write
         # os.linesep, "\r\n" on Windows
-        assert opened == [{"encoding": "utf-8", "newline": ""}] * 2
+        assert opened == [{"encoding": "utf-8", "newline": ""}] * 4
 
 
 # the cells the record writer must format as csv.writer did: the IEEE
@@ -1068,11 +1084,19 @@ class TestToleranceSweep:
             assert flat_at >= summary["heuristic"]["mean_heuristic_spectral"]
             assert flat_at >= summary["heuristic"]["mean_heuristic_sqrt_n"]
 
-    @pytest.mark.parametrize("sizes", ["300,300", "500"])
-    def test_d_above_the_block_count_raises_before_any_solve(self, monkeypatch, sizes):
-        # P has one eigenvector per block, so the Procrustes error of a d = 3
-        # solve failed on its shapes, after graph 0's extremes run and
-        # replicate 0's first solve had run
+    @pytest.mark.parametrize("sizes, b_off, rank", [
+        pytest.param("300,300", 0.02, 2, id="300,300"),
+        pytest.param("500", 0.02, 1, id="500"),
+        # equal block probabilities: three blocks, but P = 0.05 J has rank 1
+        pytest.param("300,300,300", 0.05, 1, id="rank-deficient"),
+    ])
+    def test_d_above_the_block_count_raises_before_any_solve(
+        self, monkeypatch, sizes, b_off, rank
+    ):
+        # P has at most one eigenvector per block, so the Procrustes error of
+        # a d = 3 solve failed on its shapes, after graph 0's extremes run and
+        # replicate 0's first solve had run; a rank-deficient P with three
+        # blocks was swept against two arbitrary null-space vectors
         calls = []
         for name in ("truncated_eigs", "excluded_extremes"):
             def spy(*args, _real=getattr(experiments, name), _name=name, **kw):
@@ -1080,10 +1104,9 @@ class TestToleranceSweep:
                 return _real(*args, **kw)
 
             monkeypatch.setattr(experiments, name, spy)
-        config = SweepConfig(model=block_model(sizes, b_diag=0.05, b_off=0.02), d=3,
+        config = SweepConfig(model=block_model(sizes, b_diag=0.05, b_off=b_off), d=3,
                              tolerances=(0.5, 0.25), replicates=2)
-        blocks = len(sizes.split(","))
-        with pytest.raises(DomainError, match=f"^d=3 exceeds the number of blocks, {blocks}$"):
+        with pytest.raises(DomainError, match=f"^d=3 exceeds the rank of P, {rank}$"):
             run_tolerance_sweep(config)
         assert calls == []
 
@@ -1219,11 +1242,14 @@ class TestSweepRho:
         write_edge_list(path, A)
         config = SweepConfig(
             model=str(path), d=d, tolerances=(2.0**-2, 2.0**-6, 2.0**-10), replicates=3,
-            workers=workers,
+            workers=workers, output=str(tmp_path / "el.csv"),
         )
         graphs = spy_extremes_solves(monkeypatch)
         records, summary = run_tolerance_sweep(config)
         assert len(graphs) == 1
+        # an edge list has no P to compare with: its NaN errors are written null
+        written = strict_json(summary_path(config.output))
+        assert all(row["mean_procrustes"] is None for row in written["per_tolerance"])
         fixed = dataclasses.replace(config, d=summary["dimension"])
         assert_rho_matches([rec.rho for rec in records], dense_sweep_rhos(fixed))
         assert summary["rho_nan_cells"] == 0
@@ -1917,6 +1943,10 @@ class TestCli:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 2 * 3
+        # the loosest tolerance has no coarser one: its NaN ARI is written null
+        per_tolerance = strict_json(summary_path(out))["per_tolerance"]
+        assert per_tolerance[0]["mean_ari_vs_coarser"] is None
+        assert all(row["mean_ari_vs_coarser"] is not None for row in per_tolerance[1:])
 
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["no-such-command"]) == 2
@@ -2003,7 +2033,7 @@ class TestCli:
                          "--dim", "3", "--tolerances", "2^-1..2^-4", "--replicates", "2",
                          "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == "error: d=3 exceeds the number of blocks, 2\n"
+        assert capsys.readouterr().err == "error: d=3 exceeds the rank of P, 2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("rule", HEURISTIC_RULES)

@@ -296,11 +296,19 @@ class TestCheckAssumptions:
         X = LatentPositions(np.array([[0.6, 0.0], [0.0, 0.4], [0.0, 0.4]]))
         report = check_assumptions(FactoredProbabilityMatrix(X), 2)
         assert report.rank == 2 and report.gamma > 0.0
+        # a numpy d gave np.True_, which json.dumps refuses
+        report = check_assumptions(FactoredProbabilityMatrix(X), np.int64(2))
+        assert type(report.rank_matches) is bool and report.rank_matches
 
     def test_dimension_zero_rejected(self):
         P = FactoredProbabilityMatrix(sbm_to_latent(three_block_spec()))
         with pytest.raises(DimensionMismatch):
             check_assumptions(P, 0)
+        # d is checked as the solver checks it: a float d raised IndexError,
+        # a bool TypeError
+        for d in (True, np.True_, 1.5, 2.0, "2", None, P.n):
+            with pytest.raises(DimensionMismatch, match="need an integer 1 <= d < n"):
+                check_assumptions(P, d)
 
     def test_zero_matrix_fails_everything(self):
         P = FactoredProbabilityMatrix(LatentPositions(np.zeros((20, 1))))

@@ -168,6 +168,18 @@ class TestKmeans:
             kmeans(np.zeros((2, 0)), 2)
         with pytest.raises(DomainError, match="at least one coordinate"):
             silhouette_width(np.zeros((2, 0)), clustering)
+        # a NaN point failed Lloyd's cost assertion, an infinite one numpy's
+        # ValueError in the seeding
+        clustering = Clustering(labels=np.array([0, 1, 1]), k=2, centers=np.zeros((2, 1)),
+                                wcss=0.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            points = np.array([[0.0], [1.0], [bad]])
+            with pytest.raises(DomainError, match="finite coordinates"):
+                kmeans(points, 2)
+            with pytest.raises(DomainError, match="finite coordinates"):
+                silhouette_width(points, clustering)
+            with pytest.raises(DomainError, match="finite coordinates"):
+                choose_k_by_silhouette(points, (2,))
 
     def test_negative_seed_rejected(self):
         # numpy's own ValueError escaped

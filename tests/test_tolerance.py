@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectol import (
+    DimensionMismatch,
     DomainError,
     FactoredProbabilityMatrix,
     LatentPositions,
@@ -295,6 +296,16 @@ class TestSamplingErrorConstant:
         rows = np.full((4, 2), 0.4)
         with pytest.raises(DomainError, match="eigenvalue 2 is numerically zero"):
             sampling_error_constant(FactoredProbabilityMatrix(LatentPositions(rows)), 2)
+        # a d past the factor's width is a rank below d as well
+        with pytest.raises(DomainError, match="eigenvalue 3 is numerically zero"):
+            sampling_error_constant(FactoredProbabilityMatrix(LatentPositions(rows)), 3)
+
+    def test_dimension_checked_as_the_solver_checks_it(self):
+        # True computed d = 1, and a float d raised IndexError
+        P = FactoredProbabilityMatrix(sbm_to_latent(SbmSpec([[0.5, 0.1], [0.1, 0.5]], (4, 4))))
+        for d in (0, True, np.True_, 1.5, 2.0, "2", None, P.n):
+            with pytest.raises(DimensionMismatch, match="need an integer 1 <= d < n"):
+                sampling_error_constant(P, d)
 
     def test_rank_threshold_shared_with_check_assumptions(self):
         # orthogonal columns give lambda_1 = n / 4 and lambda_2 = n e^2, so
