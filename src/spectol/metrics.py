@@ -23,6 +23,19 @@ _KMEANS_RESTARTS = 10
 _SILHOUETTE_BLOCK = 256
 
 
+def _frame_pair(X, Y, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y as float arrays of one n x d shape, else a
+    ``DimensionMismatch`` naming ``what``; a NaN or infinite entry is a
+    ``DomainError``, where the SVD would fail to converge."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.shape != Y.shape or X.ndim != 2:
+        raise DimensionMismatch(f"both {what} must share one n x d shape")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise DomainError(f"both {what} must have finite entries")
+    return X, Y
+
+
 def procrustes_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """min over orthogonal O of ||X - Y O||_F, with the minimizing O.
 
@@ -31,10 +44,7 @@ def procrustes_distance(X: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray
     sqrt(||X||^2 + ||Y||^2 - 2 sum of singular values) cancels
     catastrophically and floors near sqrt(eps) ||X|| when the fit is exact.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape or X.ndim != 2:
-        raise DimensionMismatch("both embeddings must share one n x d shape")
+    X, Y = _frame_pair(X, Y, "embeddings")
     U, _, Vt = np.linalg.svd(Y.T @ X)
     O = U @ Vt
     return float(np.linalg.norm(X - Y @ O)), O
@@ -49,10 +59,7 @@ def canonical_angles(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
     sqrt(1 - cos^2), keep full precision for angles near zero.  Angles come
     back in decreasing order.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape or X.ndim != 2:
-        raise DimensionMismatch("both frames must share one n x d shape")
+    X, Y = _frame_pair(X, Y, "frames")
     d = X.shape[1]
     for name, F in (("first", X), ("second", Y)):
         if np.linalg.norm(F.T @ F - np.eye(d)) > _ORTHONORMAL_TOL:
@@ -77,15 +84,23 @@ class Clustering:
 
 
 def _as_points(points) -> np.ndarray:
-    """``points`` as a float array of n rows; a point with no coordinate is
-    a ``DomainError``, since every distance starts from the first one, and
-    so is a NaN or infinite coordinate, whose distances are all NaN."""
+    """``points``, n rows of d coordinates, as the contiguous d x n array
+    ``points_t`` that seeding, Lloyd and silhouette read.  A point with no
+    coordinate is a ``DomainError``, since every distance starts from the
+    first one, and so is a NaN or infinite coordinate: its distances are NaN.
+    So are coordinates so large that n * d * (2 max|x|)^2, which bounds
+    every squared distance and Lloyd's sum of them over n points, is not
+    finite."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] == 0:
         raise DomainError("points need at least one coordinate")
     if not np.isfinite(points).all():
         raise DomainError("points must have finite coordinates")
-    return points
+    # a product of Python floats overflows to inf without a RuntimeWarning
+    span = 2.0 * float(np.abs(points).max(initial=0.0))
+    if not math.isfinite(points.size * span * span):
+        raise DomainError("points are too large: their squared distances overflow")
+    return np.ascontiguousarray(points.T)
 
 
 def _cluster_count(k) -> int:
@@ -98,19 +113,20 @@ def _cluster_count(k) -> int:
     return int(k)
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+def _plus_plus_init(points_t: np.ndarray, k: int, rng) -> np.ndarray:
+    d, n = points_t.shape
+    centers = np.empty((k, d))
+    centers[0] = points_t[:, rng.integers(n)]
+    d2 = _sq_dists(centers[:1], points_t, np.empty((1, n)))[0]
+    row = np.empty((1, n))
     for c in range(1, k):
         total = d2.sum()
         if total > 0.0:
             idx = rng.choice(n, p=d2 / total)
         else:
             idx = rng.integers(n)
-        centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+        centers[c] = points_t[:, idx]
+        np.minimum(d2, _sq_dists(centers[c : c + 1], points_t, row)[0], out=d2)
     return centers
 
 
@@ -130,7 +146,7 @@ def _sq_dists(rows: np.ndarray, points_t: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-def _revive(points, labels, counts, nearest, centers) -> None:
+def _revive(points_t, labels, counts, nearest, centers) -> None:
     """Give each empty cluster of one start the point farthest from its
     center, taken from a cluster that keeps at least one other member."""
     for c in np.nonzero(counts == 0)[0]:
@@ -141,18 +157,17 @@ def _revive(points, labels, counts, nearest, centers) -> None:
         counts[labels[idx]] -= 1
         labels[idx] = c
         counts[c] += 1
-        centers[c] = points[idx]
+        centers[c] = points_t[:, idx]
         nearest[idx] = 0.0  # the seized point is its cluster's new center
 
 
-def _lloyd(points: np.ndarray, inits: np.ndarray) -> list:
+def _lloyd(points_t: np.ndarray, inits: np.ndarray) -> list:
     """Lloyd iteration from each start of ``inits`` (starts x k x d) at
     once; returns each start's (labels, centers, wcss).  Every step is the
     one a lone run takes, done on all starts still moving, and a start whose
     labels repeat leaves the batch as a lone run would stop."""
-    n = points.shape[0]
+    n = points_t.shape[1]
     starts, k = inits.shape[:2]
-    points_t = np.ascontiguousarray(points.T)
     # the weights of one bincount over (start, cluster) bins: any prefix of
     # m * n holds the coordinate once per start, points in index order
     tiled = np.tile(points_t, (1, starts))
@@ -178,7 +193,7 @@ def _lloyd(points: np.ndarray, inits: np.ndarray) -> list:
         counts = np.bincount((new_labels + offsets[:m]).ravel(), minlength=m * k)
         counts = counts.reshape(m, k)
         for r in np.nonzero((counts == 0).any(axis=1))[0]:
-            _revive(points, new_labels[r], counts[r], nearest[r], centers[r])
+            _revive(points_t, new_labels[r], counts[r], nearest[r], centers[r])
         wcss = nearest.sum(axis=1)
         bound = prev_wcss * (1.0 + 1e-9) + 1e-12
         assert np.all(wcss <= bound), "cost rose within Lloyd"
@@ -194,7 +209,7 @@ def _lloyd(points: np.ndarray, inits: np.ndarray) -> list:
             break
         filled = counts > 0
         bins = (labels + offsets[:m]).ravel()
-        for j in range(points.shape[1]):
+        for j in range(points_t.shape[0]):
             sums = np.bincount(bins, weights=tiled[j, : m * n], minlength=m * k)
             sums = sums.reshape(m, k)
             centers[..., j][filled] = sums[filled] / counts[filled]
@@ -218,18 +233,18 @@ def kmeans(points: np.ndarray, k: int, seed=0) -> Clustering:
     start gives the labels, centers and cost a lone run from its seed gives,
     and the first start of least cost is kept.
     """
-    points = _as_points(points)
-    n = points.shape[0]
+    points_t = _as_points(points)
+    n = points_t.shape[1]
     k = _cluster_count(k)
     if k > n:
         raise DomainError(f"k={k} clusters from {n} points")
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    inits = np.array([_plus_plus_init(points, k, rng) for _ in range(_KMEANS_RESTARTS)])
+    inits = np.array([_plus_plus_init(points_t, k, rng) for _ in range(_KMEANS_RESTARTS)])
     batch = max(1, _SILHOUETTE_BLOCK // (2 * k))
     runs = []
     for lo in range(0, _KMEANS_RESTARTS, batch):
-        runs += _lloyd(points, inits[lo : lo + batch])
+        runs += _lloyd(points_t, inits[lo : lo + batch])
     # min keeps the first of tied costs
     labels, centers, wcss = min(runs, key=lambda run: run[2])
     return Clustering(labels=labels, k=k, centers=centers, wcss=wcss)
@@ -263,8 +278,8 @@ def _silhouette_widths(points, clusterings) -> list[SilhouetteResult]:
     pass over its pairwise distances: each block of rows is formed once and
     folded into the per-cluster sums of every clustering, then released
     (its buffer is reused) before the next block is formed."""
-    points = _as_points(points)
-    n = points.shape[0]
+    points_t = _as_points(points)
+    n = points_t.shape[1]
     for clustering in clusterings:
         if clustering.k < 2:
             raise DomainError("silhouette widths need at least two clusters")
@@ -273,10 +288,9 @@ def _silhouette_widths(points, clusterings) -> list[SilhouetteResult]:
     one_hots = [np.eye(c.k)[c.labels] for c in clusterings]
     # summed distance from every point to every cluster, per clustering
     sums = [np.empty((n, c.k)) for c in clusterings]
-    points_t = np.ascontiguousarray(points.T)
     block = np.empty((min(_SILHOUETTE_BLOCK, n), n))
     for start in range(0, n, _SILHOUETTE_BLOCK):
-        rows = points[start : start + _SILHOUETTE_BLOCK]
+        rows = points_t[:, start : start + _SILHOUETTE_BLOCK].T
         dist = block[: len(rows)]
         np.sqrt(_sq_dists(rows, points_t, dist), out=dist)
         for one_hot, total in zip(one_hots, sums):
@@ -365,6 +379,10 @@ def zhu_ghodsi_dimension(scree) -> int:
     if m < 2:
         raise DomainError("a scree needs at least two values")
     scale = float(np.abs(x).max())
+    # NaN, inf, or values whose squared deviations could overflow; a
+    # product of Python floats overflows to inf without a RuntimeWarning
+    if not math.isfinite(m * (2.0 * scale) * (2.0 * scale)):
+        raise DomainError("scree values must be finite and small enough to square")
     if np.any(x < -1e-12 * max(1.0, scale)):
         raise DomainError("scree values must be nonnegative")
     if np.any(np.diff(x) > 1e-12 * max(1.0, scale)):

@@ -8,13 +8,15 @@ an O(n + m) block model edge sampler for graphs above the dense limit,
 rho as the distance from Ritz values to every excluded eigenvalue,
 Lloyd with its distances held one point per row, the Lanczos solver
 with its basis stored one vector per column, a sweep CSV reader that
-takes each row as a dict, and a record CSV writer that formats each cell
-on its own through ``csv.writer``.  None of it imports the package under
-test, except its exception types, the record types the reader and the
-writer take, and the fresh-solve harness references at the end: they
-rebuild sweep and stability records from the package's own solver and
-metrics with one independent solve per tolerance, the plain pipeline that
-the harness's shared restart path must reproduce.
+takes each row as a dict, a record CSV writer that formats each cell
+on its own through ``csv.writer``, and scipy's ARPACK as a reference
+solver.  None of it imports the package under test, except its exception
+types, the record types the reader and the writer take, the exact
+residual the ARPACK reference reports, and the fresh-solve harness
+references at the end: they rebuild sweep and stability records from the
+package's own solver and metrics with one independent solve per
+tolerance, the plain pipeline that the harness's shared restart path
+must reproduce.
 """
 from __future__ import annotations
 
@@ -672,6 +674,40 @@ def reference_write_records_csv(path, records) -> None:
                 else format(float(getattr(rec, col)), ".17g")
                 for col in columns
             ])
+
+
+def arpack_sweep(A, d: int, tolerances, seed) -> list[dict]:
+    """scipy's ARPACK as a reference solver: one fresh ``eigsh(k=d,
+    which="LM", ncv=20, tol=t)`` per tolerance t, each started from
+    ``default_rng(seed).random(n)`` and run through a ``LinearOperator``
+    that counts its calls of ``A.matvec``.  ``eigsh`` stops per pair, on a
+    Ritz estimate (||r_i|| <= t |theta_i|), not on spectol's rule.  Returns,
+    per tolerance, a dict of the matvecs, the exact residual
+    (``residual_norm``, whose d products are not counted), the values and
+    the vectors.  Needs scipy: callers load it with ``pytest.importorskip``.
+    """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    from spectol.spectral_core import residual_norm
+
+    v0 = np.random.default_rng(seed).random(A.n)
+    runs = []
+    for tol in tolerances:
+        calls = [0]
+
+        def matvec(x):
+            calls[0] += 1
+            return A.matvec(np.ravel(x))
+
+        operator = LinearOperator((A.n, A.n), matvec=matvec, dtype=float)
+        values, vectors = eigsh(operator, k=d, which="LM", ncv=20, tol=tol, v0=v0)
+        runs.append({
+            "matvecs": calls[0],
+            "residual": residual_norm(A, vectors, values),
+            "values": values,
+            "vectors": vectors,
+        })
+    return runs
 
 
 def fresh_sweep_records(config) -> list:

@@ -77,6 +77,16 @@ class TestProcrustesDistance:
         with pytest.raises(DimensionMismatch):
             procrustes_distance(np.ones((3, 2)), np.ones((4, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # numpy's LinAlgError escaped from the SVD
+        X = np.eye(4)[:, :2]
+        Y = X.copy()
+        Y[1, 0] = bad
+        for args in ((X, Y), (Y, X)):
+            with pytest.raises(DomainError, match="both embeddings must have finite entries"):
+                procrustes_distance(*args)
+
 
 class TestCanonicalAngles:
     def test_identical_spans(self):
@@ -108,6 +118,20 @@ class TestCanonicalAngles:
     def test_rejects_skew_frame(self):
         with pytest.raises(DomainError, match="first argument lacks orthonormal columns"):
             canonical_angles(np.ones((4, 2)), np.linalg.qr(np.eye(4)[:, :2])[0])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="both frames must share one n x d shape"):
+            canonical_angles(np.eye(4)[:, :2], np.eye(4)[:, :1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # numpy's LinAlgError escaped from the SVD
+        X = np.eye(4)[:, :2]
+        Y = X.copy()
+        Y[1, 0] = bad
+        for args in ((X, Y), (Y, X)):
+            with pytest.raises(DomainError, match="both frames must have finite entries"):
+                canonical_angles(*args)
 
 
 class TestKmeans:
@@ -180,6 +204,25 @@ class TestKmeans:
                 silhouette_width(points, clustering)
             with pytest.raises(DomainError, match="finite coordinates"):
                 choose_k_by_silhouette(points, (2,))
+        # finite coordinates whose squared distances overflow: numpy's
+        # ValueError in the seeding, and NaN silhouette widths
+        clustering = Clustering(labels=np.array([0, 1, 1, 0]), k=2,
+                                centers=np.zeros((2, 1)), wcss=0.0)
+        for huge in (1e200, 1e160):
+            points = np.array([[0.0], [huge], [-huge], [5.0]])
+            with pytest.raises(DomainError, match="squared distances overflow"):
+                kmeans(points, 2)
+            with pytest.raises(DomainError, match="squared distances overflow"):
+                silhouette_width(points, clustering)
+            with pytest.raises(DomainError, match="squared distances overflow"):
+                choose_k_by_silhouette(points, (2,))
+
+    def test_large_finite_points_accepted(self):
+        points = np.array([[0.0], [1e100], [-1e100], [5.0]])
+        result = kmeans(points, 3)
+        # 0 and 5 share a cluster; each of the far points is its own
+        assert result.labels[0] == result.labels[3] and len(set(result.labels)) == 3
+        assert np.isfinite(silhouette_width(points, result).values).all()
 
     def test_negative_seed_rejected(self):
         # numpy's own ValueError escaped
@@ -257,15 +300,19 @@ class TestKmeansMatchesRowMajor:
 
 
 def calls_per_start(pts, k, seed, name):
-    """How often each start of ``kmeans(pts, k, seed)`` calls
-    ``metrics.<name>``, counted with every start in a batch of its own."""
+    """How often each start's Lloyd run in ``kmeans(pts, k, seed)`` calls
+    ``metrics.<name>``, counted with every start in a batch of its own.
+    Calls made outside Lloyd, as the seeding's ``_sq_dists`` calls, are not
+    counted."""
     counts = []
     lloyd, spied = metrics._lloyd, getattr(metrics, name)
 
-    def lone(points, inits):
+    def lone(points_t, inits):
         assert len(inits) == 1
         counts.append(0)
-        return lloyd(points, inits)
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(metrics, name, spy)
+            return lloyd(points_t, inits)
 
     def spy(*args):
         counts[-1] += 1
@@ -274,7 +321,6 @@ def calls_per_start(pts, k, seed, name):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metrics, "_SILHOUETTE_BLOCK", 2 * k)
         patch.setattr(metrics, "_lloyd", lone)
-        patch.setattr(metrics, name, spy)
         kmeans(pts, k, seed)
     return counts
 
@@ -567,3 +613,14 @@ class TestZhuGhodsiDimension:
     def test_rejects_increasing_input(self):
         with pytest.raises(DomainError):
             zhu_ghodsi_dimension((1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("scree", [
+        (3.0, np.nan, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1e200, 1.0), (1e170, 1e160, 1.0)
+    ])
+    def test_non_finite_or_overflowing_values_rejected(self, scree):
+        # NaN and inf raised TypeError from int(None), 1e200 an OverflowError
+        with pytest.raises(DomainError, match="finite and small enough to square"):
+            zhu_ghodsi_dimension(scree)
+
+    def test_large_finite_values_accepted(self):
+        assert zhu_ghodsi_dimension((1e150, 1e140, 1.0)) == 1
